@@ -55,9 +55,8 @@ def params_checksum(params: NetworkParams) -> str:
     h = hashlib.sha256()
     h.update(json.dumps(params.config.to_dict(), sort_keys=True).encode())
     for name, _ in params.config.param_layout():
-        arr = np.ascontiguousarray(params.arrays[name], dtype=np.float64)
         h.update(name.encode())
-        h.update(arr.tobytes())
+        h.update(np.ascontiguousarray(params.arrays[name], dtype=np.float64))
     return h.hexdigest()
 
 
@@ -92,21 +91,22 @@ def save_checkpoint(path, ckpt: Checkpoint) -> str:
         "arrays": directory,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for _, arr in arrays:
-        blob += np.ascontiguousarray(arr).tobytes()
-    digest = hashlib.sha256(bytes(blob)).digest()
-    blob += digest
 
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
+    digest = hashlib.sha256()
     with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+        for piece in (
+            MAGIC,
+            struct.pack("<I", FORMAT_VERSION),
+            struct.pack("<I", len(header_bytes)),
+            header_bytes,
+            *(np.ascontiguousarray(arr) for _, arr in arrays),
+        ):
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
     os.replace(tmp, path)
     return header["params_checksum"]
 

@@ -107,10 +107,15 @@ class Polyline:
 
 
 def smooth_corners(waypoints, radius: float = 5.0, max_seg: float = 1.0) -> Polyline:
-    """Polyline through waypoints with interior corners replaced by circular arcs.
+    """Polyline through waypoints with interior corners rounded off.
 
-    The arc is tangent to both legs at distance `radius` from the corner
-    (clipped to half the shorter leg) and sampled every ~`max_seg` meters.
+    Each interior corner is replaced by a quadratic Bezier curve whose control
+    point is the corner itself. It starts and ends on the two legs, tangent to
+    them, at the setback r * tan(turn / 2) from the corner, where r is
+    `radius` clipped to 0.45 of the shorter leg; that is where a circular arc of
+    radius r would meet the legs, and the curve approximates that arc. It is
+    sampled at ceil(r * turn / `max_seg`) + 1 points (at least 3), about one
+    every `max_seg` meters of the arc.
     """
     wps = [np.asarray(w, dtype=np.float64) for w in waypoints]
     if len(wps) < 2:

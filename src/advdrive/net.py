@@ -209,18 +209,21 @@ def _validate_obs_batch(x: np.ndarray):
 
 
 def core_input(config: NetConfig, obs: np.ndarray) -> np.ndarray:
-    """Decimate a raw (N, 84, 84, 3) batch to the net's working resolution.
+    """Bring an observation batch to the net's working resolution.
 
-    Values are untouched; for lite nets this picks one pixel per 4x4 block
-    (the inverse of the lite raster's replication). Contiguous output so
-    repeated minibatch slicing stays cheap.
+    Takes raw (N, 84, 84, 3) batches or batches already at core resolution,
+    which come back unchanged, so the function is idempotent. Values are
+    untouched; for lite nets this picks one pixel per 4x4 block (the inverse
+    of the lite raster's replication). Contiguous output so repeated
+    minibatch slicing stays cheap.
     """
     x = np.asarray(obs, dtype=np.float64)
+    res = config.core_res()
+    if x.ndim == 4 and x.shape[1:] == (res, res, INPUT_CHANNELS):
+        return np.ascontiguousarray(x)
     _validate_obs_batch(x)
-    if config.decimation > 1:
-        off = (config.decimation - 1) // 2
-        x = x[:, off :: config.decimation, off :: config.decimation, :]
-    return np.ascontiguousarray(x)
+    off = (config.decimation - 1) // 2
+    return np.ascontiguousarray(x[:, off :: config.decimation, off :: config.decimation, :])
 
 
 def forward_core(params: NetworkParams, x: np.ndarray):
@@ -348,6 +351,7 @@ def init_adam_state(params: NetworkParams) -> AdamState:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per in-place Adam block (512 KiB of float64)
 
 
 def adam_update(
@@ -356,7 +360,15 @@ def adam_update(
     state: AdamState,
     lr: float,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam step; rejects non-finite gradients."""
+    """One bias-corrected Adam step, in place.
+
+    Overwrites ``params.arrays``, ``state.m`` and ``state.v``, advances
+    ``state.step``, and returns the same two objects. Every gradient is
+    checked for shape and finiteness before anything is written. Each element
+    goes through the out-of-place formula's operations in the same order, so
+    results are bit-identical to it; working in blocks of ``ADAM_BLOCK``
+    elements keeps the temporaries to two small scratch buffers.
+    """
     if lr <= 0:
         raise ContractViolationError("learning rate must be positive")
     for name, g in grads.items():
@@ -364,22 +376,44 @@ def adam_update(
             raise ContractViolationError(f"gradient shape mismatch for '{name}'")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient in '{name}'")
+    for name, p in params.arrays.items():
+        if not (p.flags.c_contiguous and state.m[name].flags.c_contiguous
+                and state.v[name].flags.c_contiguous):
+            raise ContractViolationError(f"parameter or moment '{name}' is not C-contiguous")
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    new_arrays = {}
-    new_m = {}
-    new_v = {}
-    for name, p in params.arrays.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        new_arrays[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    new_params = NetworkParams(params.config, new_arrays)
-    new_params.check_finite()
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
+    scratch_a = np.empty(ADAM_BLOCK)
+    scratch_b = np.empty(ADAM_BLOCK)
+    for name, arr in params.arrays.items():
+        p_all = arr.reshape(-1)
+        g_all = grads[name].reshape(-1)
+        m_all = state.m[name].reshape(-1)
+        v_all = state.v[name].reshape(-1)
+        for lo in range(0, p_all.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p_all.size)
+            p, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            np.add(m, a, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=a)
+            np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.add(v, a, out=v)
+            # p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, ADAM_EPS, out=a)
+            np.divide(b, a, out=b)
+            np.subtract(p, b, out=p)
+    state.step = t
+    params.check_finite()
+    return params, state
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

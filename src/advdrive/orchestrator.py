@@ -176,8 +176,10 @@ def run_episode(
                 obs, chosen, value = pending[aid]
                 reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
                 done = world.terminated[aid] or (t == max_steps - 1)
+                # stored at the net's core resolution: a lossless subsample
+                core_obs = net.core_input(policies[aid].params.config, obs.pixels[None])[0]
                 trajectories[aid].append(
-                    obs.pixels, chosen.index, chosen.log_prob, chosen.log_prob_vector,
+                    core_obs, chosen.index, chosen.log_prob, chosen.log_prob_vector,
                     value, reward, done,
                 )
             prev_flags[aid] = fl
@@ -319,13 +321,13 @@ def run_training_phase(
                         scenario.agent(aid).seed_index,
                     )
                     batch = build_rollout_batch(buffers[aid], hyper.gamma, hyper.gae_lambda)
+                    buffers[aid] = []
                     if pol.adam is None:
                         pol.adam = net.init_adam_state(pol.params)
                     pol.params, pol.adam, pol.kl_coef, upd = update_policy(
                         pol.params, pol.adam, batch, hyper, pol.kl_coef, rng
                     )
                     pol.counters["updates"] += 1
-                    buffers[aid] = []
                     record = {"type": "update", "phase": phase_name, "agent_id": aid, "episode": ep}
                     record.update(upd)
                     stats.write(record)
@@ -342,6 +344,8 @@ def run_training_phase(
     except NonFiniteError as exc:
         status = "aborted"
         abort_message = str(exc)
+    finally:
+        stats.close()
 
     if status == "completed":
         paths, checksums = _save_policy_checkpoints(policies, trainable, out_dir)
@@ -354,7 +358,6 @@ def run_training_phase(
                 f"frozen policy '{aid}' changed during phase '{phase_name}'"
             )
 
-    stats.close()
     manifest = {
         "phase": phase_name,
         "phase_key": phase_key,

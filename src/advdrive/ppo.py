@@ -52,7 +52,7 @@ class Trajectory:
 
     agent_id: str
     episode_index: int
-    obs: list = field(default_factory=list)  # each (84, 84, 3) float64
+    obs: list = field(default_factory=list)  # each (R, R, 3) float64, R = net core resolution
     actions: list = field(default_factory=list)
     log_probs_old: list = field(default_factory=list)
     log_prob_vecs_old: list = field(default_factory=list)  # each (9,)
@@ -104,7 +104,7 @@ def compute_advantages(
 class RolloutBatch:
     """Whole episodes stacked for one policy update; advantages already normalized."""
 
-    obs: np.ndarray  # (N, 84, 84, 3)
+    obs: np.ndarray  # (N, R, R, 3), as stored in the trajectories (see net.core_input)
     actions: np.ndarray  # (N,) int64
     log_probs_old: np.ndarray  # (N,)
     log_prob_vecs_old: np.ndarray  # (N, 9)
@@ -216,11 +216,10 @@ def ppo_loss(
 
 
 def ppo_loss_grads(
-    params: NetworkParams, mb: Minibatch, hyper: PpoHyper, kl_coef: float, obs_is_core: bool = False
+    params: NetworkParams, mb: Minibatch, hyper: PpoHyper, kl_coef: float
 ) -> tuple[float, dict, dict]:
     """Loss, components, and exact parameter gradients for one minibatch."""
-    fwd = net.forward_core if obs_is_core else net.forward_batch
-    logits, values, cache = fwd(params, mb.obs)
+    logits, values, cache = net.forward_batch(params, mb.obs)
     logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, loss = _loss_pieces(
         logits, values, mb, hyper
     )
@@ -247,11 +246,6 @@ def ppo_loss_grads(
     return float(total), components, grads
 
 
-def policy_log_probs(params: NetworkParams, batch: RolloutBatch) -> np.ndarray:
-    logits, _, _ = net.forward_batch(params, batch.obs)
-    return net.log_softmax(logits)
-
-
 def adapt_kl_coef(kl_coef: float, mean_kl: float, kl_target: float) -> float:
     """RLlib-style two-sided adaptation: x1.5 above 2*target, x0.5 below target/2."""
     if mean_kl > 2.0 * kl_target:
@@ -259,6 +253,13 @@ def adapt_kl_coef(kl_coef: float, mean_kl: float, kl_target: float) -> float:
     if mean_kl < kl_target / 2.0:
         return kl_coef * 0.5
     return kl_coef
+
+
+def _batch_log_probs(params: NetworkParams, obs: np.ndarray, rows: int) -> np.ndarray:
+    """Log-probabilities for a whole batch, forwarded `rows` observations at a
+    time so that at most one chunk's forward cache is alive."""
+    logits = [net.forward_batch(params, obs[lo : lo + rows])[0] for lo in range(0, len(obs), rows)]
+    return net.log_softmax(np.concatenate(logits))
 
 
 def update_policy(
@@ -272,12 +273,14 @@ def update_policy(
     """Optimize one rollout batch: epochs of shuffled minibatches, Adam steps,
     then the adaptive-KL coefficient update measured over the whole batch.
 
+    Takes ownership of `params` and `adam_state`: Adam updates them in place
+    and they are returned as the new state. Pass copies to keep the originals.
+    No forward pass sees more than `hyper.minibatch` observations.
+
     Raises PpoError if the batch was not collected under `params`
     (probability ratios at the start must be 1 within 1e-9).
     """
-    core_obs = net.core_input(params.config, batch.obs)
-    logits_start, _, _ = net.forward_core(params, core_obs)
-    logp_start = net.log_softmax(logits_start)
+    logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch)
     ratio_start = np.exp(logp_start[np.arange(batch.n_steps), batch.actions] - batch.log_probs_old)
     worst = float(np.abs(ratio_start - 1.0).max())
     if worst > ON_POLICY_TOLERANCE:
@@ -291,23 +294,12 @@ def update_policy(
     for _ in range(hyper.epochs_per_batch):
         order = rng.permutation(batch.n_steps)
         for lo in range(0, batch.n_steps, hyper.minibatch):
-            idx = order[lo : lo + hyper.minibatch]
-            mb = Minibatch(
-                obs=core_obs[idx],
-                actions=batch.actions[idx],
-                log_probs_old=batch.log_probs_old[idx],
-                log_prob_vecs_old=batch.log_prob_vecs_old[idx],
-                advantages=batch.advantages[idx],
-                returns=batch.returns[idx],
-            )
-            last_loss, last_components, grads = ppo_loss_grads(
-                params, mb, hyper, kl_coef, obs_is_core=True
-            )
+            mb = batch.slice(order[lo : lo + hyper.minibatch])
+            last_loss, last_components, grads = ppo_loss_grads(params, mb, hyper, kl_coef)
             params, adam_state = net.adam_update(params, grads, adam_state, hyper.lr)
             grad_steps += 1
 
-    logits_final, _, _ = net.forward_core(params, core_obs)
-    logp_final = net.log_softmax(logits_final)
+    logp_final = _batch_log_probs(params, batch.obs, hyper.minibatch)
     q = np.exp(batch.log_prob_vecs_old)
     mean_kl = float((q * (batch.log_prob_vecs_old - logp_final)).sum(axis=1).mean())
     mean_entropy = float(net.entropy_from_logp(logp_final).mean())

@@ -90,6 +90,16 @@ class TestForward:
                     slow[0, i, j, f] = np.sum(patch * w[:, :, :, f]) + b[f]
         assert np.allclose(fast, slow, atol=1e-12)
 
+    @pytest.mark.parametrize("make_config", [net.lite21_config, net.full84_config])
+    def test_core_input_is_idempotent(self, make_config):
+        cfg = make_config()
+        core = net.core_input(cfg, probe_obs(2))
+        res = cfg.core_res()
+        assert core.shape == (2, res, res, 3)
+        again = net.core_input(cfg, core)
+        assert np.array_equal(again, core)
+        assert np.shares_memory(again, core)  # returned unchanged, not copied
+
     def test_batch_matches_single(self):
         params = net.init_params(net.lite21_config(), 9)
         obs = probe_obs(3)
@@ -183,6 +193,53 @@ class TestAdam:
             params, state = net.adam_update(params, grads, state, lr=0.01)
             losses.append(loss(params))
         assert losses[2] < losses[1] < losses[0]
+
+    def test_blocked_in_place_step_matches_reference_formula(self):
+        # one array longer than a block and not a multiple of it, and a short one;
+        # gradients mix signs and exact zeros
+        rng = np.random.default_rng(11)
+        shapes = {"big": (2 * net.ADAM_BLOCK + 37,), "small": (3, 5)}
+        params = net.NetworkParams(
+            tiny_net_config(), {k: rng.standard_normal(s) for k, s in shapes.items()}
+        )
+        state = net.init_adam_state(params)
+        ref_p = {k: a.copy() for k, a in params.arrays.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr = 0.0006
+        for t in range(1, 4):
+            grads = {}
+            for k, s in shapes.items():
+                g = rng.standard_normal(s)
+                g[rng.random(s) < 0.2] = 0.0
+                grads[k] = g
+            bc1 = 1.0 - net.ADAM_BETA1**t
+            bc2 = 1.0 - net.ADAM_BETA2**t
+            for k, g in grads.items():
+                ref_m[k] = net.ADAM_BETA1 * ref_m[k] + (1.0 - net.ADAM_BETA1) * g
+                ref_v[k] = net.ADAM_BETA2 * ref_v[k] + (1.0 - net.ADAM_BETA2) * (g * g)
+                ref_p[k] = ref_p[k] - lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + net.ADAM_EPS)
+            arrays_before = dict(params.arrays)
+            new_params, new_state = net.adam_update(params, grads, state, lr)
+            assert new_params is params and new_state is state and state.step == t
+            for k in shapes:
+                assert params.arrays[k] is arrays_before[k]  # updated in place
+                assert np.array_equal(params.arrays[k], ref_p[k])
+                assert np.array_equal(state.m[k], ref_m[k])
+                assert np.array_equal(state.v[k], ref_v[k])
+
+    def test_non_finite_gradient_leaves_state_untouched(self):
+        params = net.init_params(tiny_net_config(), 0)
+        state = net.init_adam_state(params)
+        grads = {k: np.ones_like(v) for k, v in params.arrays.items()}
+        grads["value/b"][0] = np.inf  # last in layout order: every other array is checked first
+        before = params.copy()
+        with pytest.raises(NonFiniteError):
+            net.adam_update(params, grads, state, lr=0.0006)
+        assert state.step == 0
+        for k in params.arrays:
+            assert np.array_equal(params.arrays[k], before.arrays[k])
+            assert not state.m[k].any() and not state.v[k].any()
 
     def test_non_finite_gradient_rejected(self):
         params = net.init_params(tiny_net_config(), 0)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import straight_scenario, tiny_net_config
 
-from advdrive import net
+from advdrive import net, orchestrator
 from advdrive.checkpoint import load_checkpoint, params_checksum
 from advdrive.errors import FreezeViolationError, PhaseAbortedError
 from advdrive.orchestrator import (
@@ -157,6 +157,28 @@ class TestRunEpisode:
                            collect={"victim1"}, action_mode="greedy")
         assert a["victim1"].actions == b["victim1"].actions  # seed-independent
 
+    def test_trajectories_store_core_resolution_observations(self, monkeypatch):
+        sc = straight_scenario(route_length=20.0, max_steps=12)
+        pol = make_policy(sc.agents[0])
+        pol.params = net.init_params(net.lite21_config(), 0)
+        rendered = []
+        render = orchestrator.render
+
+        def recorder(world, agent_id, cfg):
+            obs = render(world, agent_id, cfg)
+            rendered.append(obs.pixels)
+            return obs
+
+        monkeypatch.setattr(orchestrator, "render", recorder)
+        trajs, _ = run_episode(
+            sc, {"victim1": pol}, LITE, RewardParams(), 12, SeedTree(0), (1, 0), collect={"victim1"}
+        )
+        stored = trajs["victim1"].obs
+        assert len(stored) == len(rendered) == 12
+        for obs, pixels in zip(stored, rendered):
+            assert obs.shape == (21, 21, 3)
+            assert np.array_equal(obs, net.core_input(pol.params.config, pixels[None])[0])
+
     def test_episode_log_round_trip(self):
         sc = head_on_scenario()
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
@@ -242,6 +264,43 @@ class TestTrainingPhase:
                 out_dir=str(tmp_path / "phase"),
                 on_episode_end=corrupt,
             )
+
+    def test_freeze_violation_closes_train_log(self, tmp_path, monkeypatch):
+        sc = phase_scenario()
+        victim = make_policy(sc.agents[0], frozen=True)
+        adversary = make_policy(sc.agents[1])
+        writers = []
+
+        class RecordingWriter(orchestrator._StatsWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                self.closed = False
+                writers.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        def corrupt(ep, policies):
+            policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
+
+        monkeypatch.setattr(orchestrator, "_StatsWriter", RecordingWriter)
+        with pytest.raises(FreezeViolationError):
+            run_training_phase(
+                phase_name="adv_test",
+                phase_key=2,
+                scenario=sc,
+                policies={"victim1": victim, "adversary": adversary},
+                hyper=FAST_HYPER,
+                reward_params=RewardParams(),
+                raster_cfg=LITE,
+                episodes=3,
+                step_cap=None,
+                seed_tree=SeedTree(1),
+                out_dir=str(tmp_path / "phase"),
+                on_episode_end=corrupt,
+            )
+        assert len(writers) == 1 and writers[0].closed
 
     def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path):
         sc = phase_scenario()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -79,6 +81,29 @@ class TestCheckpointRoundTrip:
         mutated = ckpt.params.copy()
         mutated.arrays["dense/w"][0, 0] += 1e-12
         assert params_checksum(mutated) != c1
+
+    def test_file_bytes_match_golden_digest(self, tmp_path):
+        # Pins the on-disk format byte for byte. Built without LAPACK (no
+        # orthogonal init) so the bytes do not depend on the BLAS build; Adam
+        # is elementwise and correctly rounded.
+        rng = np.random.default_rng(2112)
+        params = net.zero_params(tiny_net_config())
+        for arr in params.arrays.values():
+            arr[...] = rng.standard_normal(arr.shape)
+        adam = net.init_adam_state(params)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.arrays.items()}
+        params, adam = net.adam_update(params, grads, adam, lr=0.001)
+        ckpt = Checkpoint(
+            role="victim", reward_kind="victim", params=params, adam=adam, kl_coef=0.45,
+            counters={"episodes": 12, "env_steps": 3400, "updates": 26},
+        )
+        path = tmp_path / "golden.ckpt"
+        checksum = save_checkpoint(path, ckpt)
+        assert checksum == "df70788502d0c665a4b6c94e5782e6e3cb89deda2c53750944892751269d2ca8"
+        assert params_checksum(params) == checksum
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4dcaacc34d34995f0f16fea1bcb84cb80595990f772997d5b6047a6f0f501d73"
+        )
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         path = tmp_path / "a.ckpt"

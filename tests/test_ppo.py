@@ -293,6 +293,26 @@ class TestUpdatePolicy:
         assert stats["mean_kl"] < lax.kl_target / 2
         assert kl_down == 0.3 * 0.5
 
+    def test_forwards_never_exceed_a_minibatch(self, monkeypatch):
+        params = net.init_params(tiny_net_config(), 3)
+        batch = build_rollout_batch([make_trajectory(params, 40)], 0.99, 1.0)
+        hyper = PpoHyper(minibatch=16, epochs_per_batch=2)
+        rows = []
+        forward_core = net.forward_core
+
+        def recorder(p, x):
+            rows.append(len(x))
+            return forward_core(p, x)
+
+        monkeypatch.setattr(net, "forward_core", recorder)
+        _, _, _, stats = update_policy(
+            params, net.init_adam_state(params), batch, hyper, 0.3, np.random.default_rng(0)
+        )
+        assert max(rows) == hyper.minibatch
+        # the on-policy check and final KL each cover the 40 rows in chunks
+        assert sum(rows) == 2 * batch.n_steps + hyper.epochs_per_batch * batch.n_steps
+        assert len(rows) == 2 * 3 + stats["grad_steps"]
+
     def test_update_is_deterministic(self):
         params = net.init_params(tiny_net_config(), 3)
         batch = build_rollout_batch([make_trajectory(params, 20)], 0.99, 1.0)
