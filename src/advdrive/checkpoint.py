@@ -10,8 +10,10 @@ Layout (little-endian):
     payload       raw C-order array bytes in directory order
     last 32 bytes SHA-256 over everything before them
 
-Writes are atomic (temp file + rename). Loads verify magic, version,
-length, and checksum before touching any array.
+Writes are atomic (temp file + rename). Saves and loads stream the file
+array by array under an incremental SHA-256, so neither holds a second copy
+of the payload. Loads verify magic, version, length, and checksum before
+returning any array.
 """
 from __future__ import annotations
 
@@ -111,55 +113,69 @@ def save_checkpoint(path, ckpt: Checkpoint) -> str:
     return header["params_checksum"]
 
 
-def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") from exc
-    if len(raw) < len(MAGIC) + 8 + _DIGEST_SIZE:
-        raise TruncatedCheckpointError(f"checkpoint too short: {len(raw)} bytes")
-    if raw[: len(MAGIC)] != MAGIC:
+def _read_verified(fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of an open checkpoint file of `size` bytes, each
+    array read into its own buffer; raises before returning any of them
+    unless every check, the checksum last, passes."""
+    if size < len(MAGIC) + 8 + _DIGEST_SIZE:
+        raise TruncatedCheckpointError(f"checkpoint too short: {size} bytes")
+    digest = hashlib.sha256()
+
+    def read(n: int) -> bytes:
+        data = fh.read(n)
+        if len(data) != n:
+            raise TruncatedCheckpointError(f"checkpoint shrank to {fh.tell()} bytes while reading")
+        digest.update(data)
+        return data
+
+    preamble = read(len(MAGIC) + 8)
+    if preamble[: len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, len(MAGIC))
+    version, header_len = struct.unpack_from("<II", preamble, len(MAGIC))
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"format version {version}, expected {FORMAT_VERSION}")
-    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC) + 4)
-    header_start = len(MAGIC) + 8
-    payload_start = header_start + header_len
-    if payload_start + _DIGEST_SIZE > len(raw):
+    payload_start = len(preamble) + header_len
+    if payload_start + _DIGEST_SIZE > size:
         raise TruncatedCheckpointError("checkpoint header exceeds file size")
     try:
-        header = json.loads(raw[header_start:payload_start].decode())
+        header = json.loads(read(header_len).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
 
-    expected_payload = sum(
+    sizes = [
         int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
         for entry in header["arrays"]
-    )
-    expected_total = payload_start + expected_payload + _DIGEST_SIZE
-    if len(raw) < expected_total:
-        raise TruncatedCheckpointError(
-            f"expected {expected_total} bytes, file has {len(raw)}"
-        )
-    if len(raw) > expected_total:
-        raise CheckpointError(f"trailing bytes: expected {expected_total}, got {len(raw)}")
-    body, digest = raw[:-_DIGEST_SIZE], raw[-_DIGEST_SIZE:]
-    if hashlib.sha256(body).digest() != digest:
+    ]
+    expected_total = payload_start + sum(sizes) + _DIGEST_SIZE
+    if size < expected_total:
+        raise TruncatedCheckpointError(f"expected {expected_total} bytes, file has {size}")
+    if size > expected_total:
+        raise CheckpointError(f"trailing bytes: expected {expected_total}, got {size}")
+    buffers = []
+    for nbytes in sizes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        if fh.readinto(buf) != nbytes:
+            raise TruncatedCheckpointError(f"checkpoint shrank to {fh.tell()} bytes while reading")
+        digest.update(buf)
+        buffers.append(buf)
+    if fh.read(_DIGEST_SIZE) != digest.digest():
         raise ChecksumMismatchError("checkpoint checksum does not match content")
 
-    config = NetConfig.from_dict(header["net_config"])
-    offset = payload_start
-    loaded: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
+    loaded = {}
+    for entry, buf in zip(header["arrays"], buffers):
         shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        arr = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)), offset=offset)
-        loaded[entry["name"]] = arr.reshape(shape).copy()
-        offset += nbytes
+        loaded[entry["name"]] = buf.view(np.dtype(entry["dtype"])).reshape(shape)
+    return header, loaded
 
+
+def load_checkpoint(path) -> Checkpoint:
+    try:
+        with open(path, "rb") as fh:
+            header, loaded = _read_verified(fh, os.fstat(fh.fileno()).st_size)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") from exc
+
+    config = NetConfig.from_dict(header["net_config"])
     expected_layout = dict(config.param_layout())
     params_arrays = {}
     for name, shape in expected_layout.items():

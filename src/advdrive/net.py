@@ -8,6 +8,20 @@ the 84x84x3 input contract:
 * ``lite21``: block-decimates the input to 21x21 (the exact inverse of the
   lite raster's pixel replication), then 8@5x5/2, 16@3x3/2, 16@3x3/1,
   dense 64. Small enough for finite-difference checking and fast desk runs.
+
+Observations may also come as uint8 codes (``obs_codes``): code k stands for
+the channel value k/256, which every raster palette colour is, so the codes
+are lossless and ``core_input`` decodes them exactly.
+
+``forward_core`` and ``backward`` take an optional ``Workspace`` whose
+buffers they fill through ``out=`` instead of allocating: the decoded input,
+one im2col patch matrix shared by every conv layer, the conv
+pre-activations and outputs, and backward's ``dx``, mask and dense-gradient
+arrays. The forward cache keeps each conv layer's input and pre-activation
+but no patch matrix; backward refills the shared patch buffer from the
+cached input and then reuses it for the patch gradients. Every GEMM and
+elementwise operation is the same with or without a workspace, so results
+are bit-identical.
 """
 from __future__ import annotations
 
@@ -192,13 +206,43 @@ def zero_params(config: NetConfig) -> NetworkParams:
     )
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) patch matrix."""
+class Workspace:
+    """Scratch buffers reused across calls of ``forward_core`` and ``backward``.
+
+    Each named buffer keeps its storage and is handed out as a C-contiguous
+    view of the requested shape, so minibatches of different sizes share it.
+    Arrays that a call returns while using a workspace (its forward cache, the
+    ``dense/w`` gradient, a decoded input) alias these buffers and stay valid
+    only until the workspace's next use. Not for concurrent use.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _scratch(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype=np.float64):
+    """The workspace's buffer `key`, or a fresh array without a workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
+
+
+def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np.ndarray:
+    """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) patch matrix, written into
+    the workspace's shared ``cols`` buffer when there is one."""
     windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    n, oh, ow = windows.shape[:3]
+    cols = _scratch(ws, "cols", (n * oh * ow, kernel * kernel * x.shape[3]))
     # windows: (N, OH, OW, C, kh, kw) -> (N, OH, OW, kh, kw, C)
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    n, oh, ow = patches.shape[:3]
-    return patches.reshape(n * oh * ow, kernel * kernel * x.shape[3])
+    np.copyto(
+        cols.reshape(n, oh, ow, kernel, kernel, x.shape[3]), windows.transpose(0, 1, 2, 4, 5, 3)
+    )
+    return cols
 
 
 def _validate_obs_batch(x: np.ndarray):
@@ -208,26 +252,48 @@ def _validate_obs_batch(x: np.ndarray):
         )
 
 
-def core_input(config: NetConfig, obs: np.ndarray) -> np.ndarray:
-    """Bring an observation batch to the net's working resolution.
+OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
 
-    Takes raw (N, 84, 84, 3) batches or batches already at core resolution,
-    which come back unchanged, so the function is idempotent. Values are
-    untouched; for lite nets this picks one pixel per 4x4 block (the inverse
-    of the lite raster's replication). Contiguous output so repeated
-    minibatch slicing stays cheap.
+
+def obs_codes(obs: np.ndarray) -> np.ndarray:
+    """uint8 codes of observations whose every channel is k/256 with an
+    integer 0 <= k <= 255 (all raster palette colours are; RasterConfig
+    checks it). Exact: ``core_input`` decodes them to the same values."""
+    return (np.asarray(obs, dtype=np.float64) * OBS_CODE_SCALE).astype(np.uint8)
+
+
+def core_input(
+    config: NetConfig, obs: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Bring an observation batch to the net's working resolution as float64.
+
+    Takes raw (N, 84, 84, 3) batches or batches already at core resolution;
+    float batches of core resolution come back unchanged, so the function is
+    idempotent. uint8 batches are observation codes (see ``obs_codes``) and
+    are decoded, into the workspace's ``input`` buffer when one is given.
+    Values are otherwise untouched; for lite nets this picks one pixel per
+    4x4 block (the inverse of the lite raster's replication). Contiguous
+    output so repeated minibatch slicing stays cheap.
     """
-    x = np.asarray(obs, dtype=np.float64)
+    x = np.asarray(obs)
     res = config.core_res()
-    if x.ndim == 4 and x.shape[1:] == (res, res, INPUT_CHANNELS):
-        return np.ascontiguousarray(x)
-    _validate_obs_batch(x)
-    off = (config.decimation - 1) // 2
-    return np.ascontiguousarray(x[:, off :: config.decimation, off :: config.decimation, :])
+    if not (x.ndim == 4 and x.shape[1:] == (res, res, INPUT_CHANNELS)):
+        _validate_obs_batch(x)
+        off = (config.decimation - 1) // 2
+        x = x[:, off :: config.decimation, off :: config.decimation, :]
+    if x.dtype == np.uint8:
+        return np.multiply(x, 1.0 / OBS_CODE_SCALE, out=_scratch(workspace, "input", x.shape))
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
-def forward_core(params: NetworkParams, x: np.ndarray):
-    """Forward pass on an already-decimated batch (see core_input)."""
+def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
+    """Forward pass on a batch at core resolution (see core_input).
+
+    Returns (logits (N, 9), values (N,), cache for backward). The cache holds
+    the input, each conv layer's input and pre-activation, and the dense
+    layer's input, pre-activation and output. With a workspace the conv
+    intermediates live in its buffers (see Workspace).
+    """
     cfg = params.config
     res = cfg.core_res()
     if x.ndim != 4 or x.shape[1:] != (res, res, INPUT_CHANNELS):
@@ -239,13 +305,16 @@ def forward_core(params: NetworkParams, x: np.ndarray):
     cache = {"input": x, "convs": []}
     h = x
     for i, spec in enumerate(cfg.convs):
-        w = params.arrays[f"conv{i + 1}/w"]
+        w = params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters)
         b = params.arrays[f"conv{i + 1}/b"]
-        cols = _im2col(h, spec.kernel, spec.stride)
+        cols = _im2col(h, spec.kernel, spec.stride, workspace)
         out_size = (h.shape[1] - spec.kernel) // spec.stride + 1
-        pre = (cols @ w.reshape(-1, spec.filters) + b).reshape(n, out_size, out_size, spec.filters)
-        post = np.maximum(pre, 0.0)
-        cache["convs"].append({"in_shape": h.shape, "cols": cols, "pre": pre})
+        pre = _scratch(workspace, f"pre{i}", (n, out_size, out_size, spec.filters))
+        pre_mat = pre.reshape(-1, spec.filters)
+        np.matmul(cols, w, out=pre_mat)
+        np.add(pre_mat, b, out=pre_mat)
+        post = np.maximum(pre, 0.0, out=_scratch(workspace, f"post{i}", pre.shape))
+        cache["convs"].append({"input": h, "pre": pre})
         h = post
 
     flat = h.reshape(n, -1)
@@ -259,9 +328,9 @@ def forward_core(params: NetworkParams, x: np.ndarray):
     return logits, values, cache
 
 
-def forward_batch(params: NetworkParams, obs: np.ndarray):
+def forward_batch(params: NetworkParams, obs: np.ndarray, workspace: Workspace | None = None):
     """Returns (logits (N, 9), values (N,), cache for backward)."""
-    return forward_core(params, core_input(params.config, obs))
+    return forward_core(params, core_input(params.config, obs, workspace), workspace)
 
 
 def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -280,8 +349,13 @@ def backward(
     cache: dict,
     dlogits: np.ndarray,
     dvalues: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
-    """Gradients of sum(dlogits * logits) + sum(dvalues * values) w.r.t. params."""
+    """Gradients of sum(dlogits * logits) + sum(dvalues * values) w.r.t. params.
+
+    Leaves the cache intact. With a workspace, the ``dense/w`` gradient is
+    one of its buffers (see Workspace).
+    """
     cfg = params.config
     hidden = cache["hidden"]
     dlogits = np.asarray(dlogits, dtype=np.float64)
@@ -295,29 +369,37 @@ def backward(
 
     dhidden = dlogits @ params.arrays["policy/w"].T + dvalues @ params.arrays["value/w"].T
     dpre_dense = dhidden * (cache["pre_dense"] > 0.0)
-    grads["dense/w"] = cache["flat"].T @ dpre_dense
+    flat = cache["flat"]
+    dense_w = params.arrays["dense/w"]
+    grads["dense/w"] = np.matmul(
+        flat.T, dpre_dense, out=_scratch(workspace, "grad_dense_w", dense_w.shape)
+    )
     grads["dense/b"] = dpre_dense.sum(axis=0)
-    dflat = dpre_dense @ params.arrays["dense/w"].T
+    dflat = np.matmul(dpre_dense, dense_w.T, out=_scratch(workspace, "dflat", flat.shape))
 
     n = hidden.shape[0]
-    last = cache["convs"][-1]
-    dpost = dflat.reshape(last["pre"].shape)
+    dpost = dflat.reshape(cache["convs"][-1]["pre"].shape)
     for i in range(len(cfg.convs) - 1, -1, -1):
         spec = cfg.convs[i]
         layer = cache["convs"][i]
-        dpre = dpost * (layer["pre"] > 0.0)
+        pre, h = layer["pre"], layer["input"]
+        mask = np.greater(pre, 0.0, out=_scratch(workspace, "mask", pre.shape, np.bool_))
+        dpre = np.multiply(dpost, mask, out=dpost)
         oh = dpre.shape[1]
         dpre_mat = dpre.reshape(-1, spec.filters)
-        grads[f"conv{i + 1}/w"] = (layer["cols"].T @ dpre_mat).reshape(
+        cols = _im2col(h, spec.kernel, spec.stride, workspace)
+        grads[f"conv{i + 1}/w"] = (cols.T @ dpre_mat).reshape(
             params.arrays[f"conv{i + 1}/w"].shape
         )
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
         if i == 0:
             break
-        in_shape = layer["in_shape"]
-        dcols = dpre_mat @ params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters).T
-        dcols = dcols.reshape(n, oh, oh, spec.kernel, spec.kernel, in_shape[3])
-        dx = np.zeros(in_shape, dtype=np.float64)
+        # the patch gradients overwrite the patches, which are no longer needed
+        w_mat = params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters)
+        dcols = np.matmul(dpre_mat, w_mat.T, out=cols)
+        dcols = dcols.reshape(n, oh, oh, spec.kernel, spec.kernel, h.shape[3])
+        dx = _scratch(workspace, f"dx{i}", h.shape)
+        dx.fill(0.0)
         s = spec.stride
         for a in range(spec.kernel):
             for b in range(spec.kernel):

@@ -2,6 +2,14 @@
 surrogate objective combined with an adaptive KL penalty, value loss, and
 entropy bonus. Minibatch gradients flow through the hand-written network
 backward pass and Adam.
+
+Rollouts store observations as uint8 codes at the net's core resolution
+(``net.obs_codes``: code k is the channel value k/256, exact for every
+raster palette colour), an eighth of float64. ``update_policy`` gathers each
+minibatch's codes and decodes them into one ``net.Workspace`` that serves
+all of its forward and backward passes. Float observations, as other callers
+build them, go through the same functions unchanged; a batch must not mix
+the two.
 """
 from __future__ import annotations
 
@@ -52,7 +60,7 @@ class Trajectory:
 
     agent_id: str
     episode_index: int
-    obs: list = field(default_factory=list)  # each (R, R, 3) float64, R = net core resolution
+    obs: list = field(default_factory=list)  # each (R, R, 3) uint8 codes, R = net core resolution
     actions: list = field(default_factory=list)
     log_probs_old: list = field(default_factory=list)
     log_prob_vecs_old: list = field(default_factory=list)  # each (9,)
@@ -104,7 +112,7 @@ def compute_advantages(
 class RolloutBatch:
     """Whole episodes stacked for one policy update; advantages already normalized."""
 
-    obs: np.ndarray  # (N, R, R, 3), as stored in the trajectories (see net.core_input)
+    obs: np.ndarray  # (N, R, R, 3), as stored in the trajectories (uint8 codes or float)
     actions: np.ndarray  # (N,) int64
     log_probs_old: np.ndarray  # (N,)
     log_prob_vecs_old: np.ndarray  # (N, 9)
@@ -143,6 +151,10 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     trajs = list(trajectories)
     if not trajs:
         raise PpoError("rollout batch needs at least one trajectory")
+    obs = [o for t in trajs for o in t.obs]
+    codes = [np.asarray(o).dtype == np.uint8 for o in obs]
+    if any(codes) and not all(codes):
+        raise PpoError("rollout batch mixes uint8 observation codes with float observations")
     adv_parts = []
     ret_parts = []
     for traj in trajs:
@@ -155,7 +167,7 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     sigma = advantages.std()
     normalized = (advantages - mu) / (sigma + ADV_NORM_EPS)
     return RolloutBatch(
-        obs=np.stack([o for t in trajs for o in t.obs]),
+        obs=np.stack(obs),
         actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
         log_probs_old=np.array([lp for t in trajs for lp in t.log_probs_old]),
         log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
@@ -216,10 +228,18 @@ def ppo_loss(
 
 
 def ppo_loss_grads(
-    params: NetworkParams, mb: Minibatch, hyper: PpoHyper, kl_coef: float
+    params: NetworkParams,
+    mb: Minibatch,
+    hyper: PpoHyper,
+    kl_coef: float,
+    workspace: net.Workspace | None = None,
 ) -> tuple[float, dict, dict]:
-    """Loss, components, and exact parameter gradients for one minibatch."""
-    logits, values, cache = net.forward_batch(params, mb.obs)
+    """Loss, components, and exact parameter gradients for one minibatch.
+
+    With a workspace, the forward and backward passes run in its buffers and
+    the ``dense/w`` gradient is one of them, overwritten by the next call.
+    """
+    logits, values, cache = net.forward_batch(params, mb.obs, workspace)
     logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, loss = _loss_pieces(
         logits, values, mb, hyper
     )
@@ -242,7 +262,7 @@ def ppo_loss_grads(
     dlogits += (kl_coef / n) * (probs - q)
 
     dvalues = (2.0 * hyper.vf_coef / n) * vf_err
-    grads = net.backward(params, cache, dlogits, dvalues)
+    grads = net.backward(params, cache, dlogits, dvalues, workspace)
     return float(total), components, grads
 
 
@@ -255,10 +275,15 @@ def adapt_kl_coef(kl_coef: float, mean_kl: float, kl_target: float) -> float:
     return kl_coef
 
 
-def _batch_log_probs(params: NetworkParams, obs: np.ndarray, rows: int) -> np.ndarray:
+def _batch_log_probs(
+    params: NetworkParams, obs: np.ndarray, rows: int, workspace: net.Workspace
+) -> np.ndarray:
     """Log-probabilities for a whole batch, forwarded `rows` observations at a
-    time so that at most one chunk's forward cache is alive."""
-    logits = [net.forward_batch(params, obs[lo : lo + rows])[0] for lo in range(0, len(obs), rows)]
+    time through the workspace."""
+    logits = [
+        net.forward_batch(params, obs[lo : lo + rows], workspace)[0]
+        for lo in range(0, len(obs), rows)
+    ]
     return net.log_softmax(np.concatenate(logits))
 
 
@@ -275,12 +300,15 @@ def update_policy(
 
     Takes ownership of `params` and `adam_state`: Adam updates them in place
     and they are returned as the new state. Pass copies to keep the originals.
-    No forward pass sees more than `hyper.minibatch` observations.
+    No forward pass sees more than `hyper.minibatch` observations, and all of
+    them, with every backward pass, share one workspace owned by this call,
+    so concurrent calls on different policies do not share state.
 
     Raises PpoError if the batch was not collected under `params`
     (probability ratios at the start must be 1 within 1e-9).
     """
-    logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch)
+    workspace = net.Workspace()
+    logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
     ratio_start = np.exp(logp_start[np.arange(batch.n_steps), batch.actions] - batch.log_probs_old)
     worst = float(np.abs(ratio_start - 1.0).max())
     if worst > ON_POLICY_TOLERANCE:
@@ -295,11 +323,14 @@ def update_policy(
         order = rng.permutation(batch.n_steps)
         for lo in range(0, batch.n_steps, hyper.minibatch):
             mb = batch.slice(order[lo : lo + hyper.minibatch])
-            last_loss, last_components, grads = ppo_loss_grads(params, mb, hyper, kl_coef)
+            last_loss, last_components, grads = ppo_loss_grads(
+                params, mb, hyper, kl_coef, workspace
+            )
             params, adam_state = net.adam_update(params, grads, adam_state, hyper.lr)
+            del grads  # released before the next backward
             grad_steps += 1
 
-    logp_final = _batch_log_probs(params, batch.obs, hyper.minibatch)
+    logp_final = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
     q = np.exp(batch.log_prob_vecs_old)
     mean_kl = float((q * (batch.log_prob_vecs_old - logp_final)).sum(axis=1).mean())
     mean_entropy = float(net.entropy_from_logp(logp_final).mean())

@@ -26,8 +26,9 @@ ANCHOR_COL = 42
 
 RESOLUTION_MODES = ("full84", "lite21")
 
-# Default class palette; every channel value is a multiple of 1/256 so the
-# arrays survive narrowing casts exactly. Classes must stay pairwise distinct.
+# Default class palette. Every channel value must be k/256 for an integer
+# 0 <= k <= 255, so rollouts can store observations as exact uint8 codes
+# (net.obs_codes); RasterConfig enforces it. Classes must stay pairwise distinct.
 DEFAULT_COLORS = {
     "offroad": (32 / 256, 96 / 256, 32 / 256),
     "road": (84 / 256, 84 / 256, 84 / 256),
@@ -60,6 +61,12 @@ class RasterConfig:
             rgb = tuple(float(v) for v in rgb)
             if len(rgb) != 3 or any(not (0.0 <= v <= 1.0) for v in rgb):
                 raise ConfigurationError(f"color '{name}' must be three values in [0, 1]")
+            for v in rgb:
+                if v * 256 != int(v * 256) or v * 256 > 255:
+                    raise ConfigurationError(
+                        f"color '{name}' channel value {v!r} is not k/256 for an integer"
+                        " 0 <= k <= 255"
+                    )
             if rgb in seen:
                 raise ConfigurationError("class colors must be pairwise distinct")
             seen.add(rgb)

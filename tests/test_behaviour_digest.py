@@ -46,3 +46,47 @@ def test_train_lite21_matches_reference_digest():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+# SHA-256 of the parameters and Adam state after the update below, recorded
+# before update_policy gained its scratch workspace and rollouts their uint8
+# observation codes; both must leave every bit of it unchanged.
+FULL84_UPDATE_SHA256 = "a0bf3f0f697f5e0b879db4d30872a00105cadc2c642f8cf8e964bbec0095ad68"
+
+
+def test_full84_update_matches_golden_digest():
+    ref = _reference_env()
+    build = _numpy_build()
+    if any(build[k] != ref[k] for k in ("numpy", "blas")):
+        pytest.skip(f"numpy/BLAS {build} differ from the reference build {ref}")
+    import hashlib
+
+    from conftest import straight_scenario
+
+    from advdrive import net
+    from advdrive.orchestrator import AgentPolicy, run_episode
+    from advdrive.ppo import PpoHyper, build_rollout_batch, update_policy
+    from advdrive.raster import RasterConfig
+    from advdrive.rewards import RewardParams
+    from advdrive.seeding import SeedTree
+
+    sc = straight_scenario(route_length=40.0, max_steps=16)
+    spec = sc.agents[0]
+    params = net.init_params(net.full84_config(), 5)
+    pol = AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params)
+    trajs, _ = run_episode(sc, {spec.agent_id: pol}, RasterConfig(resolution_mode="full84"),
+                           RewardParams(), 16, SeedTree(3), (1, 0), collect={spec.agent_id})
+    batch = build_rollout_batch([trajs[spec.agent_id]], 0.99, 1.0)
+    assert batch.n_steps == 16
+    hyper = PpoHyper(minibatch=8, epochs_per_batch=2, train_batch=16)
+    params, adam, kl_coef, stats = update_policy(
+        params, net.init_adam_state(params), batch, hyper, 0.3, np.random.default_rng(11)
+    )
+    assert stats["grad_steps"] == 4
+    h = hashlib.sha256()
+    for name, _ in params.config.param_layout():
+        for arr in (params.arrays[name], adam.m[name], adam.v[name]):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr))
+    h.update(repr((adam.step, kl_coef, stats["loss"], stats["mean_kl"])).encode())
+    assert h.hexdigest() == FULL84_UPDATE_SHA256

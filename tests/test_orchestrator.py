@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from advdrive.orchestrator import (
     run_episode,
     run_training_phase,
 )
-from advdrive.ppo import PpoHyper
+from advdrive.ppo import PpoHyper, update_policy
 from advdrive.raster import RasterConfig
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
@@ -176,8 +178,9 @@ class TestRunEpisode:
         stored = trajs["victim1"].obs
         assert len(stored) == len(rendered) == 12
         for obs, pixels in zip(stored, rendered):
-            assert obs.shape == (21, 21, 3)
-            assert np.array_equal(obs, net.core_input(pol.params.config, pixels[None])[0])
+            assert obs.shape == (21, 21, 3) and obs.dtype == np.uint8
+            decoded = net.core_input(pol.params.config, obs[None])[0]
+            assert np.array_equal(decoded, net.core_input(pol.params.config, pixels[None])[0])
 
     def test_episode_log_round_trip(self):
         sc = head_on_scenario()
@@ -407,6 +410,100 @@ class TestTrainingPhase:
             assert key in updates[0]
         for key in ("agent_id", "episode", "reward", "length"):
             assert key in episodes[0]
+
+
+def two_victim_scenario():
+    return straight_scenario(
+        route_length=40,
+        max_steps=20,
+        agents=[
+            {"id": "victim1", "spawn": (0.0, -1.75), "goal": (40.0, -1.75)},
+            {"id": "victim2", "spawn": (0.0, 1.75), "goal": (40.0, 1.75)},
+        ],
+    )
+
+
+class TestConcurrentUpdates:
+    """Updates due after the same episode run on as many threads as there are
+    usable CPUs per BLAS thread; the outputs must not depend on that number."""
+
+    def run_phase(self, tmp_path, monkeypatch, cpus, poisoned=None, blas_threads="1"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas_threads is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+        threads = set()
+
+        def recorder(*args):
+            threads.add(threading.get_ident())
+            return update_policy(*args)
+
+        monkeypatch.setattr(orchestrator, "update_policy", recorder)
+
+        def poison(ep, policies):
+            # NaN values leave the rollout alone and fail the next update's loss
+            if ep == 1 and poisoned is not None:
+                policies[poisoned].params.arrays["value/w"][:] = np.nan
+
+        sc = two_victim_scenario()
+        out = tmp_path / "phase"
+        shutil.rmtree(out, ignore_errors=True)
+        aborted = False
+        try:
+            run_training_phase(
+                phase_name="baseline_test",
+                phase_key=1,
+                scenario=sc,
+                policies={s.agent_id: make_policy(s) for s in sc.agents},
+                hyper=PpoHyper(minibatch=10, epochs_per_batch=2, train_batch=20),
+                reward_params=RewardParams(),
+                raster_cfg=LITE,
+                episodes=4,
+                step_cap=None,
+                seed_tree=SeedTree(5),
+                out_dir=str(out),
+                checkpoint_every=1,
+                on_episode_end=poison,
+            )
+        except PhaseAbortedError:
+            aborted = True
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+        return files, aborted, threads
+
+    @pytest.mark.parametrize("poisoned", [None, "victim1", "victim2"])
+    def test_outputs_identical_for_one_and_two_cpus(self, tmp_path, monkeypatch, poisoned):
+        serial, serial_aborted, serial_threads = self.run_phase(tmp_path, monkeypatch, 1, poisoned)
+        both, both_aborted, both_threads = self.run_phase(tmp_path, monkeypatch, 2, poisoned)
+        assert len(serial_threads) == 1 and len(both_threads) == 2
+        assert serial_aborted == both_aborted == (poisoned is not None)
+        assert {"train_log.jsonl", "phase_manifest.json"} <= set(serial)
+        assert any(name.startswith("checkpoints/") for name in serial)
+        assert serial.keys() == both.keys()
+        for name in serial:
+            assert serial[name] == both[name], name
+        records = [json.loads(line) for line in serial["train_log.jsonl"].splitlines()]
+        updates = [(r["agent_id"], r["episode"]) for r in records if r["type"] == "update"]
+        if poisoned is None:
+            assert updates == [(a, ep) for ep in range(4) for a in ("victim1", "victim2")]
+        else:
+            # the poisoned victim's update after episode 2 aborts the phase
+            last = records[-1]
+            assert last["type"] == "episode" and last["episode"] == 2
+            assert last["agent_id"] == poisoned
+
+    @pytest.mark.parametrize("blas_threads", [None, "2"])
+    def test_updates_one_at_a_time_when_blas_uses_every_cpu(
+        self, tmp_path, monkeypatch, blas_threads
+    ):
+        files, aborted, threads = self.run_phase(
+            tmp_path, monkeypatch, 2, blas_threads=blas_threads
+        )
+        assert not aborted and len(threads) == 1
+        serial, _, _ = self.run_phase(tmp_path, monkeypatch, 1)
+        assert files == serial
 
 
 class TestSeeding:

@@ -126,6 +126,16 @@ class TestRolloutBatch:
         assert batch.n_steps == 16
         assert batch.episode_rewards.shape == (2,)
 
+    def test_mixed_codes_and_float_observations_rejected(self):
+        params = net.init_params(tiny_net_config(), 2)
+        t1 = make_trajectory(params, 5, rng_seed=1, episode_index=0)
+        t2 = make_trajectory(params, 5, rng_seed=2, episode_index=1)
+        core = net.core_input(params.config, np.stack(t2.obs))
+        t2.obs = list(net.obs_codes(np.round(core * 256) / 256))
+        assert build_rollout_batch([t2], 0.99, 1.0).obs.dtype == np.uint8
+        with pytest.raises(PpoError, match="mixes uint8 observation codes with float"):
+            build_rollout_batch([t1, t2], 0.99, 1.0)
+
 
 class TestLoss:
     def setup_method(self):
@@ -199,6 +209,29 @@ class TestLoss:
             + kl_coef * np.mean(kl_terms)
         )
         assert loss == pytest.approx(expected, abs=1e-9)
+
+    def test_workspace_gradients_bit_equal_over_consecutive_calls(self):
+        params = margin_params(net.lite21_config(), TINY_SEED)
+        rng = np.random.default_rng(4)
+        workspace = net.Workspace()
+        for n in (8, 5):
+            codes = rng.integers(0, 256, size=(n, 21, 21, 3), dtype=np.uint8)
+            logp = net.log_softmax(rng.normal(size=(n, 9)))
+            actions = rng.integers(0, 9, size=n)
+            mb = Minibatch(
+                obs=codes,
+                actions=actions,
+                log_probs_old=logp[np.arange(n), actions],
+                log_prob_vecs_old=logp,
+                advantages=rng.normal(size=n),
+                returns=rng.normal(size=n),
+            )
+            loss, _, plain = ppo_loss_grads(params, mb, self.hyper, 0.3)
+            loss_ws, _, reused = ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
+            assert loss_ws == loss
+            assert plain.keys() == reused.keys()
+            for name in plain:
+                assert np.array_equal(plain[name], reused[name]), name
 
     def test_non_finite_ratio_names_transition(self):
         mb = self.identity_minibatch(2)
@@ -300,9 +333,9 @@ class TestUpdatePolicy:
         rows = []
         forward_core = net.forward_core
 
-        def recorder(p, x):
+        def recorder(p, x, workspace=None):
             rows.append(len(x))
-            return forward_core(p, x)
+            return forward_core(p, x, workspace)
 
         monkeypatch.setattr(net, "forward_core", recorder)
         _, _, _, stats = update_policy(

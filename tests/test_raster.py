@@ -85,6 +85,15 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             RasterConfig(colors=colors)
 
+    @pytest.mark.parametrize("value", [0.3, 1.0, 0.5 + 1 / 1024])
+    def test_colors_must_be_exact_uint8_codes(self, value):
+        colors = dict(DEFAULT_COLORS)
+        colors["goal"] = (value, 0.5, 0.25)
+        with pytest.raises(ConfigurationError, match=rf"'goal'.*{value!r}.*k/256"):
+            RasterConfig(colors=colors)
+        colors["goal"] = (255 / 256, 0.5, 0.0)
+        RasterConfig(colors=colors)
+
     def test_lite21_is_block_constant_replication(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
