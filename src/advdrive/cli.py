@@ -2,7 +2,11 @@
 
 Subcommands: train-baseline, train-adversary, retrain, evaluate, compare,
 plot, demo. Flag precedence: command line > config file > built-in
-defaults. The ADVDRIVE_OUT_ROOT environment variable, when set, prefixes
+defaults. Flags that set config values become overrides keyed by dotted
+config keys, merged over the config file's data before the one
+``config.parse_config`` call, so they pass the same schema checks
+(``config.py``) and fail with the same messages as config keys. The
+ADVDRIVE_OUT_ROOT environment variable, when set, prefixes
 relative output directories. Exit codes: 0 success, 1 runtime failure
 (one machine-parseable ``error_class=...`` line on stderr), 2 usage error.
 """
@@ -14,13 +18,48 @@ import os
 import sys
 
 from . import pipeline
-from .config import DEMO_BUDGETS, RunConfig, default_config, load_config
-from .errors import AdvDriveError
+from .config import (
+    ADVERSARY_REWARDS,
+    DEMO_BUDGETS,
+    RunConfig,
+    build_scenario,
+    load_config,
+    parse_config,
+)
+from .errors import AdvDriveError, ConfigurationError
 from .metrics import MetricsReport, compare
 from .orchestrator import EpisodeLog
 from .plot import emit_trajectory_plot
+from .raster import RESOLUTION_MODES
 
 OUT_ROOT_ENV = "ADVDRIVE_OUT_ROOT"
+
+# The config key each common flag sets.
+_FLAG_KEYS = {"seed": "seed", "workers": "workers", "obs_mode": "obs_mode", "out": "out_dir"}
+
+# Per command: the config keys --episodes and --steps set, and the step cap
+# that --episodes clears (None: keep it).
+_BUDGET_FLAG_KEYS = {
+    "train-baseline": ("phases.baseline_episodes", "phases.baseline_step_cap", "scenario.max_steps"),
+    "train-adversary": ("phases.adversary_episodes", "phases.adversary_step_cap", "scenario.max_steps"),
+    "retrain": ("phases.retrain_episodes", "phases.retrain_step_cap", "scenario.max_steps"),
+    "evaluate": ("eval.episodes", None, "eval.max_steps"),
+    "demo": ("phases.baseline_episodes", None, "scenario.max_steps"),
+}
+
+# What `demo` without --config lays over the defaults, under any flags.
+_DEMO_OVERRIDES = {
+    "obs_mode": "lite21",
+    "phases.baseline_episodes": DEMO_BUDGETS["baseline_episodes"],
+    "phases.adversary_episodes": DEMO_BUDGETS["adversary_episodes"],
+    "phases.retrain_episodes": DEMO_BUDGETS["retrain_episodes"],
+    "phases.baseline_step_cap": None,
+    "phases.adversary_step_cap": None,
+    "phases.retrain_step_cap": None,
+    "eval.episodes": DEMO_BUDGETS["eval_episodes"],
+    "eval.max_steps": DEMO_BUDGETS["eval_max_steps"],
+    "scenario.max_steps": DEMO_BUDGETS["train_max_steps"],
+}
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -29,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--workers", type=int, help="concurrent world instances for evaluation")
     p.add_argument("--episodes", type=int, help="episode budget override for this command")
     p.add_argument("--steps", type=int, help="per-episode step cap override")
-    p.add_argument("--obs-mode", choices=("full84", "lite21"), dest="obs_mode")
+    p.add_argument("--obs-mode", choices=RESOLUTION_MODES, dest="obs_mode")
     p.add_argument("--out", help="output directory")
 
 
@@ -42,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-adversary", help="train an adversary against frozen victims")
     _add_common(p)
-    p.add_argument("--reward", choices=("adv_collision", "adv_offroad"))
+    p.add_argument("--reward", choices=ADVERSARY_REWARDS)
     p.add_argument("--victims", nargs="+", metavar="CKPT", required=True,
                    help="victim checkpoints as id=path or bare paths in scenario order")
 
@@ -82,15 +121,25 @@ def _resolve_out(path: str) -> str:
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "obs_mode", None):
-        cfg.obs_mode = args.obs_mode
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
+    overrides = {}
+    if args.command == "demo" and args.config is None:
+        overrides.update(_DEMO_OVERRIDES)
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            overrides[key] = getattr(args, flag)
+    episodes_key, cap_key, steps_key = _BUDGET_FLAG_KEYS.get(args.command, (None, None, None))
+    if episodes_key and args.episodes is not None:
+        overrides[episodes_key] = args.episodes
+        if cap_key:
+            overrides[cap_key] = None
+    if steps_key and args.steps is not None:
+        overrides[steps_key] = args.steps
+    if getattr(args, "greedy", False):
+        overrides["eval.action_mode"] = "greedy"
+    if args.config:
+        cfg = load_config(args.config, overrides)
+    else:
+        cfg = parse_config(None, overrides)
     cfg.out_dir = _resolve_out(cfg.out_dir)
     return cfg
 
@@ -106,21 +155,18 @@ def _victim_ckpts(paths, cfg) -> dict[str, str]:
         else:
             bare.append(item)
     if bare:
-        from .config import build_scenario
-
         victim_ids = [v.agent_id for v in build_scenario(cfg).victims() if v.agent_id not in out]
-        for aid, path in zip(victim_ids, bare):
-            out[aid] = path
+        if len(bare) > len(victim_ids):
+            raise ConfigurationError(
+                f"more victim checkpoints than unassigned victims {victim_ids}: "
+                f"extra {bare[len(victim_ids):]}"
+            )
+        out.update(zip(victim_ids, bare))
     return out
 
 
 def _cmd_train_baseline(args) -> int:
     cfg = _load_cfg(args)
-    if args.episodes is not None:
-        cfg.phases.baseline_episodes = args.episodes
-        cfg.phases.baseline_step_cap = None
-    if args.steps is not None:
-        cfg.scenario.max_steps = args.steps
     result = pipeline.train_baseline(cfg, cfg.out_dir)
     print(f"baseline complete: {result.episodes_run} episodes, {result.steps_run} steps")
     for aid, path in result.checkpoint_paths.items():
@@ -130,11 +176,6 @@ def _cmd_train_baseline(args) -> int:
 
 def _cmd_train_adversary(args) -> int:
     cfg = _load_cfg(args)
-    if args.episodes is not None:
-        cfg.phases.adversary_episodes = args.episodes
-        cfg.phases.adversary_step_cap = None
-    if args.steps is not None:
-        cfg.scenario.max_steps = args.steps
     reward = args.reward or cfg.adversary.reward
     result = pipeline.train_adversary(cfg, _victim_ckpts(args.victims, cfg), reward, cfg.out_dir)
     print(f"adversary ({reward}) complete: {result.episodes_run} episodes")
@@ -145,11 +186,6 @@ def _cmd_train_adversary(args) -> int:
 
 def _cmd_retrain(args) -> int:
     cfg = _load_cfg(args)
-    if args.episodes is not None:
-        cfg.phases.retrain_episodes = args.episodes
-        cfg.phases.retrain_step_cap = None
-    if args.steps is not None:
-        cfg.scenario.max_steps = args.steps
     result = pipeline.retrain_victims(
         cfg, _victim_ckpts(args.victims, cfg), args.adversary, cfg.out_dir
     )
@@ -161,12 +197,6 @@ def _cmd_retrain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    if args.episodes is not None:
-        cfg.eval.episodes = args.episodes
-    if args.steps is not None:
-        cfg.eval.max_steps = args.steps
-    if args.greedy:
-        cfg.eval.action_mode = "greedy"
     report = pipeline.evaluate_condition(
         cfg,
         args.label,
@@ -194,8 +224,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _load_cfg(args)
-    from .config import build_scenario
-
     with open(args.episode_log, "r", encoding="utf-8") as fh:
         log = EpisodeLog.from_dict(json.load(fh))
     scenario = build_scenario(cfg).subset(
@@ -211,23 +239,6 @@ def _cmd_plot(args) -> int:
 
 def _cmd_demo(args) -> int:
     cfg = _load_cfg(args)
-    # desk-scale defaults; explicit flags and config values still win
-    if args.obs_mode is None and args.config is None:
-        cfg.obs_mode = "lite21"
-    if args.config is None:
-        cfg.phases.baseline_episodes = DEMO_BUDGETS["baseline_episodes"]
-        cfg.phases.adversary_episodes = DEMO_BUDGETS["adversary_episodes"]
-        cfg.phases.retrain_episodes = DEMO_BUDGETS["retrain_episodes"]
-        cfg.phases.baseline_step_cap = None
-        cfg.phases.adversary_step_cap = None
-        cfg.phases.retrain_step_cap = None
-        cfg.eval.episodes = DEMO_BUDGETS["eval_episodes"]
-        cfg.eval.max_steps = DEMO_BUDGETS["eval_max_steps"]
-        cfg.scenario.max_steps = DEMO_BUDGETS["train_max_steps"]
-    if args.episodes is not None:
-        cfg.phases.baseline_episodes = args.episodes
-    if args.steps is not None:
-        cfg.scenario.max_steps = args.steps
     summary = pipeline.run_demo(cfg, cfg.out_dir, dump_obs=args.dump_obs)
     print(summary["compare_text"])
     print(f"demo artifacts under {summary['out_dir']}")

@@ -1,4 +1,13 @@
-"""Run configuration: defaults, YAML loading, validation, and builders.
+"""Run configuration: the schema, YAML loading, validation, and builders.
+
+The schema is the dataclasses below together with ``ppo.PpoHyper`` and
+``rewards.RewardParams``: every config key is one field, and its checks
+(type, bounds, choices, whether null is allowed) sit on that field
+(``schema.setting``). ``parse_config`` runs them all through
+``schema.parse_section`` and then applies the rules that tie keys
+together. Command-line flags reach the config as overrides merged over the
+YAML data before that one call, so they pass the same checks with the same
+messages.
 
 Every hyperparameter defaults to the reference training setup (PPO
 clip 0.3 / KL target 0.03 / lr 0.0006 / batch 128, phase budgets
@@ -8,7 +17,7 @@ fail with the offending dotted key named.
 """
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -18,62 +27,65 @@ from .errors import ValidationError
 from .geometry import Polyline, Rect
 from .ppo import PpoHyper
 from .raster import RESOLUTION_MODES, RasterConfig
+from .rewards import RewardParams
 from .scenario import (
     ScenarioConfig,
     corridor_scenario,
     custom_scenario,
     t_intersection_scenario,
 )
+from .schema import error, parse_section, setting
 from .worldmap import MapGeometry
 
 ACTION_MODES = ("sample", "greedy")
 PRESETS = ("t_intersection", "corridor", "custom")
+ADVERSARY_REWARDS = ("adv_collision", "adv_offroad")
 
 
 @dataclass
 class ScenarioSettings:
-    preset: str = "t_intersection"
-    lane_width: float = 3.5
-    dt: float = 0.05
-    max_steps: int = 500
-    spawn_jitter: float = 0.0
-    corridor_length: float = 50.0
-    map: dict | None = None  # custom preset only
-    agents: list | None = None  # custom preset only
+    preset: str = setting("t_intersection", choices=PRESETS)
+    lane_width: float = setting(3.5, lo=2.1)
+    dt: float = setting(0.05, lo=1e-4, hi=1.0)
+    max_steps: int = setting(500, lo=1)
+    spawn_jitter: float = setting(0.0, lo=0.0)
+    corridor_length: float = setting(50.0, lo=10.0)
+    map: dict | None = setting(None, kind=dict, nullable=True)  # custom preset only
+    agents: list | None = setting(None, kind=list, nullable=True)  # custom preset only
 
 
 @dataclass
 class PhaseBudgets:
-    baseline_episodes: int = 610
-    baseline_step_cap: int | None = 300672
-    adversary_episodes: int = 101
-    adversary_step_cap: int | None = 57728
-    retrain_episodes: int = 306
-    retrain_step_cap: int | None = 133888
+    baseline_episodes: int = setting(610, lo=1)
+    baseline_step_cap: int | None = setting(300672, lo=1, nullable=True)
+    adversary_episodes: int = setting(101, lo=1)
+    adversary_step_cap: int | None = setting(57728, lo=1, nullable=True)
+    retrain_episodes: int = setting(306, lo=1)
+    retrain_step_cap: int | None = setting(133888, lo=1, nullable=True)
 
 
 @dataclass
 class EvalSettings:
-    episodes: int = 50
-    max_steps: int = 2000
-    action_mode: str = "sample"
+    episodes: int = setting(50, lo=1)
+    max_steps: int = setting(2000, lo=1)
+    action_mode: str = setting("sample", choices=ACTION_MODES)
 
 
 @dataclass
 class AdversarySettings:
-    train_victims: list[str] = field(default_factory=lambda: ["victim1"])
-    reward: str = "adv_collision"
+    train_victims: list[str] = setting(factory=lambda: ["victim1"])
+    reward: str = setting("adv_collision", choices=ADVERSARY_REWARDS)
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    out_dir: str = "runs/run"
-    obs_mode: str = "full84"
-    workers: int = 1
-    checkpoint_every: int = 25
+    seed: int = setting(0, lo=0)
+    out_dir: str = setting("runs/run")
+    obs_mode: str = setting("full84", choices=RESOLUTION_MODES)
+    workers: int = setting(1, lo=1)
+    checkpoint_every: int = setting(25, lo=1)
     scenario: ScenarioSettings = field(default_factory=ScenarioSettings)
-    reward_beta: float = 0.5
+    reward: RewardParams = field(default_factory=RewardParams)
     ppo: PpoHyper = field(default_factory=PpoHyper)
     phases: PhaseBudgets = field(default_factory=PhaseBudgets)
     eval: EvalSettings = field(default_factory=EvalSettings)
@@ -92,213 +104,50 @@ DEMO_BUDGETS = {
 }
 
 
-def _err(path: str, message: str):
-    raise ValidationError(f"{path}: {message}")
+def _with_overrides(data, overrides: dict):
+    """``data`` with each dotted key of ``overrides`` set, copying only the
+    mappings on the way; a section that is not a mapping is left for
+    ``parse_section`` to report."""
+    merged = {} if data is None else data
+    if not overrides or not isinstance(merged, dict):
+        return merged
+    merged = dict(merged)
+    for dotted, value in overrides.items():
+        *sections, name = dotted.split(".")
+        node = merged
+        for section in sections:
+            child = node.get(section, {})
+            if not isinstance(child, dict):
+                break
+            child = dict(child)
+            node[section] = child
+            node = child
+        else:
+            node[name] = value
+    return merged
 
 
-def _expect_map(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _err(path, f"expected a mapping, got {type(value).__name__}")
-    return value
+def parse_config(data: dict | None, overrides: dict | None = None) -> RunConfig:
+    """Validated config from parsed YAML, with ``overrides`` (dotted keys,
+    as the command line sets them) applied on top."""
+    data = _with_overrides(data, overrides or {})
+    cfg = parse_section(RunConfig, data)
 
-
-def _reject_unknown(d: dict, allowed, path: str):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        _err(f"{path}.{unknown[0]}" if path else unknown[0], "unknown key")
-
-
-def _get_number(d, key, path, default, lo=None, hi=None, integer=False, allow_none=False):
-    if key not in d or d[key] is None:
-        if key in d and d[key] is None and allow_none:
-            return None
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _err(f"{path}.{key}", f"expected a number, got {v!r}")
-    if integer and int(v) != v:
-        _err(f"{path}.{key}", f"expected an integer, got {v!r}")
-    v = int(v) if integer else float(v)
-    if lo is not None and v < lo:
-        _err(f"{path}.{key}", f"value {v} below minimum {lo}")
-    if hi is not None and v > hi:
-        _err(f"{path}.{key}", f"value {v} above maximum {hi}")
-    return v
-
-
-def _get_choice(d, key, path, default, choices):
-    v = d.get(key, default)
-    if v not in choices:
-        _err(f"{path}.{key}", f"must be one of {list(choices)}, got {v!r}")
-    return v
-
-
-def parse_config(data: dict | None) -> RunConfig:
-    cfg = RunConfig()
-    if data is None:
-        return cfg
-    data = _expect_map(data, "<root>")
-    _reject_unknown(
-        data,
-        (
-            "seed",
-            "out_dir",
-            "obs_mode",
-            "workers",
-            "checkpoint_every",
-            "scenario",
-            "reward",
-            "ppo",
-            "phases",
-            "eval",
-            "adversary",
-        ),
-        "",
-    )
-    cfg.seed = _get_number(data, "seed", "", cfg.seed, lo=0, integer=True)
-    if "out_dir" in data:
-        cfg.out_dir = str(data["out_dir"])
-    cfg.obs_mode = _get_choice(data, "obs_mode", "", cfg.obs_mode, RESOLUTION_MODES)
-    cfg.workers = _get_number(data, "workers", "", cfg.workers, lo=1, integer=True)
-    cfg.checkpoint_every = _get_number(
-        data, "checkpoint_every", "", cfg.checkpoint_every, lo=1, integer=True
-    )
-
-    if "scenario" in data:
-        s = _expect_map(data["scenario"], "scenario")
-        _reject_unknown(
-            s,
-            (
-                "preset",
-                "lane_width",
-                "dt",
-                "max_steps",
-                "spawn_jitter",
-                "corridor_length",
-                "map",
-                "agents",
-            ),
-            "scenario",
-        )
-        sc = cfg.scenario
-        sc.preset = _get_choice(s, "preset", "scenario", sc.preset, PRESETS)
-        sc.lane_width = _get_number(s, "lane_width", "scenario", sc.lane_width, lo=2.1)
-        sc.dt = _get_number(s, "dt", "scenario", sc.dt, lo=1e-4, hi=1.0)
-        sc.max_steps = _get_number(s, "max_steps", "scenario", sc.max_steps, lo=1, integer=True)
-        sc.spawn_jitter = _get_number(s, "spawn_jitter", "scenario", sc.spawn_jitter, lo=0.0)
-        sc.corridor_length = _get_number(
-            s, "corridor_length", "scenario", sc.corridor_length, lo=10.0
-        )
-        if sc.preset == "custom":
-            if "map" not in s or "agents" not in s:
-                _err("scenario", "custom preset requires 'map' and 'agents'")
-            sc.map = _expect_map(s["map"], "scenario.map")
-            if not isinstance(s["agents"], list) or not s["agents"]:
-                _err("scenario.agents", "expected a non-empty list")
-            sc.agents = s["agents"]
-        elif "map" in s or "agents" in s:
-            _err("scenario.map", "only allowed with the custom preset")
-
-    if "reward" in data:
-        r = _expect_map(data["reward"], "reward")
-        _reject_unknown(r, ("beta",), "reward")
-        cfg.reward_beta = _get_number(r, "beta", "reward", cfg.reward_beta, lo=0.0)
-
-    if "ppo" in data:
-        p = _expect_map(data["ppo"], "ppo")
-        _reject_unknown(
-            p,
-            (
-                "gamma",
-                "gae_lambda",
-                "clip",
-                "kl_target",
-                "kl_coef_init",
-                "vf_coef",
-                "ent_coef",
-                "minibatch",
-                "epochs_per_batch",
-                "train_batch",
-                "lr",
-            ),
-            "ppo",
-        )
-        h = cfg.ppo
-        h.gamma = _get_number(p, "gamma", "ppo", h.gamma, lo=0.0, hi=1.0)
-        h.gae_lambda = _get_number(p, "gae_lambda", "ppo", h.gae_lambda, lo=0.0, hi=1.0)
-        h.clip = _get_number(p, "clip", "ppo", h.clip, lo=1e-6, hi=1.0)
-        h.kl_target = _get_number(p, "kl_target", "ppo", h.kl_target, lo=1e-9)
-        h.kl_coef_init = _get_number(p, "kl_coef_init", "ppo", h.kl_coef_init, lo=1e-9)
-        h.vf_coef = _get_number(p, "vf_coef", "ppo", h.vf_coef, lo=1e-9)
-        h.ent_coef = _get_number(p, "ent_coef", "ppo", h.ent_coef, lo=1e-9)
-        h.minibatch = _get_number(p, "minibatch", "ppo", h.minibatch, lo=1, integer=True)
-        h.epochs_per_batch = _get_number(
-            p, "epochs_per_batch", "ppo", h.epochs_per_batch, lo=1, integer=True
-        )
-        h.train_batch = _get_number(p, "train_batch", "ppo", h.train_batch, lo=1, integer=True)
-        h.lr = _get_number(p, "lr", "ppo", h.lr, lo=1e-12)
-        h.validate()
-
-    if "phases" in data:
-        ph = _expect_map(data["phases"], "phases")
-        _reject_unknown(
-            ph,
-            (
-                "baseline_episodes",
-                "baseline_step_cap",
-                "adversary_episodes",
-                "adversary_step_cap",
-                "retrain_episodes",
-                "retrain_step_cap",
-            ),
-            "phases",
-        )
-        b = cfg.phases
-        b.baseline_episodes = _get_number(
-            ph, "baseline_episodes", "phases", b.baseline_episodes, lo=1, integer=True
-        )
-        b.adversary_episodes = _get_number(
-            ph, "adversary_episodes", "phases", b.adversary_episodes, lo=1, integer=True
-        )
-        b.retrain_episodes = _get_number(
-            ph, "retrain_episodes", "phases", b.retrain_episodes, lo=1, integer=True
-        )
-        b.baseline_step_cap = _get_number(
-            ph, "baseline_step_cap", "phases", b.baseline_step_cap, lo=1, integer=True, allow_none=True
-        )
-        b.adversary_step_cap = _get_number(
-            ph, "adversary_step_cap", "phases", b.adversary_step_cap, lo=1, integer=True, allow_none=True
-        )
-        b.retrain_step_cap = _get_number(
-            ph, "retrain_step_cap", "phases", b.retrain_step_cap, lo=1, integer=True, allow_none=True
-        )
-
-    if "eval" in data:
-        e = _expect_map(data["eval"], "eval")
-        _reject_unknown(e, ("episodes", "max_steps", "action_mode"), "eval")
-        cfg.eval.episodes = _get_number(e, "episodes", "eval", cfg.eval.episodes, lo=1, integer=True)
-        cfg.eval.max_steps = _get_number(
-            e, "max_steps", "eval", cfg.eval.max_steps, lo=1, integer=True
-        )
-        cfg.eval.action_mode = _get_choice(
-            e, "action_mode", "eval", cfg.eval.action_mode, ACTION_MODES
-        )
-
-    if "adversary" in data:
-        a = _expect_map(data["adversary"], "adversary")
-        _reject_unknown(a, ("train_victims", "reward"), "adversary")
-        if "train_victims" in a:
-            tv = a["train_victims"]
-            if not isinstance(tv, list) or not all(isinstance(x, str) for x in tv) or not tv:
-                _err("adversary.train_victims", "expected a non-empty list of agent ids")
-            cfg.adversary.train_victims = list(tv)
-        cfg.adversary.reward = _get_choice(
-            a, "reward", "adversary", cfg.adversary.reward, ("adv_collision", "adv_offroad")
-        )
+    sc = cfg.scenario
+    if sc.preset == "custom":
+        if sc.map is None or sc.agents is None:
+            error("scenario", "custom preset requires 'map' and 'agents'")
+        if not sc.agents:
+            error("scenario.agents", "expected a non-empty list")
+    elif sc.map is not None or sc.agents is not None:
+        error("scenario.map", "only allowed with the custom preset")
+    tv = cfg.adversary.train_victims
+    if not tv or not all(isinstance(x, str) for x in tv):
+        error("adversary.train_victims", "expected a non-empty list of agent ids")
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -306,7 +155,7 @@ def load_config(path) -> RunConfig:
         raise ValidationError(f"cannot read config '{path}': {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
-    return parse_config(data)
+    return parse_config(data, overrides)
 
 
 def default_config() -> RunConfig:
@@ -333,7 +182,7 @@ def build_scenario(cfg: RunConfig) -> ScenarioConfig:
     m = s.map or {}
     rects = [Rect(*[float(v) for v in r]) for r in m.get("drivable_rects", [])]
     if not rects:
-        _err("scenario.map.drivable_rects", "custom map needs at least one rectangle")
+        error("scenario.map.drivable_rects", "custom map needs at least one rectangle")
     inter = m.get("intersection_rect")
     geo = MapGeometry(
         name="custom",
@@ -354,53 +203,4 @@ def build_raster(cfg: RunConfig) -> RasterConfig:
 
 def config_echo(cfg: RunConfig) -> dict[str, Any]:
     """Fully resolved config as plain data, for run manifests."""
-    return copy.deepcopy(
-        {
-            "seed": cfg.seed,
-            "out_dir": cfg.out_dir,
-            "obs_mode": cfg.obs_mode,
-            "workers": cfg.workers,
-            "checkpoint_every": cfg.checkpoint_every,
-            "scenario": {
-                "preset": cfg.scenario.preset,
-                "lane_width": cfg.scenario.lane_width,
-                "dt": cfg.scenario.dt,
-                "max_steps": cfg.scenario.max_steps,
-                "spawn_jitter": cfg.scenario.spawn_jitter,
-                "corridor_length": cfg.scenario.corridor_length,
-                "map": cfg.scenario.map,
-                "agents": cfg.scenario.agents,
-            },
-            "reward": {"beta": cfg.reward_beta},
-            "ppo": {
-                "gamma": cfg.ppo.gamma,
-                "gae_lambda": cfg.ppo.gae_lambda,
-                "clip": cfg.ppo.clip,
-                "kl_target": cfg.ppo.kl_target,
-                "kl_coef_init": cfg.ppo.kl_coef_init,
-                "vf_coef": cfg.ppo.vf_coef,
-                "ent_coef": cfg.ppo.ent_coef,
-                "minibatch": cfg.ppo.minibatch,
-                "epochs_per_batch": cfg.ppo.epochs_per_batch,
-                "train_batch": cfg.ppo.train_batch,
-                "lr": cfg.ppo.lr,
-            },
-            "phases": {
-                "baseline_episodes": cfg.phases.baseline_episodes,
-                "baseline_step_cap": cfg.phases.baseline_step_cap,
-                "adversary_episodes": cfg.phases.adversary_episodes,
-                "adversary_step_cap": cfg.phases.adversary_step_cap,
-                "retrain_episodes": cfg.phases.retrain_episodes,
-                "retrain_step_cap": cfg.phases.retrain_step_cap,
-            },
-            "eval": {
-                "episodes": cfg.eval.episodes,
-                "max_steps": cfg.eval.max_steps,
-                "action_mode": cfg.eval.action_mode,
-            },
-            "adversary": {
-                "train_victims": cfg.adversary.train_victims,
-                "reward": cfg.adversary.reward,
-            },
-        }
-    )
+    return dataclasses.asdict(cfg)

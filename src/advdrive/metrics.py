@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -161,35 +162,34 @@ def scenario_fingerprint(
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-_WORKER_CTX: dict = {}
-
-
-def _eval_worker_init(scenario, policies, raster_cfg, max_steps, master_seed, condition_key, action_mode):
-    _WORKER_CTX.update(
-        scenario=scenario,
-        policies=policies,
-        raster_cfg=raster_cfg,
+def _eval_episode(scenario, policies, raster_cfg, max_steps, seed_tree, condition_key,
+                  action_mode, ep: int) -> EpisodeLog:
+    _, log = run_episode(
+        scenario,
+        policies,
+        raster_cfg,
+        RewardParams(),
         max_steps=max_steps,
-        seed_tree=SeedTree(master_seed),
-        condition_key=condition_key,
+        seed_tree=seed_tree,
+        key_prefix=(condition_key, ep),
+        collect=set(),
         action_mode=action_mode,
     )
+    return log
 
 
-def _eval_one_episode(ep: int):
-    ctx = _WORKER_CTX
-    _, log = run_episode(
-        ctx["scenario"],
-        ctx["policies"],
-        ctx["raster_cfg"],
-        RewardParams(),
-        max_steps=ctx["max_steps"],
-        seed_tree=ctx["seed_tree"],
-        key_prefix=(ctx["condition_key"], ep),
-        collect=set(),
-        action_mode=ctx["action_mode"],
-    )
-    return ep, log
+# A pool worker's `_eval_episode` with everything but the episode index bound
+# by the initializer, so the policies reach each worker once, not once per task.
+_worker_episode = None
+
+
+def _eval_worker_init(*context):
+    global _worker_episode
+    _worker_episode = partial(_eval_episode, *context)
+
+
+def _eval_in_worker(ep: int) -> EpisodeLog:
+    return _worker_episode(ep)
 
 
 def evaluate(
@@ -213,31 +213,14 @@ def evaluate(
     returned for plotting.
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
+    context = (scenario, policies, raster_cfg, max_steps, seed_tree, condition_key, action_mode)
     if workers > 1:
-        init_args = (
-            scenario, policies, raster_cfg, max_steps,
-            seed_tree.master_seed, condition_key, action_mode,
-        )
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_eval_worker_init, initargs=init_args
+            max_workers=workers, initializer=_eval_worker_init, initargs=context
         ) as pool:
-            results = sorted(pool.map(_eval_one_episode, range(episodes)))
-        logs = [log for _, log in results]
+            logs = list(pool.map(_eval_in_worker, range(episodes)))
     else:
-        logs = []
-        for ep in range(episodes):
-            _, log = run_episode(
-                scenario,
-                policies,
-                raster_cfg,
-                RewardParams(),
-                max_steps=max_steps,
-                seed_tree=seed_tree,
-                key_prefix=(condition_key, ep),
-                collect=set(),
-                action_mode=action_mode,
-            )
-            logs.append(log)
+        logs = [_eval_episode(*context, ep) for ep in range(episodes)]
 
     per_episode = {aid: [episode_metrics(log, aid) for log in logs] for aid in victim_ids}
     victims = {aid: aggregate_episode_metrics(per_episode[aid]) for aid in victim_ids}

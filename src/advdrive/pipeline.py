@@ -17,7 +17,6 @@ from .net import init_params, net_config_for_mode
 from .orchestrator import AgentPolicy, PhaseResult, run_training_phase
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
-from .rewards import RewardParams
 from .seeding import (
     KEY_ADVERSARY_COLLISION,
     KEY_ADVERSARY_OFFROAD,
@@ -61,8 +60,30 @@ def fresh_policy(cfg: RunConfig, seed_tree: SeedTree, agent_id: str, role: str,
     )
 
 
-def policy_from_checkpoint(path, agent_id: str, frozen: bool) -> tuple[AgentPolicy, list[str]]:
+def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str | None = None,
+                           obs_mode: str | None = None) -> tuple[AgentPolicy, list[str]]:
+    """Load a policy, checking what the caller names: its ``role`` (an
+    adversary's reward kind must also be one with an adversary phase), and
+    that its net is the one ``obs_mode`` trains. Raises ``ConfigurationError``
+    naming both values on a mismatch."""
     ckpt = load_checkpoint(path)
+    if role is not None:
+        if ckpt.role != role:
+            raise ConfigurationError(
+                f"checkpoint '{path}' for '{agent_id}' has role '{ckpt.role}', expected '{role}'"
+            )
+        if role == "adversary" and ckpt.reward_kind not in ADVERSARY_PHASE_KEYS:
+            raise ConfigurationError(
+                f"adversary checkpoint '{path}' has reward kind '{ckpt.reward_kind}', "
+                f"expected one of {list(ADVERSARY_PHASE_KEYS)}"
+            )
+    if obs_mode is not None:
+        want = net_config_for_mode(obs_mode)
+        if ckpt.net_config != want:
+            raise ConfigurationError(
+                f"checkpoint '{path}' for '{agent_id}' holds net {ckpt.net_config.to_dict()}, "
+                f"but obs_mode '{obs_mode}' uses net {want.to_dict()}"
+            )
     warnings = []
     if not frozen and ckpt.adam is None:
         warnings.append(f"checkpoint for '{agent_id}' has no optimizer state; resuming with a fresh one")
@@ -102,7 +123,7 @@ def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
         scenario=scenario,
         policies=policies,
         hyper=cfg.ppo,
-        reward_params=RewardParams(beta=cfg.reward_beta),
+        reward_params=cfg.reward,
         raster_cfg=build_raster(cfg),
         episodes=cfg.phases.baseline_episodes,
         step_cap=cfg.phases.baseline_step_cap,
@@ -139,7 +160,8 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: s
     policies = {}
     warnings = []
     for aid in opponents:
-        policies[aid], w = policy_from_checkpoint(victim_ckpts[aid], aid, frozen=True)
+        policies[aid], w = policy_from_checkpoint(victim_ckpts[aid], aid, frozen=True,
+                                                  role="victim", obs_mode=cfg.obs_mode)
         warnings += w
     policies[adv_spec.agent_id] = fresh_policy(
         cfg, seed_tree, adv_spec.agent_id, "adversary", reward_kind, adv_spec.seed_index
@@ -153,7 +175,7 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: s
         scenario=scenario,
         policies=policies,
         hyper=cfg.ppo,
-        reward_params=RewardParams(beta=cfg.reward_beta),
+        reward_params=cfg.reward,
         raster_cfg=build_raster(cfg),
         episodes=cfg.phases.adversary_episodes,
         step_cap=cfg.phases.adversary_step_cap,
@@ -177,13 +199,14 @@ def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt
         raise ConfigurationError("scenario has no adversary agent")
     adv_spec = adversaries[0]
 
-    adv_policy, _ = policy_from_checkpoint(adversary_ckpt, adv_spec.agent_id, frozen=True)
-    phase_key = RETRAIN_PHASE_KEYS.get(adv_policy.reward_kind, KEY_RETRAIN_COLLISION)
+    adv_policy, _ = policy_from_checkpoint(adversary_ckpt, adv_spec.agent_id, frozen=True,
+                                           role="adversary", obs_mode=cfg.obs_mode)
 
     policies = {adv_spec.agent_id: adv_policy}
     warnings = []
     for aid, path in victim_ckpts.items():
-        policies[aid], w = policy_from_checkpoint(path, aid, frozen=False)
+        policies[aid], w = policy_from_checkpoint(path, aid, frozen=False,
+                                                  role="victim", obs_mode=cfg.obs_mode)
         warnings += w
     scenario = full.subset(list(victim_ckpts) + [adv_spec.agent_id]).with_reward_kind(
         adv_spec.agent_id, adv_policy.reward_kind
@@ -193,11 +216,11 @@ def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt
     echo["warnings"] = warnings
     result = run_training_phase(
         phase_name=f"retrain_vs_{adv_policy.reward_kind}",
-        phase_key=phase_key,
+        phase_key=RETRAIN_PHASE_KEYS[adv_policy.reward_kind],
         scenario=scenario,
         policies=policies,
         hyper=cfg.ppo,
-        reward_params=RewardParams(beta=cfg.reward_beta),
+        reward_params=cfg.reward,
         raster_cfg=build_raster(cfg),
         episodes=cfg.phases.retrain_episodes,
         step_cap=cfg.phases.retrain_step_cap,
@@ -226,14 +249,15 @@ def evaluate_condition(
     agent_ids = list(victim_ckpts)
     policies = {}
     for aid, path in victim_ckpts.items():
-        policies[aid], _ = policy_from_checkpoint(path, aid, frozen=True)
+        policies[aid], _ = policy_from_checkpoint(path, aid, frozen=True,
+                                                  role="victim", obs_mode=cfg.obs_mode)
     if adversary_ckpt is not None:
         adversaries = full.adversaries()
         if not adversaries:
             raise ConfigurationError("scenario has no adversary slot for the adversary checkpoint")
         adv_spec = adversaries[0]
         policies[adv_spec.agent_id], _ = policy_from_checkpoint(
-            adversary_ckpt, adv_spec.agent_id, frozen=True
+            adversary_ckpt, adv_spec.agent_id, frozen=True, role="adversary", obs_mode=cfg.obs_mode
         )
         agent_ids.append(adv_spec.agent_id)
         full = full.with_reward_kind(adv_spec.agent_id, policies[adv_spec.agent_id].reward_kind)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
-from .errors import ConfigurationError, NonFiniteError, PpoError
+from .errors import NonFiniteError, PpoError
 from .net import AdamState, NetworkParams
+from .schema import setting
 
 ADV_NORM_EPS = 1e-8
 ON_POLICY_TOLERANCE = 1e-9
@@ -27,31 +28,17 @@ ON_POLICY_TOLERANCE = 1e-9
 
 @dataclass
 class PpoHyper:
-    gamma: float = 0.99
-    gae_lambda: float = 1.0
-    clip: float = 0.3
-    kl_target: float = 0.03
-    kl_coef_init: float = 0.3
-    vf_coef: float = 1.0
-    ent_coef: float = 0.01
-    minibatch: int = 64
-    epochs_per_batch: int = 8
-    train_batch: int = 128
-    lr: float = 0.0006
-
-    def validate(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma {self.gamma} outside [0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ConfigurationError(f"gae_lambda {self.gae_lambda} outside [0, 1]")
-        if not 0.0 < self.clip <= 1.0:
-            raise ConfigurationError(f"clip {self.clip} outside (0, 1]")
-        for name in ("kl_target", "kl_coef_init", "vf_coef", "ent_coef", "lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("minibatch", "epochs_per_batch", "train_batch"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+    gamma: float = setting(0.99, lo=0.0, hi=1.0)
+    gae_lambda: float = setting(1.0, lo=0.0, hi=1.0)
+    clip: float = setting(0.3, lo=1e-6, hi=1.0)
+    kl_target: float = setting(0.03, lo=1e-9)
+    kl_coef_init: float = setting(0.3, lo=1e-9)
+    vf_coef: float = setting(1.0, lo=1e-9)
+    ent_coef: float = setting(0.01, lo=1e-9)
+    minibatch: int = setting(64, lo=1)
+    epochs_per_batch: int = setting(8, lo=1)
+    train_batch: int = setting(128, lo=1)
+    lr: float = setting(0.0006, lo=1e-12)
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .schema import setting
 from .world import StepFlags
 
 SPEED_DIVISOR = 10.0
@@ -20,7 +21,7 @@ ADVERSARY_OFFROAD_BONUS = 0.05
 
 @dataclass(frozen=True)
 class RewardParams:
-    beta: float = 0.5  # added each tick the agent stays in its lane
+    beta: float = setting(0.5, lo=0.0)  # added each tick the agent stays in its lane
 
 
 def _common_terms(prev: StepFlags, cur: StepFlags) -> float:

@@ -1,0 +1,222 @@
+"""The config schema: per-field checks, CLI overrides, the manifest echo,
+and the checks on checkpoints where they enter the pipeline."""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+import yaml
+
+from test_cli import MICRO_CONFIG
+
+from advdrive import pipeline
+from advdrive.checkpoint import Checkpoint, save_checkpoint
+from advdrive.cli import _victim_ckpts, dispatch
+from advdrive.config import RunConfig, config_echo, default_config, parse_config
+from advdrive.errors import ConfigurationError, ValidationError
+from advdrive.net import init_params, lite21_config
+from advdrive.schema import Check, section_fields
+
+# SHA-256 of json.dumps(config_echo(cfg), sort_keys=True), recorded before the
+# schema was defined from dataclass fields; the manifests' `config` must not move.
+ECHO_GOLDENS = {
+    "default": "c3127c067ccc6234dcfe2e533c3d10bb15292a82f39478ded4d69c2819aced02",
+    "micro": "4aa82f259bbb2396adb1cafd818a7d9c2fb95e4cf06df0a9dbd49ce92c16c76e",
+}
+
+
+def _numeric_leaves(cls=RunConfig, prefix=""):
+    for name, spec in section_fields(cls).items():
+        if isinstance(spec, Check):
+            if spec.kind in (int, float):
+                yield prefix + name, spec
+        else:
+            yield from _numeric_leaves(spec, f"{prefix}{name}.")
+
+
+NUMERIC_LEAVES = dict(_numeric_leaves())
+
+
+def _nested(key, value):
+    *sections, name = key.split(".")
+    data = {name: value}
+    for section in reversed(sections):
+        data = {section: data}
+    return data
+
+
+def _step(check, bound, direction):
+    if check.kind is int:
+        return bound + direction
+    return float(np.nextafter(bound, direction * np.inf))
+
+
+def _rejects(data, key):
+    with pytest.raises(ValidationError) as info:
+        parse_config(data)
+    assert str(info.value).startswith(f"{key}: "), str(info.value)
+    return str(info.value)
+
+
+def test_schema_covers_every_numeric_key():
+    assert len(NUMERIC_LEAVES) == 28
+    assert {"seed", "reward.beta", "ppo.lr", "phases.retrain_step_cap", "eval.max_steps"} <= set(
+        NUMERIC_LEAVES
+    )
+    assert all(check.lo is not None for check in NUMERIC_LEAVES.values())
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_LEAVES))
+def test_numeric_key_bounds(key):
+    check = NUMERIC_LEAVES[key]
+    assert "expected a number, got True" in _rejects(_nested(key, True), key)
+    assert "expected a number" in _rejects(_nested(key, "1"), key)
+    below = _step(check, check.lo, -1)
+    assert f"below minimum {check.lo}" in _rejects(_nested(key, below), key)
+    section = parse_config(_nested(key, check.lo))
+    for name in key.split("."):
+        section = getattr(section, name)
+    assert section == check.lo and type(section) is check.kind
+    if check.hi is not None:
+        above = _step(check, check.hi, +1)
+        assert f"above maximum {check.hi}" in _rejects(_nested(key, above), key)
+    if check.kind is int:
+        assert "expected an integer" in _rejects(_nested(key, check.lo + 0.5), key)
+    if check.nullable:
+        assert parse_config(_nested(key, None)) is not None
+    else:
+        _rejects(_nested(key, None), key)
+
+
+def test_messages_keep_their_text():
+    assert _rejects({"ppo": {"gamma": 1.5}}, "ppo.gamma") == "ppo.gamma: value 1.5 above maximum 1.0"
+    assert _rejects({"scenario": {"presett": "x"}}, "scenario.presett") == (
+        "scenario.presett: unknown key"
+    )
+    assert _rejects({"seed": -1}, "seed") == "seed: value -1 below minimum 0"
+    assert _rejects({"ppo": 3}, "ppo") == "ppo: expected a mapping, got int"
+    with pytest.raises(ValidationError, match="^<root>: expected a mapping, got list$"):
+        parse_config([1])
+    assert _rejects({"obs_mode": "x"}, "obs_mode") == (
+        "obs_mode: must be one of ['full84', 'lite21'], got 'x'"
+    )
+
+
+def test_out_dir_null_empty_or_not_a_string_rejected():
+    assert "expected a non-empty string, got NoneType" in _rejects({"out_dir": None}, "out_dir")
+    _rejects({"out_dir": 7}, "out_dir")
+    _rejects({"out_dir": ""}, "out_dir")
+
+
+def test_cross_field_rules():
+    _rejects({"scenario": {"preset": "custom"}}, "scenario")
+    _rejects({"scenario": {"preset": "custom", "map": {}, "agents": []}}, "scenario.agents")
+    _rejects({"scenario": {"map": {}}}, "scenario.map")
+    for bad in ([], [1], "victim1"):
+        _rejects({"adversary": {"train_victims": bad}}, "adversary.train_victims")
+
+
+def test_float_keys_take_integers():
+    cfg = parse_config({"ppo": {"lr": 1}, "reward": {"beta": 0}})
+    assert cfg.ppo.lr == 1.0 and type(cfg.ppo.lr) is float
+    assert cfg.reward.beta == 0.0 and type(cfg.reward.beta) is float
+
+
+def test_overrides_merge_over_data_without_mutating_it():
+    data = {"ppo": {"lr": 0.001}, "seed": 2}
+    cfg = parse_config(data, {"ppo.gamma": 0.5, "seed": 3, "phases.baseline_step_cap": None})
+    assert (cfg.ppo.lr, cfg.ppo.gamma, cfg.seed) == (0.001, 0.5, 3)
+    assert cfg.phases.baseline_step_cap is None
+    assert data == {"ppo": {"lr": 0.001}, "seed": 2}
+    with pytest.raises(ValidationError, match="^ppo: expected a mapping"):
+        parse_config({"ppo": 1}, {"ppo.gamma": 0.5})
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_GOLDENS))
+def test_config_echo_golden(name):
+    cfg = default_config() if name == "default" else parse_config(MICRO_CONFIG)
+    blob = json.dumps(config_echo(cfg), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == ECHO_GOLDENS[name]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["train-baseline", "--seed", "-1"], "seed"),
+        (["train-baseline", "--workers", "0"], "workers"),
+        (["train-baseline", "--episodes", "0"], "phases.baseline_episodes"),
+        (["train-baseline", "--steps", "0"], "scenario.max_steps"),
+        (["evaluate", "--victims", "victim1=a", "--steps", "0"], "eval.max_steps"),
+        (["demo", "--episodes", "0"], "phases.baseline_episodes"),
+        (["train-baseline", "--out", ""], "out_dir"),
+    ],
+)
+def test_bad_flag_values_exit_1_naming_the_key(argv, key, tmp_path, capsys):
+    config = tmp_path / "micro.yaml"  # keeps a run that wrongly starts short
+    config.write_text(yaml.safe_dump(MICRO_CONFIG))
+    common = ["--config", str(config), "--out", str(tmp_path / "o")]
+    assert dispatch(argv[:1] + common + argv[1:]) == 1  # the case's own flags come last
+    err = capsys.readouterr().err
+    assert f"error_class=ValidationError {key}: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_extra_bare_victim_paths_rejected():
+    cfg = default_config()
+    assert _victim_ckpts(["p1", "p2"], cfg) == {"victim1": "p1", "victim2": "p2"}
+    assert _victim_ckpts(["victim2=q", "p1"], cfg) == {"victim2": "q", "victim1": "p1"}
+    with pytest.raises(ConfigurationError, match=r"extra \['p3'\]"):
+        _victim_ckpts(["p1", "p2", "p3"], cfg)
+    with pytest.raises(ConfigurationError, match=r"extra \['p2'\]"):
+        _victim_ckpts(["victim1=q", "p1", "p2"], cfg)
+
+
+@pytest.fixture
+def lite21_ckpts(tmp_path):
+    """A lite21 victim and adversary, plus an adversary with a victim reward."""
+    paths = {}
+    for i, (name, role, kind) in enumerate(
+        (("victim", "victim", "victim"), ("adversary", "adversary", "adv_offroad"),
+         ("odd_adversary", "adversary", "victim"))
+    ):
+        paths[name] = str(tmp_path / f"{name}.ckpt")
+        params = init_params(lite21_config(), np.random.SeedSequence(i))
+        save_checkpoint(paths[name], Checkpoint(role=role, reward_kind=kind, params=params))
+    return paths
+
+
+def _cfg(obs_mode):
+    return parse_config({**MICRO_CONFIG, "obs_mode": obs_mode})
+
+
+def test_victim_checkpoint_as_adversary_rejected(lite21_ckpts, tmp_path):
+    victims = {"victim1": lite21_ckpts["victim"]}
+    with pytest.raises(ConfigurationError, match="role 'victim', expected 'adversary'"):
+        pipeline.retrain_victims(_cfg("lite21"), victims, lite21_ckpts["victim"], str(tmp_path / "r"))
+    with pytest.raises(ConfigurationError, match="reward kind 'victim'"):
+        pipeline.retrain_victims(
+            _cfg("lite21"), victims, lite21_ckpts["odd_adversary"], str(tmp_path / "r")
+        )
+    with pytest.raises(ConfigurationError, match="role 'adversary', expected 'victim'"):
+        pipeline.train_adversary(
+            _cfg("lite21"), {"victim1": lite21_ckpts["adversary"]}, "adv_collision",
+            str(tmp_path / "a"),
+        )
+    assert not (tmp_path / "r").exists() and not (tmp_path / "a").exists()
+
+
+def test_checkpoint_net_must_match_obs_mode(lite21_ckpts, tmp_path):
+    victims = {"victim1": lite21_ckpts["victim"]}
+    with pytest.raises(ConfigurationError, match="'name': 'lite21'.*obs_mode 'full84'.*'name': 'full84'"):
+        pipeline.evaluate_condition(_cfg("full84"), "baseline", victims, None, str(tmp_path / "e"))
+    with pytest.raises(ConfigurationError, match="obs_mode 'full84'"):
+        pipeline.retrain_victims(_cfg("full84"), victims, lite21_ckpts["adversary"], str(tmp_path / "r"))
+
+
+def test_mismatched_checkpoint_exits_1_from_cli(lite21_ckpts, tmp_path, capsys):
+    path = tmp_path / "micro.yaml"
+    path.write_text(yaml.safe_dump(MICRO_CONFIG))
+    rc = dispatch(["retrain", "--config", str(path), "--victims", lite21_ckpts["victim"],
+                   "--adversary", lite21_ckpts["victim"], "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "error_class=ConfigurationError" in capsys.readouterr().err

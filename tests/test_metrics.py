@@ -154,6 +154,12 @@ class TestEvaluate:
         r2, _ = self.eval_once(workers=2)
         assert r1.to_json_bytes() == r2.to_json_bytes()
 
+    def test_serial_run_binds_no_worker_state(self):
+        from advdrive import metrics
+
+        self.eval_once(workers=1)
+        assert metrics._worker_episode is None  # no policies kept alive in this process
+
     def test_report_round_trip(self, tmp_path):
         r1, _ = self.eval_once()
         p = tmp_path / "report.json"
