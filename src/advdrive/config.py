@@ -162,6 +162,43 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
+MAP_KEYS = ("drivable_rects", "intersection_rect", "dividers", "lane_width")
+
+
+def _entries(key: str, raw) -> list:
+    if raw is None:
+        return []
+    if not isinstance(raw, (list, tuple)):
+        error(key, f"expected a list, got {type(raw).__name__}")
+    return raw
+
+
+def _numbers(key: str, raw, n: int, shape: str) -> list[float]:
+    """``raw`` as n floats, or a ValidationError naming ``key``."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != n
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+        error(key, f"expected {shape}, got {raw!r}")
+    return [float(v) for v in raw]
+
+
+def _rect(key: str, raw) -> Rect:
+    shape = "[x0, y0, x1, y1] with x0 < x1 and y0 < y1"
+    x0, y0, x1, y1 = _numbers(key, raw, 4, shape)
+    if not (x0 < x1 and y0 < y1):
+        error(key, f"expected {shape}, got {raw!r}")
+    return Rect(x0, y0, x1, y1)
+
+
+def _polyline(key: str, raw) -> Polyline:
+    shape = "a list of at least two [x, y] points, consecutive points distinct"
+    if not isinstance(raw, (list, tuple)) or len(raw) < 2:
+        error(key, f"expected {shape}, got {raw!r}")
+    points = [_numbers(key, p, 2, shape) for p in raw]
+    if any(p == q for p, q in zip(points, points[1:])):
+        error(key, f"expected {shape}, got {raw!r}")
+    return Polyline(points)
+
+
 def build_scenario(cfg: RunConfig) -> ScenarioConfig:
     s = cfg.scenario
     if s.preset == "t_intersection":
@@ -180,17 +217,25 @@ def build_scenario(cfg: RunConfig) -> ScenarioConfig:
             spawn_jitter=s.spawn_jitter,
         )
     m = s.map or {}
-    rects = [Rect(*[float(v) for v in r]) for r in m.get("drivable_rects", [])]
+    unknown = sorted(set(m) - set(MAP_KEYS), key=str)
+    if unknown:
+        error(f"scenario.map.{unknown[0]}", "unknown key")
+    rects = [_rect("scenario.map.drivable_rects", r)
+             for r in _entries("scenario.map.drivable_rects", m.get("drivable_rects"))]
     if not rects:
         error("scenario.map.drivable_rects", "custom map needs at least one rectangle")
+    lane_width = m.get("lane_width", s.lane_width)
+    if isinstance(lane_width, bool) or not isinstance(lane_width, (int, float)) or lane_width <= 0:
+        error("scenario.map.lane_width", f"expected a positive number, got {lane_width!r}")
     inter = m.get("intersection_rect")
     geo = MapGeometry(
         name="custom",
-        lane_width=float(m.get("lane_width", s.lane_width)),
+        lane_width=float(lane_width),
         drivable_rects=rects,
-        intersection_region=None if inter is None else Rect(*[float(v) for v in inter]),
+        intersection_region=None if inter is None else _rect("scenario.map.intersection_rect", inter),
         lane_segments=[],
-        divider_lines=[Polyline(pts) for pts in m.get("dividers", [])] if m.get("dividers") else [],
+        divider_lines=[_polyline("scenario.map.dividers", d)
+                       for d in _entries("scenario.map.dividers", m.get("dividers"))],
     )
     return custom_scenario(
         geo, s.agents or [], dt=s.dt, max_steps=s.max_steps, spawn_jitter=s.spawn_jitter

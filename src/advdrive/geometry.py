@@ -40,6 +40,38 @@ class Rect:
         return (xs >= self.x0) & (xs <= self.x1) & (ys >= self.y0) & (ys <= self.y1)
 
 
+class Segments:
+    """Line segments from ``starts[k]`` to ``starts[k] + deltas[k]``: the
+    pieces of one polyline, or of several (``Segments.union``)."""
+
+    def __init__(self, starts: np.ndarray, deltas: np.ndarray):
+        self.starts = starts
+        self.deltas = deltas
+        self.lengths = np.hypot(deltas[:, 0], deltas[:, 1])
+
+    @staticmethod
+    def union(polylines) -> "Segments":
+        return Segments(
+            np.concatenate([p.segments.starts for p in polylines]),
+            np.concatenate([p.segments.deltas for p in polylines]),
+        )
+
+    def distance_to_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Distance from each (x, y) to the nearest segment, vectorized over points."""
+        px = xs.reshape(-1)
+        py = ys.reshape(-1)
+        ax = self.starts[:, 0][:, None]
+        ay = self.starts[:, 1][:, None]
+        dx = self.deltas[:, 0][:, None]
+        dy = self.deltas[:, 1][:, None]
+        t = ((px[None, :] - ax) * dx + (py[None, :] - ay) * dy) / (self.lengths[:, None] ** 2)
+        t = np.clip(t, 0.0, 1.0)
+        nx = ax + t * dx
+        ny = ay + t * dy
+        d2 = (nx - px[None, :]) ** 2 + (ny - py[None, :]) ** 2
+        return np.sqrt(d2.min(axis=0)).reshape(xs.shape)
+
+
 class Polyline:
     """Piecewise-linear curve with cached segment geometry.
 
@@ -52,12 +84,11 @@ class Polyline:
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("polyline needs an (N>=2, 2) array of points")
         deltas = np.diff(pts, axis=0)
-        seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
+        self.segments = Segments(pts[:-1], deltas)
+        seg_len = self.segments.lengths
         if np.any(seg_len <= 0.0):
             raise ValueError("polyline has a zero-length segment")
         self.points = pts
-        self._deltas = deltas
-        self._seg_len = seg_len
         self._cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.length = float(self._cum[-1])
 
@@ -70,40 +101,26 @@ class Polyline:
         return self.points[-1]
 
     def initial_heading(self) -> float:
-        d = self._deltas[0]
+        d = self.segments.deltas[0]
         return math.atan2(d[1], d[0])
 
     def project(self, point) -> tuple[float, float]:
         """Nearest point on the polyline; returns (arc length from start, distance)."""
         p = np.asarray(point, dtype=np.float64)
         rel = p[None, :] - self.points[:-1]
-        t = np.einsum("ij,ij->i", rel, self._deltas) / (self._seg_len**2)
+        seg = self.segments
+        t = np.einsum("ij,ij->i", rel, seg.deltas) / (seg.lengths**2)
         t = np.clip(t, 0.0, 1.0)
-        nearest = self.points[:-1] + t[:, None] * self._deltas
+        nearest = seg.starts + t[:, None] * seg.deltas
         d2 = np.sum((nearest - p[None, :]) ** 2, axis=1)
         i = int(np.argmin(d2))
-        arc = float(self._cum[i] + t[i] * self._seg_len[i])
+        arc = float(self._cum[i] + t[i] * seg.lengths[i])
         return arc, float(math.sqrt(d2[i]))
 
     def arc_remaining(self, point) -> tuple[float, float]:
         """(arc length from the nearest route point to the end, lateral distance)."""
         arc, dist = self.project(point)
         return self.length - arc, dist
-
-    def distance_to_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Distance from each (x, y) to the polyline, vectorized over points."""
-        px = xs.reshape(-1)
-        py = ys.reshape(-1)
-        ax = self.points[:-1, 0][:, None]
-        ay = self.points[:-1, 1][:, None]
-        dx = self._deltas[:, 0][:, None]
-        dy = self._deltas[:, 1][:, None]
-        t = ((px[None, :] - ax) * dx + (py[None, :] - ay) * dy) / (self._seg_len[:, None] ** 2)
-        t = np.clip(t, 0.0, 1.0)
-        nx = ax + t * dx
-        ny = ay + t * dy
-        d2 = (nx - px[None, :]) ** 2 + (ny - py[None, :]) ** 2
-        return np.sqrt(d2.min(axis=0)).reshape(xs.shape)
 
 
 def smooth_corners(waypoints, radius: float = 5.0, max_seg: float = 1.0) -> Polyline:

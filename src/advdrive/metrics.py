@@ -86,9 +86,6 @@ class MetricsReport:
         v = self.victims[agent_id]
         return v["mean_cv_rate"] + v["mean_co_rate"] + v["mean_os_rate"]
 
-    def mean_composite(self) -> float:
-        return float(np.mean([self.composite(a) for a in sorted(self.victims)]))
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,

@@ -1,12 +1,14 @@
 """Policy/value network: conv stack -> dense trunk -> 9 action logits + 1 value.
 
 Forward, reverse-mode gradients, and Adam are implemented directly on
-float64 numpy arrays (convolutions via im2col + BLAS). Two presets share
-the 84x84x3 input contract:
+float64 numpy arrays (convolutions via im2col + BLAS). Each net works at
+its core resolution (84 / decimation) and takes observations either at that
+resolution, as the raster of the matching obs mode renders them, or as
+84x84x3 images:
 
 * ``full84``: 32@8x8/4, 64@4x4/2, 64@3x3/1, dense 512 (the fidelity net).
-* ``lite21``: block-decimates the input to 21x21 (the exact inverse of the
-  lite raster's pixel replication), then 8@5x5/2, 16@3x3/2, 16@3x3/1,
+* ``lite21``: works at 21x21; an 84x84 input is block-decimated to it (the
+  exact inverse of ``raster.upsample``). Then 8@5x5/2, 16@3x3/2, 16@3x3/1,
   dense 64. Small enough for finite-difference checking and fast desk runs.
 
 Observations may also come as uint8 codes (``obs_codes``): code k stands for
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolationError, NonFiniteError
 from .world import ActionCommand
@@ -199,13 +201,6 @@ def init_params(config: NetConfig, seed) -> NetworkParams:
     return NetworkParams(config=config, arrays=arrays)
 
 
-def zero_params(config: NetConfig) -> NetworkParams:
-    return NetworkParams(
-        config=config,
-        arrays={name: np.zeros(shape, dtype=np.float64) for name, shape in config.param_layout()},
-    )
-
-
 class Workspace:
     """Scratch buffers reused across calls of ``forward_core`` and ``backward``.
 
@@ -235,13 +230,16 @@ def _scratch(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype=np.fl
 def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np.ndarray:
     """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) patch matrix, written into
     the workspace's shared ``cols`` buffer when there is one."""
-    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
-    n, oh, ow = windows.shape[:3]
-    cols = _scratch(ws, "cols", (n * oh * ow, kernel * kernel * x.shape[3]))
-    # windows: (N, OH, OW, C, kh, kw) -> (N, OH, OW, kh, kw, C)
-    np.copyto(
-        cols.reshape(n, oh, ow, kernel, kernel, x.shape[3]), windows.transpose(0, 1, 2, 4, 5, 3)
+    n, h, w, c = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    sn, sh, sw, sc = x.strides
+    # (N, OH, OW, kh, kw, C): window (i, j) starts at pixel (stride*i, stride*j)
+    windows = as_strided(
+        x, (n, oh, ow, kernel, kernel, c), (sn, stride * sh, stride * sw, sh, sw, sc),
+        writeable=False,
     )
+    cols = _scratch(ws, "cols", (n * oh * ow, kernel * kernel * c))
+    np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
 
@@ -271,8 +269,8 @@ def core_input(
     float batches of core resolution come back unchanged, so the function is
     idempotent. uint8 batches are observation codes (see ``obs_codes``) and
     are decoded, into the workspace's ``input`` buffer when one is given.
-    Values are otherwise untouched; for lite nets this picks one pixel per
-    4x4 block (the inverse of the lite raster's replication). Contiguous
+    Values are otherwise untouched; for lite nets an 84x84 batch gives one
+    pixel per 4x4 block (the inverse of ``raster.upsample``). Contiguous
     output so repeated minibatch slicing stays cheap.
     """
     x = np.asarray(obs)
@@ -334,11 +332,14 @@ def forward_batch(params: NetworkParams, obs: np.ndarray, workspace: Workspace |
 
 
 def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Single-observation forward pass: (logits (9,), value)."""
+    """Single-observation forward pass: (logits (9,), value). The observation
+    is at the net's core resolution or 84x84 (see core_input)."""
     x = np.asarray(obs, dtype=np.float64)
-    if x.shape != (INPUT_RES, INPUT_RES, INPUT_CHANNELS):
+    res = params.config.core_res()
+    if x.shape not in ((res, res, INPUT_CHANNELS), (INPUT_RES, INPUT_RES, INPUT_CHANNELS)):
         raise ContractViolationError(
-            f"observation must be ({INPUT_RES}, {INPUT_RES}, {INPUT_CHANNELS}), got {x.shape}"
+            f"observation must be ({res}, {res}, {INPUT_CHANNELS}) or"
+            f" ({INPUT_RES}, {INPUT_RES}, {INPUT_CHANNELS}), got {x.shape}"
         )
     logits, values, _ = forward_batch(params, x[None])
     return logits[0], float(values[0])

@@ -36,6 +36,7 @@ from . import net
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
     PhaseAbortedError,
@@ -146,9 +147,16 @@ def run_episode(
     and the episode log. Deterministic in (scenario, policies, key_prefix)."""
     collect = set() if collect is None else set(collect)
     ids = scenario.agent_ids()
+    res = raster_cfg.resolution()
     for aid in ids:
         if aid not in policies:
             raise ConfigurationError(f"no policy provided for agent '{aid}'")
+        net_cfg = policies[aid].params.config
+        if net_cfg.core_res() != res:
+            raise ContractViolationError(
+                f"agent '{aid}': the {raster_cfg.resolution_mode} raster renders {res}x{res}"
+                f" but net '{net_cfg.name}' works at {net_cfg.core_res()}x{net_cfg.core_res()}"
+            )
     greedy = action_mode == "greedy"
 
     world = init_world(scenario, seed=seed_tree.sequence(*key_prefix, 0))
@@ -192,10 +200,9 @@ def run_episode(
                 obs, chosen, value = pending[aid]
                 reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
                 done = world.terminated[aid] or (t == max_steps - 1)
-                # stored as uint8 codes at the net's core resolution: lossless
-                core_obs = net.core_input(policies[aid].params.config, obs.pixels[None])[0]
+                # the render is at the net's core resolution; uint8 codes are lossless
                 trajectories[aid].append(
-                    net.obs_codes(core_obs), chosen.index, chosen.log_prob, chosen.log_prob_vector,
+                    net.obs_codes(obs.pixels), chosen.index, chosen.log_prob, chosen.log_prob_vector,
                     value, reward, done,
                 )
             prev_flags[aid] = fl

@@ -1,11 +1,16 @@
 """Egocentric bird's-eye observation images.
 
-Each agent sees an 84x84x3 crop of the world: itself anchored at pixel
-(row 70, col 42) with its heading pointing up, other vehicles, road
+Each agent sees a crop of the world: itself anchored at pixel (row 70,
+col 42) of an 84x84 frame with its heading pointing up, other vehicles, road
 surface, lane markings and its goal marker painted in fixed class colors.
-`lite21` renders the same view on a 21x21 grid (sampled at the centers of
-4x4 pixel blocks) and replicates pixels back up to 84x84, keeping the
-image contract identical while costing a sixteenth of the work.
+`full84` renders that frame at 84x84. `lite21` renders the same view on a
+21x21 grid, sampled at the centers of 4x4 pixel blocks, which is the lite
+net's working resolution; ``upsample`` replicates each pixel to its 4x4
+block for PPM dumps and for comparison with 84x84 images.
+
+Rendering paints a uint8 class index per pixel, in painter's order (road,
+lane markings on road, goal, other vehicles, own vehicle), and then looks
+the colors up in the palette once.
 """
 from __future__ import annotations
 
@@ -37,6 +42,9 @@ DEFAULT_COLORS = {
     "other_vehicle": (216 / 256, 48 / 256, 48 / 256),
     "own_vehicle": (64 / 256, 112 / 256, 240 / 256),
 }
+# Class indices of the class-index image, in painter's order.
+CLASSES = ("offroad", "road", "marking", "goal", "other_vehicle", "own_vehicle")
+OFFROAD, ROAD, MARKING, GOAL, OTHER_VEHICLE, OWN_VEHICLE = range(len(CLASSES))
 
 
 @dataclass
@@ -74,10 +82,18 @@ class RasterConfig:
     def grid_key(self):
         return (self.resolution_mode, self.view_ahead, self.view_side)
 
+    def resolution(self) -> int:
+        """Side length in pixels of the rendered image."""
+        return FULL_RES if self.resolution_mode == "full84" else LITE_RES
+
+    def palette(self) -> np.ndarray:
+        """(classes, 3) float64 colors, row k for class index k."""
+        return np.array([self.colors[name] for name in CLASSES], dtype=np.float64)
+
 
 @dataclass
 class ObservationImage:
-    pixels: np.ndarray  # (84, 84, 3) float64 in [0, 1]
+    pixels: np.ndarray  # (res, res, 3) float64 in [0, 1]; res = RasterConfig.resolution()
     agent_id: str
     tick: int
 
@@ -93,12 +109,11 @@ def _ego_grid(cfg: RasterConfig) -> tuple[np.ndarray, np.ndarray, int]:
         return cached
     m_per_row = cfg.view_ahead / ANCHOR_ROW
     m_per_col = 2.0 * cfg.view_side / FULL_RES
-    if cfg.resolution_mode == "full84":
-        res = FULL_RES
+    res = cfg.resolution()
+    if res == FULL_RES:
         rows = np.arange(res, dtype=np.float64)
         cols = np.arange(res, dtype=np.float64)
     else:
-        res = LITE_RES
         rows = BLOCK * np.arange(res, dtype=np.float64) + (BLOCK - 1) / 2.0
         cols = BLOCK * np.arange(res, dtype=np.float64) + (BLOCK - 1) / 2.0
     fwd = (ANCHOR_ROW - rows) * m_per_row
@@ -120,46 +135,54 @@ def render(world: WorldState, agent_id: str, cfg: RasterConfig) -> ObservationIm
     px = me.position[0] + fwd * c + side * s
     py = me.position[1] + fwd * s - side * c
 
-    img = np.empty((res * res, 3), dtype=np.float64)
-    img[:] = cfg.colors["offroad"]
+    classes = np.full(res * res, OFFROAD, dtype=np.uint8)
 
     road = world.map.contains_points(px, py)
-    img[road] = cfg.colors["road"]
+    classes[road] = ROAD
 
-    for divider in world.map.divider_lines:
-        near = divider.distance_to_points(px, py) <= cfg.marking_halfwidth
-        img[near & road] = cfg.colors["marking"]
+    # markings are painted only on road, so only road pixels are tested; a
+    # pixel is near some divider iff it is near the union of their segments
+    dividers = world.map.divider_segments
+    if dividers is not None:
+        on_road = np.flatnonzero(road)
+        near = dividers.distance_to_points(px[on_road], py[on_road]) <= cfg.marking_halfwidth
+        classes[on_road[near]] = MARKING
 
     gx, gy = spec.goal
     goal_mask = (px - gx) ** 2 + (py - gy) ** 2 <= cfg.goal_radius**2
-    img[goal_mask] = cfg.colors["goal"]
+    classes[goal_mask] = GOAL
 
+    # vehicle footprints, one row per vehicle: the others, then the agent itself
+    vehicles = [world.vehicles[o] for o in scenario.agent_ids() if o != agent_id] + [me]
+    vx = np.array([[v.position[0]] for v in vehicles])
+    vy = np.array([[v.position[1]] for v in vehicles])
+    vc = np.array([[math.cos(v.heading)] for v in vehicles])
+    vs = np.array([[math.sin(v.heading)] for v in vehicles])
+    dx = px - vx
+    dy = py - vy
+    along = dx * vc + dy * vs
+    across = dx * vs - dy * vc
     veh_p = scenario.vehicle
-    half_l, half_w = veh_p.length / 2.0, veh_p.width / 2.0
+    inside = (np.abs(along) <= veh_p.length / 2.0) & (np.abs(across) <= veh_p.width / 2.0)
+    classes[inside[:-1].any(axis=0)] = OTHER_VEHICLE
+    classes[inside[-1]] = OWN_VEHICLE
 
-    def paint_vehicle(v, color):
-        dx = px - v.position[0]
-        dy = py - v.position[1]
-        vc, vs = math.cos(v.heading), math.sin(v.heading)
-        along = dx * vc + dy * vs
-        across = dx * vs - dy * vc
-        mask = (np.abs(along) <= half_l) & (np.abs(across) <= half_w)
-        img[mask] = color
-
-    for other_id in scenario.agent_ids():
-        if other_id != agent_id:
-            paint_vehicle(world.vehicles[other_id], cfg.colors["other_vehicle"])
-    paint_vehicle(me, cfg.colors["own_vehicle"])
-
-    pixels = img.reshape(res, res, 3)
-    if res != FULL_RES:
-        pixels = np.repeat(np.repeat(pixels, BLOCK, axis=0), BLOCK, axis=1)
+    pixels = cfg.palette()[classes].reshape(res, res, 3)
     return ObservationImage(pixels=pixels, agent_id=agent_id, tick=world.tick)
 
 
+def upsample(pixels: np.ndarray) -> np.ndarray:
+    """An observation at 84x84: a 21x21 image with each pixel replicated to
+    its 4x4 block, an 84x84 image unchanged."""
+    pixels = np.asarray(pixels)
+    if pixels.shape[0] == FULL_RES:
+        return pixels
+    return np.repeat(np.repeat(pixels, BLOCK, axis=0), BLOCK, axis=1)
+
+
 def write_ppm(pixels: np.ndarray, path) -> None:
-    """Dump an observation as a binary portable pixmap (P6)."""
-    arr = np.clip(np.asarray(pixels) * 255.0, 0, 255).astype(np.uint8)
+    """Dump an observation as an 84x84 binary portable pixmap (P6)."""
+    arr = np.clip(upsample(pixels) * 255.0, 0, 255).astype(np.uint8)
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Polyline, Rect
+from .geometry import Polyline, Rect, Segments
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,11 @@ class LaneSegment:
 
 @dataclass
 class MapGeometry:
-    """Drivable area as a union of rectangles, with lane and marking geometry."""
+    """Drivable area as a union of rectangles, with lane and marking geometry.
+
+    ``divider_segments`` holds every divider line's segments together (None
+    without dividers), so one call measures the distance to all of them.
+    """
 
     name: str
     lane_width: float
@@ -44,6 +48,7 @@ class MapGeometry:
                 raise ConfigurationError(
                     f"lane centerline leaves the drivable region in map '{self.name}'"
                 )
+        self.divider_segments = Segments.union(self.divider_lines) if self.divider_lines else None
 
     def contains(self, x: float, y: float) -> bool:
         return any(r.contains(x, y) for r in self.drivable_rects)

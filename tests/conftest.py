@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from advdrive.geometry import Polyline, Rect
-from advdrive.net import ConvSpec, NetConfig
+from advdrive.net import ConvSpec, NetConfig, NetworkParams
 from advdrive.scenario import AgentSpec, ScenarioConfig
 from advdrive.worldmap import MapGeometry
 
@@ -60,6 +60,14 @@ def tiny_net_config(name: str = "tiny") -> NetConfig:
         decimation=4,
         convs=(ConvSpec(4, 3, 2), ConvSpec(4, 3, 1)),
         dense_units=8,
+    )
+
+
+def zero_params(config: NetConfig) -> NetworkParams:
+    """Every weight and bias zero."""
+    return NetworkParams(
+        config=config,
+        arrays={name: np.zeros(shape, dtype=np.float64) for name, shape in config.param_layout()},
     )
 
 

@@ -1,9 +1,12 @@
-"""Fixed-seed behaviour digest of a small lite21 training run.
+"""Fixed-seed behaviour digests of a small lite21 training run and a full84
+evaluation.
 
-Runs one operation of the benchmark's ``train_lite21`` workload, which hashes
-the output checkpoints and ``train_log.jsonl`` and compares them with
-``perfbench/reference.json``. The reference was recorded with one numpy/BLAS
-build; on another build the digests may differ, so the test is skipped there.
+Each runs one operation of a benchmark workload: ``train_lite21`` hashes the
+output checkpoints and ``train_log.jsonl``, ``eval_full84`` the
+``report.json`` of an attack-condition evaluation; both compare the hashes
+with ``perfbench/reference.json``. The reference was recorded with one
+numpy/BLAS build; on another build the digests may differ, so the tests are
+skipped there.
 """
 import json
 import os
@@ -30,7 +33,7 @@ def _reference_env() -> dict:
         return json.load(fh)["env"]
 
 
-def test_train_lite21_matches_reference_digest():
+def _run_workload_once(workload: str):
     if not os.path.isfile(os.path.join(BENCH, "run.py")):
         pytest.skip("no perfbench/ in this checkout")
     ref = _reference_env()
@@ -38,7 +41,7 @@ def test_train_lite21_matches_reference_digest():
     if any(build[k] != ref[k] for k in ("numpy", "blas")):
         pytest.skip(f"numpy/BLAS {build} differ from the reference build {ref}")
     proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "train_lite21",
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -46,6 +49,14 @@ def test_train_lite21_matches_reference_digest():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+def test_train_lite21_matches_reference_digest():
+    _run_workload_once("train_lite21")
+
+
+def test_eval_full84_matches_reference_digest():
+    _run_workload_once("eval_full84")
 
 
 # SHA-256 of the parameters and Adam state after the update below, recorded

@@ -12,7 +12,7 @@ from test_cli import MICRO_CONFIG
 from advdrive import pipeline
 from advdrive.checkpoint import Checkpoint, save_checkpoint
 from advdrive.cli import _victim_ckpts, dispatch
-from advdrive.config import RunConfig, config_echo, default_config, parse_config
+from advdrive.config import RunConfig, build_scenario, config_echo, default_config, parse_config
 from advdrive.errors import ConfigurationError, ValidationError
 from advdrive.net import init_params, lite21_config
 from advdrive.schema import Check, section_fields
@@ -114,6 +114,64 @@ def test_cross_field_rules():
     _rejects({"scenario": {"map": {}}}, "scenario.map")
     for bad in ([], [1], "victim1"):
         _rejects({"adversary": {"train_victims": bad}}, "adversary.train_victims")
+
+
+GOOD_MAP = {"drivable_rects": [[-5, -5, 60, 5]], "intersection_rect": [20, -5, 30, 5],
+            "dividers": [[[-5, 0], [60, 0]]]}
+BAD_MAPS = [
+    ("drivable_rects", [[0, 0, 5]]),
+    ("drivable_rects", [[5, 0, 0, 3]]),
+    ("drivable_rects", [[0, 0, "a", 3]]),
+    ("drivable_rects", [[0, 0, True, 3]]),
+    ("drivable_rects", [5]),
+    ("drivable_rects", "0 0 5 5"),
+    ("drivable_rects", []),
+    ("intersection_rect", [0, 0, 5]),
+    ("intersection_rect", [0, 3, 5, 3]),
+    ("dividers", [[[0, 0]]]),
+    ("dividers", [[[0, 0], [0, 0]]]),
+    ("dividers", [[[0, 0], [1, 2, 3]]]),
+    ("dividers", [[0, 1]]),
+    ("lane_width", "wide"),
+    ("lane_width", 0),
+]
+
+
+def _custom_map_data(key, value):
+    return {"scenario": {"preset": "custom", "map": {**GOOD_MAP, key: value},
+                         "agents": [{"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}]}}
+
+
+@pytest.mark.parametrize("key, value", BAD_MAPS)
+def test_bad_custom_map_geometry_names_the_key(key, value):
+    cfg = parse_config(_custom_map_data(key, value))
+    with pytest.raises(ValidationError) as info:
+        build_scenario(cfg)
+    assert str(info.value).startswith(f"scenario.map.{key}: "), str(info.value)
+
+
+def test_custom_map_rejects_unknown_keys_and_builds_good_geometry():
+    with pytest.raises(ValidationError, match=r"^scenario\.map\.divders: unknown key"):
+        build_scenario(parse_config(_custom_map_data("divders", [])))
+    sc = build_scenario(parse_config(_custom_map_data("lane_width", 3)))
+    assert sc.map.lane_width == 3.0
+    assert len(sc.map.drivable_rects) == 1 and len(sc.map.divider_lines) == 1
+    assert sc.map.intersection_region.x0 == 20.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("drivable_rects", [[0, 0, 5]]),
+    ("drivable_rects", [[5, 0, 0, 3]]),
+    ("drivable_rects", [[0, 0, "a", 3]]),
+    ("intersection_rect", [0, 0, 5]),
+    ("dividers", [[[0, 0]]]),
+])
+def test_bad_custom_map_exits_1_from_cli(key, value, tmp_path, capsys):
+    config = tmp_path / "custom.yaml"
+    config.write_text(yaml.safe_dump({**MICRO_CONFIG, **_custom_map_data(key, value)}))
+    assert dispatch(["train-baseline", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert f"error_class=ValidationError scenario.map.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_float_keys_take_integers():

@@ -6,6 +6,7 @@ import pytest
 from advdrive.geometry import (
     Polyline,
     Rect,
+    Segments,
     normalize_angle,
     obb_corners,
     obb_overlap,
@@ -54,10 +55,14 @@ def test_polyline_distance_field_matches_scalar_projection(rng):
     line = Polyline([[0, 0], [5, 1], [9, -2], [15, 4]])
     xs = rng.uniform(-2, 17, size=40)
     ys = rng.uniform(-5, 6, size=40)
-    field = line.distance_to_points(xs, ys)
+    field = line.segments.distance_to_points(xs, ys)
     for x, y, d in zip(xs, ys, field):
         _, expected = line.project((x, y))
         assert d == pytest.approx(expected, abs=1e-12)
+    # the union of two polylines' segments gives the nearer one's distance, bit for bit
+    other = Polyline([[-1, 5], [16, 3]])
+    both = Segments.union([line, other]).distance_to_points(xs, ys)
+    assert np.array_equal(both, np.minimum(field, other.segments.distance_to_points(xs, ys)))
 
 
 def test_polyline_rejects_degenerate_input():

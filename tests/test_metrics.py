@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import random
 import xml.etree.ElementTree as ET
@@ -131,8 +132,10 @@ class TestAggregation:
 
 
 class TestEvaluate:
-    def eval_once(self, seed=3, workers=1, episodes=4):
-        sc = straight_scenario(route_length=30, max_steps=50)
+    def eval_once(self, seed=3, workers=1, episodes=4, spawn_jitter=0.0):
+        sc = dataclasses.replace(
+            straight_scenario(route_length=30, max_steps=50), spawn_jitter=spawn_jitter
+        )
         pols = {
             "victim1": AgentPolicy(
                 "victim1", "victim", "victim", net.init_params(tiny_net_config(), 0), frozen=True
@@ -150,8 +153,13 @@ class TestEvaluate:
         assert r1.to_json_bytes() == r2.to_json_bytes()
 
     def test_parallel_matches_serial(self):
-        r1, _ = self.eval_once(workers=1)
-        r2, _ = self.eval_once(workers=2)
+        # jittered spawns start some episodes beyond the lateral limit, so
+        # episodes differ and a report in another episode order would too
+        r1, _ = self.eval_once(workers=1, spawn_jitter=3.0)
+        r2, _ = self.eval_once(workers=2, spawn_jitter=3.0)
+        per = r1.per_episode["victim1"]
+        assert len({json.dumps(m, sort_keys=True) for m in per}) > 1
+        assert per != per[::-1]
         assert r1.to_json_bytes() == r2.to_json_bytes()
 
     def test_serial_run_binds_no_worker_state(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_relu_margin, fd_gradient, grad_close, tiny_net_config
+from conftest import assert_relu_margin, fd_gradient, grad_close, tiny_net_config, zero_params
 
 from advdrive import net
 from advdrive.errors import ContractViolationError, NonFiniteError
@@ -29,7 +29,7 @@ def margin_params(config, seed, bias_boost=0.07):
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        params = net.zero_params(net.lite21_config())
+        params = zero_params(net.lite21_config())
         logits, value = net.forward(params, probe_obs()[0])
         assert np.array_equal(logits, np.zeros(9))
         assert value == 0.0
@@ -56,9 +56,19 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         params = net.init_params(net.lite21_config(), 0)
         with pytest.raises(ContractViolationError):
-            net.forward(params, np.zeros((21, 21, 3)))
+            net.forward(params, np.zeros((42, 42, 3)))
         with pytest.raises(ContractViolationError):
             net.forward_batch(params, np.zeros((2, 84, 84, 1)))
+        with pytest.raises(ContractViolationError, match=r"\(84, 84, 3\).*\(21, 21, 3\)"):
+            net.forward(net.init_params(net.full84_config(), 0), np.zeros((21, 21, 3)))
+
+    def test_core_resolution_observation_matches_84x84(self):
+        params = net.init_params(net.lite21_config(), 9)
+        obs = probe_obs()[0]
+        core = net.core_input(params.config, obs[None])[0]
+        logits_84, value_84 = net.forward(params, obs)
+        logits_core, value_core = net.forward(params, core)
+        assert np.array_equal(logits_84, logits_core) and value_84 == value_core
 
     def test_single_pixel_difference_propagates(self):
         params = margin_params(net.full84_config(), 3)
@@ -169,7 +179,7 @@ class TestAdam:
 
     def test_first_step_bias_corrected_hand_value(self):
         # single parameter w=0 with gradient 1: step lands at -lr within eps
-        params = net.zero_params(tiny_net_config())
+        params = zero_params(tiny_net_config())
         state = net.init_adam_state(params)
         grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
         grads["value/b"] = np.array([1.0])
@@ -180,7 +190,7 @@ class TestAdam:
 
     def test_two_steps_descend_a_quadratic(self):
         # loss = sum((w - 3)^2) over the value bias, gradient 2(w - 3)
-        params = net.zero_params(tiny_net_config())
+        params = zero_params(tiny_net_config())
         state = net.init_adam_state(params)
 
         def loss(p):

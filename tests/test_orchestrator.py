@@ -10,7 +10,7 @@ from conftest import straight_scenario, tiny_net_config
 
 from advdrive import net, orchestrator
 from advdrive.checkpoint import load_checkpoint, params_checksum
-from advdrive.errors import FreezeViolationError, PhaseAbortedError
+from advdrive.errors import ContractViolationError, FreezeViolationError, PhaseAbortedError
 from advdrive.orchestrator import (
     AgentPolicy,
     EpisodeLog,
@@ -178,9 +178,18 @@ class TestRunEpisode:
         stored = trajs["victim1"].obs
         assert len(stored) == len(rendered) == 12
         for obs, pixels in zip(stored, rendered):
+            # the lite21 render is already at the net's core resolution
+            assert pixels.shape == (21, 21, 3)
             assert obs.shape == (21, 21, 3) and obs.dtype == np.uint8
             decoded = net.core_input(pol.params.config, obs[None])[0]
-            assert np.array_equal(decoded, net.core_input(pol.params.config, pixels[None])[0])
+            assert np.array_equal(decoded, pixels)
+
+    def test_raster_resolution_must_match_the_net(self):
+        sc = straight_scenario(route_length=20.0, max_steps=4)
+        pol = make_policy(sc.agents[0])
+        pol.params = net.init_params(net.full84_config(), 0)
+        with pytest.raises(ContractViolationError, match=r"lite21 raster renders 21x21.*84x84"):
+            run_episode(sc, {"victim1": pol}, LITE, RewardParams(), 4, SeedTree(0), (1, 0))
 
     def test_episode_log_round_trip(self):
         sc = head_on_scenario()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import tiny_net_config
+from conftest import tiny_net_config, zero_params
 
 from advdrive import net
 from advdrive.checkpoint import (
@@ -87,7 +87,7 @@ class TestCheckpointRoundTrip:
         # orthogonal init) so the bytes do not depend on the BLAS build; Adam
         # is elementwise and correctly rounded.
         rng = np.random.default_rng(2112)
-        params = net.zero_params(tiny_net_config())
+        params = zero_params(tiny_net_config())
         for arr in params.arrays.values():
             arr[...] = rng.standard_normal(arr.shape)
         adam = net.init_adam_state(params)

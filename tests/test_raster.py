@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import straight_scenario
 
+from advdrive import net
 from advdrive.errors import ConfigurationError
 from advdrive.geometry import Rect
 from advdrive.raster import (
@@ -14,11 +16,17 @@ from advdrive.raster import (
     DEFAULT_COLORS,
     RasterConfig,
     render,
+    upsample,
     write_ppm,
 )
-from advdrive.scenario import AgentSpec, ScenarioConfig, t_intersection_scenario
+from advdrive.scenario import (
+    AgentSpec,
+    ScenarioConfig,
+    corridor_scenario,
+    t_intersection_scenario,
+)
 from advdrive.geometry import Polyline
-from advdrive.world import init_world
+from advdrive.world import init_world, step
 from advdrive.worldmap import MapGeometry
 
 
@@ -64,11 +72,12 @@ class TestBasics:
     def test_shape_range_determinism(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
-        for mode in ("full84", "lite21"):
+        for mode, res in (("full84", 84), ("lite21", 21)):
             cfg = RasterConfig(resolution_mode=mode)
             a = render(w, "victim1", cfg)
             b = render(w, "victim1", cfg)
-            assert a.pixels.shape == (84, 84, 3)
+            assert cfg.resolution() == res
+            assert a.pixels.shape == (res, res, 3)
             assert a.pixels.min() >= 0.0 and a.pixels.max() <= 1.0
             assert np.array_equal(a.pixels, b.pixels)
             assert a.agent_id == "victim1" and a.tick == 0
@@ -97,9 +106,9 @@ class TestBasics:
     def test_lite21_is_block_constant_replication(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
-        img = render(w, "victim2", RasterConfig(resolution_mode="lite21")).pixels
-        blocks = img.reshape(21, BLOCK, 21, BLOCK, 3)
-        assert np.all(blocks == blocks[:, :1, :, :1, :])
+        native = render(w, "victim2", RasterConfig(resolution_mode="lite21")).pixels
+        blocks = upsample(native).reshape(21, BLOCK, 21, BLOCK, 3)
+        assert np.all(blocks == native[:, None, :, None, :])
 
     def test_own_vehicle_at_anchor(self):
         sc = t_intersection_scenario()
@@ -205,6 +214,55 @@ class TestRotationEquivariance:
             assert (m1 & ~dilate(m0)).sum() == 0
 
 
+def golden_worlds():
+    """Worlds for the render digest: jittered spawns, a corridor, and a
+    T-intersection 60 ticks in, with headings off the axes and one agent
+    terminated."""
+    worlds = [init_world(t_intersection_scenario(spawn_jitter=1.5), seed) for seed in range(3)]
+    worlds.append(init_world(corridor_scenario(spawn_jitter=0.5), 4))
+    w = init_world(t_intersection_scenario(), 5)
+    for _ in range(60):
+        w, _ = step(
+            w, {aid: net.action_to_command(3 * (i % 3)) for i, aid in enumerate(w.live_agents())}
+        )
+    worlds.append(w)
+    return worlds
+
+
+def golden_configs(mode):
+    return (RasterConfig(resolution_mode=mode),
+            RasterConfig(resolution_mode=mode, view_ahead=30.0, view_side=12.5))
+
+
+# SHA-256 over the 84x84 float64 images of every agent of golden_worlds(),
+# both modes and both view extents, recorded when render still returned
+# lite21 images replicated to 84x84. Native renders, upsampled, must match.
+RENDER_84_SHA256 = "2c804f30814c7edf0b2cacf5546b83dd2793679b5706f793d07501dc74a6dca3"
+
+
+def test_renders_match_golden_digest():
+    h = hashlib.sha256()
+    for wi, w in enumerate(golden_worlds()):
+        for mode in ("full84", "lite21"):
+            for cfg in golden_configs(mode):
+                for aid in w.scenario.agent_ids():
+                    pixels = upsample(render(w, aid, cfg).pixels)
+                    assert pixels.shape == (84, 84, 3) and pixels.dtype == np.float64
+                    h.update(f"{wi}/{mode}/{cfg.view_ahead}/{aid}".encode())
+                    h.update(np.ascontiguousarray(pixels))
+    assert h.hexdigest() == RENDER_84_SHA256
+
+
+def test_core_input_of_upsampled_render_is_the_native_render():
+    lite = net.lite21_config()
+    for w in golden_worlds():
+        for cfg in golden_configs("lite21"):
+            for aid in w.scenario.agent_ids():
+                native = render(w, aid, cfg).pixels
+                core = net.core_input(lite, upsample(native)[None])[0]
+                assert np.array_equal(core, native)
+
+
 def test_ppm_dump(tmp_path):
     sc = t_intersection_scenario()
     w = init_world(sc, 0)
@@ -214,3 +272,5 @@ def test_ppm_dump(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n84 84\n255\n")
     assert len(raw) == len(b"P6\n84 84\n255\n") + 84 * 84 * 3
+    body = np.frombuffer(raw[len(b"P6\n84 84\n255\n"):], dtype=np.uint8).reshape(84, 84, 3)
+    assert np.array_equal(body[1::BLOCK, 1::BLOCK], (img.pixels * 255.0).astype(np.uint8))
