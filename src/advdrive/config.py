@@ -29,9 +29,11 @@ from .ppo import PpoHyper
 from .raster import RESOLUTION_MODES, RasterConfig
 from .rewards import RewardParams
 from .scenario import (
+    REWARD_KINDS,
+    ROLES,
+    AgentSpec,
     ScenarioConfig,
     corridor_scenario,
-    custom_scenario,
     t_intersection_scenario,
 )
 from .schema import error, parse_section, setting
@@ -163,6 +165,7 @@ def default_config() -> RunConfig:
 
 
 MAP_KEYS = ("drivable_rects", "intersection_rect", "dividers", "lane_width")
+AGENT_KEYS = ("id", "role", "reward_kind", "spawn", "goal", "route")
 
 
 def _entries(key: str, raw) -> list:
@@ -197,6 +200,33 @@ def _polyline(key: str, raw) -> Polyline:
     if any(p == q for p, q in zip(points, points[1:])):
         error(key, f"expected {shape}, got {raw!r}")
     return Polyline(points)
+
+
+def _agent(key: str, raw, seed_index: int) -> AgentSpec:
+    """One custom-preset agent entry as an ``AgentSpec``; without a ``route``
+    it drives the straight line from spawn to goal."""
+    if not isinstance(raw, dict):
+        error(key, f"expected a mapping with keys {list(AGENT_KEYS)}, got {raw!r}")
+    unknown = sorted(set(raw) - set(AGENT_KEYS), key=str)
+    if unknown:
+        error(f"{key}.{unknown[0]}", "unknown key")
+    for name in ("id", "role", "spawn", "goal"):
+        if name not in raw:
+            error(f"{key}.{name}", "missing")
+    if not isinstance(raw["id"], str) or not raw["id"]:
+        error(f"{key}.id", f"expected a non-empty string, got {raw['id']!r}")
+    role, kind = raw["role"], raw.get("reward_kind", "victim")
+    if role not in ROLES:
+        error(f"{key}.role", f"must be one of {list(ROLES)}, got {role!r}")
+    if kind not in REWARD_KINDS:
+        error(f"{key}.reward_kind", f"must be one of {list(REWARD_KINDS)}, got {kind!r}")
+    spawn = tuple(_numbers(f"{key}.spawn", raw["spawn"], 2, "[x, y]"))
+    goal = tuple(_numbers(f"{key}.goal", raw["goal"], 2, "[x, y]"))
+    if goal == spawn:
+        error(f"{key}.goal", f"must differ from spawn, got {raw['goal']!r}")
+    route = raw.get("route")
+    route = Polyline([spawn, goal]) if route is None else _polyline(f"{key}.route", route)
+    return AgentSpec(raw["id"], role, kind, spawn, goal, route, seed_index)
 
 
 def build_scenario(cfg: RunConfig) -> ScenarioConfig:
@@ -237,8 +267,9 @@ def build_scenario(cfg: RunConfig) -> ScenarioConfig:
         divider_lines=[_polyline("scenario.map.dividers", d)
                        for d in _entries("scenario.map.dividers", m.get("dividers"))],
     )
-    return custom_scenario(
-        geo, s.agents or [], dt=s.dt, max_steps=s.max_steps, spawn_jitter=s.spawn_jitter
+    agents = [_agent(f"scenario.agents[{i}]", raw, i) for i, raw in enumerate(s.agents or [])]
+    return ScenarioConfig(
+        name="custom", map=geo, agents=agents, dt=s.dt, max_steps=s.max_steps, spawn_jitter=s.spawn_jitter
     )
 
 

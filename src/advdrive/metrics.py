@@ -201,13 +201,12 @@ def evaluate(
     condition_key: int,
     action_mode: str = "sample",
     workers: int = 1,
-    keep_logs: int = 1,
 ) -> tuple[MetricsReport, list[EpisodeLog]]:
     """Run frozen-policy test episodes and aggregate per-victim metrics.
 
     Deterministic in (scenario, policies, master seed, condition_key)
-    regardless of worker count; logs for the first `keep_logs` episodes are
-    returned for plotting.
+    regardless of worker count; the first episode's log is returned (a
+    one-item list) for plotting.
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
     context = (scenario, policies, raster_cfg, max_steps, seed_tree, condition_key, action_mode)
@@ -232,7 +231,7 @@ def evaluate(
         victims=victims,
         per_episode={aid: [m.as_dict() for m in per_episode[aid]] for aid in victim_ids},
     )
-    return report, logs[: max(0, keep_logs)]
+    return report, logs[:1]
 
 
 def aggregate_episode_metrics(metrics_list) -> dict:

@@ -236,14 +236,10 @@ def run_episode(
 
 @dataclass
 class PhaseResult:
-    name: str
     episodes_run: int
     steps_run: int
     checkpoint_paths: dict[str, str]
     checkpoint_checksums: dict[str, str]
-    manifest_path: str
-    episode_rewards: dict[str, list[float]] = field(default_factory=dict)
-    status: str = "completed"
 
 
 class _StatsWriter:
@@ -331,7 +327,6 @@ def run_training_phase(
     checksums_in = {aid: params_checksum(policies[aid].params) for aid in ids}
     stats = _StatsWriter(os.path.join(out_dir, "train_log.jsonl"))
     buffers: dict[str, list[Trajectory]] = {aid: [] for aid in trainable}
-    episode_rewards: dict[str, list[float]] = {aid: [] for aid in trainable}
 
     episodes_run = 0
     steps_run = 0
@@ -380,7 +375,6 @@ def run_training_phase(
                 pol.counters["episodes"] += 1
                 pol.counters["env_steps"] += len(trajs[aid])
                 ep_reward = float(np.sum(trajs[aid].rewards))
-                episode_rewards[aid].append(ep_reward)
                 stats.write(
                     {"type": "episode", "phase": phase_name, "agent_id": aid,
                      "episode": ep, "reward": ep_reward, "length": len(trajs[aid])}
@@ -438,8 +432,7 @@ def run_training_phase(
         "frozen_checksums": frozen_checksums,
         "config": config_echo or {},
     }
-    manifest_path = os.path.join(out_dir, "phase_manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "phase_manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
     if status == "aborted":
@@ -447,11 +440,8 @@ def run_training_phase(
             f"phase '{phase_name}' aborted: {abort_message}", last_checkpoints=paths
         )
     return PhaseResult(
-        name=phase_name,
         episodes_run=episodes_run,
         steps_run=steps_run,
         checkpoint_paths=paths,
         checkpoint_checksums=checksums,
-        manifest_path=manifest_path,
-        episode_rewards=episode_rewards,
     )

@@ -1,15 +1,23 @@
-"""End-to-end phase drivers: baseline victim training, adversary training
-against frozen victims (one per adversary reward variant), victim
-retraining against a frozen adversary, evaluation conditions, and the
-full demo pipeline that chains all of them and emits a comparison table.
+"""The paper's method as phase drivers: baseline victim training, adversary
+training against frozen victims (one per adversary reward variant), victim
+retraining against a frozen adversary, evaluation conditions, and the demo
+that chains them all and emits a comparison table.
+
+Every phase and evaluation is built from the same pieces. ``_load_policies``
+loads checkpoints as policies and raises ``ConfigurationError`` unless each
+id names a scenario agent of the role it is loaded as; ``_scenario_for`` cuts
+the scenario down to the agents that have a policy, each adversary rewarded
+by its policy's reward kind; ``_train`` runs one training phase within its
+``cfg.phases`` budget and writes the run manifest.
 """
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 from . import __version__
-from .checkpoint import load_checkpoint, params_checksum
+from .checkpoint import load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps it here)
 from .config import RunConfig, build_raster, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
@@ -17,6 +25,7 @@ from .net import init_params, net_config_for_mode
 from .orchestrator import AgentPolicy, PhaseResult, run_training_phase
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
+from .scenario import AgentSpec, ScenarioConfig
 from .seeding import (
     KEY_ADVERSARY_COLLISION,
     KEY_ADVERSARY_OFFROAD,
@@ -46,18 +55,11 @@ EVAL_CONDITION_KEYS = {
 }
 
 
-def fresh_policy(cfg: RunConfig, seed_tree: SeedTree, agent_id: str, role: str,
-                 reward_kind: str, seed_index: int) -> AgentPolicy:
-    params = init_params(net_config_for_mode(cfg.obs_mode), seed_tree.sequence(KEY_INIT, seed_index))
-    return AgentPolicy(
-        agent_id=agent_id,
-        role=role,
-        reward_kind=reward_kind,
-        params=params,
-        adam=None,
-        frozen=False,
-        kl_coef=cfg.ppo.kl_coef_init,
-    )
+def fresh_policy(cfg: RunConfig, spec: AgentSpec) -> AgentPolicy:
+    """An untrained, trainable policy for ``spec``, seeded by its seed index."""
+    params = init_params(net_config_for_mode(cfg.obs_mode),
+                         SeedTree(cfg.seed).sequence(KEY_INIT, spec.seed_index))
+    return AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params, kl_coef=cfg.ppo.kl_coef_init)
 
 
 def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str | None = None,
@@ -105,132 +107,116 @@ def write_run_manifest(out_dir, cfg: RunConfig, command: str, extras: dict | Non
     return path
 
 
-def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
-    """Train every victim concurrently in a shared adversary-free world."""
-    seed_tree = SeedTree(cfg.seed)
-    full = build_scenario(cfg)
-    victims = full.victims()
-    if not victims:
-        raise ConfigurationError("scenario has no victim agents to train")
-    scenario = full.subset([v.agent_id for v in victims])
-    policies = {
-        v.agent_id: fresh_policy(cfg, seed_tree, v.agent_id, v.role, v.reward_kind, v.seed_index)
-        for v in victims
-    }
-    result = run_training_phase(
-        phase_name="baseline",
-        phase_key=KEY_BASELINE,
-        scenario=scenario,
-        policies=policies,
-        hyper=cfg.ppo,
-        reward_params=cfg.reward,
-        raster_cfg=build_raster(cfg),
-        episodes=cfg.phases.baseline_episodes,
-        step_cap=cfg.phases.baseline_step_cap,
-        seed_tree=seed_tree,
-        out_dir=out_dir,
-        checkpoint_every=cfg.checkpoint_every,
-        config_echo=config_echo(cfg),
-    )
-    write_run_manifest(out_dir, cfg, "train-baseline", {"checkpoints": result.checkpoint_checksums})
-    return result
+def _check_roles(full: ScenarioConfig, agent_ids, role: str):
+    """Raises ``ConfigurationError`` unless every id names an agent that
+    holds ``role`` in ``full``."""
+    holders = [a.agent_id for a in full.agents if a.role == role]
+    for aid in agent_ids:
+        if aid not in holders:
+            raise ConfigurationError(
+                f"checkpoint id '{aid}' is not a {role} in scenario '{full.name}', "
+                f"whose {role} agents are {holders}"
+            )
 
 
-def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: str,
-                    out_dir: str) -> PhaseResult:
-    """Train a fresh adversary against frozen victim checkpoints."""
-    if reward_kind not in ADVERSARY_PHASE_KEYS:
-        raise ConfigurationError(f"adversary reward must be adv_collision or adv_offroad, got '{reward_kind}'")
-    seed_tree = SeedTree(cfg.seed)
-    full = build_scenario(cfg)
+def _load_policies(cfg: RunConfig, full: ScenarioConfig, ckpts: dict[str, str], role: str,
+                   frozen: bool, warnings: list[str]) -> dict[str, AgentPolicy]:
+    """The checkpoints of ``ckpts`` (agent id -> path) as policies of agents
+    that hold ``role`` in ``full``; load warnings are appended to ``warnings``."""
+    _check_roles(full, ckpts, role)
+    policies = {}
+    for aid, path in ckpts.items():
+        policies[aid], w = policy_from_checkpoint(path, aid, frozen, role=role, obs_mode=cfg.obs_mode)
+        warnings += w
+    return policies
+
+
+def _adversary(full: ScenarioConfig) -> AgentSpec:
     adversaries = full.adversaries()
     if not adversaries:
-        raise ConfigurationError("scenario has no adversary agent")
-    adv_spec = adversaries[0]
+        raise ConfigurationError(f"scenario '{full.name}' has no adversary agent")
+    return adversaries[0]
 
-    opponents = [aid for aid in cfg.adversary.train_victims if aid in victim_ckpts]
-    if not opponents:
-        raise ConfigurationError(
-            f"none of adversary.train_victims {cfg.adversary.train_victims} has a checkpoint"
-        )
-    scenario = full.subset(opponents + [adv_spec.agent_id]).with_reward_kind(
-        adv_spec.agent_id, reward_kind
-    )
 
-    policies = {}
-    warnings = []
-    for aid in opponents:
-        policies[aid], w = policy_from_checkpoint(victim_ckpts[aid], aid, frozen=True,
-                                                  role="victim", obs_mode=cfg.obs_mode)
-        warnings += w
-    policies[adv_spec.agent_id] = fresh_policy(
-        cfg, seed_tree, adv_spec.agent_id, "adversary", reward_kind, adv_spec.seed_index
-    )
+def _scenario_for(full: ScenarioConfig, policies: dict[str, AgentPolicy]) -> ScenarioConfig:
+    """``full`` with only the agents that have a policy, each adversary
+    rewarded by its policy's reward kind."""
+    scenario = full.subset(policies)
+    for spec in scenario.adversaries():
+        scenario = scenario.with_reward_kind(spec.agent_id, policies[spec.agent_id].reward_kind)
+    return scenario
 
+
+def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_key: int,
+           budget: str, full: ScenarioConfig, policies: dict[str, AgentPolicy],
+           warnings: list[str] | None = None) -> PhaseResult:
+    """One training phase of ``policies`` in their part of ``full``, within
+    ``cfg.phases.<budget>_episodes`` and ``<budget>_step_cap``; writes the run
+    manifest. ``warnings``, when given, joins the phase manifest's config echo."""
     echo = config_echo(cfg)
-    echo["warnings"] = warnings
+    if warnings is not None:
+        echo["warnings"] = warnings
     result = run_training_phase(
-        phase_name=f"adversary_{reward_kind}",
-        phase_key=ADVERSARY_PHASE_KEYS[reward_kind],
-        scenario=scenario,
+        phase_name=phase_name,
+        phase_key=phase_key,
+        scenario=_scenario_for(full, policies),
         policies=policies,
         hyper=cfg.ppo,
         reward_params=cfg.reward,
         raster_cfg=build_raster(cfg),
-        episodes=cfg.phases.adversary_episodes,
-        step_cap=cfg.phases.adversary_step_cap,
-        seed_tree=seed_tree,
+        episodes=getattr(cfg.phases, f"{budget}_episodes"),
+        step_cap=getattr(cfg.phases, f"{budget}_step_cap"),
+        seed_tree=SeedTree(cfg.seed),
         out_dir=out_dir,
         checkpoint_every=cfg.checkpoint_every,
         config_echo=echo,
     )
-    write_run_manifest(out_dir, cfg, f"train-adversary --reward {reward_kind}",
-                       {"checkpoints": result.checkpoint_checksums})
+    write_run_manifest(out_dir, cfg, command, {"checkpoints": result.checkpoint_checksums})
     return result
+
+
+def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
+    """Train every victim concurrently in a shared adversary-free world."""
+    full = build_scenario(cfg)
+    if not full.victims():
+        raise ConfigurationError("scenario has no victim agents to train")
+    policies = {v.agent_id: fresh_policy(cfg, v) for v in full.victims()}
+    return _train(cfg, out_dir, "train-baseline", "baseline", KEY_BASELINE, "baseline",
+                  full, policies)
+
+
+def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: str,
+                    out_dir: str) -> PhaseResult:
+    """Train a fresh adversary against the frozen victims of
+    ``cfg.adversary.train_victims`` among ``victim_ckpts``."""
+    if reward_kind not in ADVERSARY_PHASE_KEYS:
+        raise ConfigurationError(f"adversary reward must be adv_collision or adv_offroad, got '{reward_kind}'")
+    full = build_scenario(cfg)
+    adv = _adversary(full)
+    _check_roles(full, victim_ckpts, "victim")
+    opponents = {aid: victim_ckpts[aid] for aid in cfg.adversary.train_victims if aid in victim_ckpts}
+    if not opponents:
+        raise ConfigurationError(
+            f"none of adversary.train_victims {cfg.adversary.train_victims} has a checkpoint"
+        )
+    warnings = []
+    policies = _load_policies(cfg, full, opponents, "victim", True, warnings)
+    policies[adv.agent_id] = fresh_policy(cfg, replace(adv, reward_kind=reward_kind))
+    return _train(cfg, out_dir, f"train-adversary --reward {reward_kind}", f"adversary_{reward_kind}",
+                  ADVERSARY_PHASE_KEYS[reward_kind], "adversary", full, policies, warnings)
 
 
 def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt: str,
                     out_dir: str) -> PhaseResult:
     """Continue victim training with the frozen adversary in the world."""
-    seed_tree = SeedTree(cfg.seed)
     full = build_scenario(cfg)
-    adversaries = full.adversaries()
-    if not adversaries:
-        raise ConfigurationError("scenario has no adversary agent")
-    adv_spec = adversaries[0]
-
-    adv_policy, _ = policy_from_checkpoint(adversary_ckpt, adv_spec.agent_id, frozen=True,
-                                           role="adversary", obs_mode=cfg.obs_mode)
-
-    policies = {adv_spec.agent_id: adv_policy}
+    adv_id = _adversary(full).agent_id
     warnings = []
-    for aid, path in victim_ckpts.items():
-        policies[aid], w = policy_from_checkpoint(path, aid, frozen=False,
-                                                  role="victim", obs_mode=cfg.obs_mode)
-        warnings += w
-    scenario = full.subset(list(victim_ckpts) + [adv_spec.agent_id]).with_reward_kind(
-        adv_spec.agent_id, adv_policy.reward_kind
-    )
-
-    echo = config_echo(cfg)
-    echo["warnings"] = warnings
-    result = run_training_phase(
-        phase_name=f"retrain_vs_{adv_policy.reward_kind}",
-        phase_key=RETRAIN_PHASE_KEYS[adv_policy.reward_kind],
-        scenario=scenario,
-        policies=policies,
-        hyper=cfg.ppo,
-        reward_params=cfg.reward,
-        raster_cfg=build_raster(cfg),
-        episodes=cfg.phases.retrain_episodes,
-        step_cap=cfg.phases.retrain_step_cap,
-        seed_tree=seed_tree,
-        out_dir=out_dir,
-        checkpoint_every=cfg.checkpoint_every,
-        config_echo=echo,
-    )
-    write_run_manifest(out_dir, cfg, "retrain", {"checkpoints": result.checkpoint_checksums})
-    return result
+    policies = _load_policies(cfg, full, {adv_id: adversary_ckpt}, "adversary", True, warnings)
+    policies.update(_load_policies(cfg, full, victim_ckpts, "victim", False, warnings))
+    kind = policies[adv_id].reward_kind
+    return _train(cfg, out_dir, "retrain", f"retrain_vs_{kind}", RETRAIN_PHASE_KEYS[kind],
+                  "retrain", full, policies, warnings)
 
 
 def evaluate_condition(
@@ -239,32 +225,19 @@ def evaluate_condition(
     victim_ckpts: dict[str, str],
     adversary_ckpt: str | None,
     out_dir: str,
-    condition_key: int | None = None,
     dump_obs: bool = False,
 ) -> MetricsReport:
     """Evaluate one policy set; writes report JSON/text, one episode log,
     and a trajectory plot under out_dir."""
-    seed_tree = SeedTree(cfg.seed)
     full = build_scenario(cfg)
-    agent_ids = list(victim_ckpts)
-    policies = {}
-    for aid, path in victim_ckpts.items():
-        policies[aid], _ = policy_from_checkpoint(path, aid, frozen=True,
-                                                  role="victim", obs_mode=cfg.obs_mode)
+    policies = _load_policies(cfg, full, victim_ckpts, "victim", True, [])
     if adversary_ckpt is not None:
-        adversaries = full.adversaries()
-        if not adversaries:
-            raise ConfigurationError("scenario has no adversary slot for the adversary checkpoint")
-        adv_spec = adversaries[0]
-        policies[adv_spec.agent_id], _ = policy_from_checkpoint(
-            adversary_ckpt, adv_spec.agent_id, frozen=True, role="adversary", obs_mode=cfg.obs_mode
-        )
-        agent_ids.append(adv_spec.agent_id)
-        full = full.with_reward_kind(adv_spec.agent_id, policies[adv_spec.agent_id].reward_kind)
-    scenario = full.subset(agent_ids)
+        policies.update(_load_policies(cfg, full, {_adversary(full).agent_id: adversary_ckpt},
+                                       "adversary", True, []))
+    scenario = _scenario_for(full, policies)
+    seed_tree = SeedTree(cfg.seed)
     raster_cfg = build_raster(cfg)
-    if condition_key is None:
-        condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)
+    condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)
 
     report, logs = evaluate(
         scenario,
@@ -277,7 +250,6 @@ def evaluate_condition(
         condition_key=condition_key,
         action_mode=cfg.eval.action_mode,
         workers=cfg.workers,
-        keep_logs=1,
     )
     os.makedirs(out_dir, exist_ok=True)
     report.save(os.path.join(out_dir, "report.json"))
@@ -305,23 +277,19 @@ def evaluate_condition(
 def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
     """The whole two-step methodology at one budget setting:
 
-    baseline victims -> both adversary variants -> retraining against each ->
-    five evaluation conditions -> comparison table + per-condition plots.
+    baseline victims -> per adversary variant, its adversary and the victims
+    retrained against it -> five evaluation conditions -> comparison table +
+    per-condition plots.
     """
     os.makedirs(out_dir, exist_ok=True)
     baseline = train_baseline(cfg, os.path.join(out_dir, "baseline"))
     victim_ckpts = baseline.checkpoint_paths
 
-    adv_ckpts = {}
-    for kind in ("adv_collision", "adv_offroad"):
+    adv_ckpts, retrained = {}, {}
+    for kind in ADVERSARY_PHASE_KEYS:
         res = train_adversary(cfg, victim_ckpts, kind, os.path.join(out_dir, f"adversary_{kind}"))
         adv_ckpts[kind] = next(iter(res.checkpoint_paths.values()))
-
-    retrained = {}
-    for kind in ("adv_collision", "adv_offroad"):
-        res = retrain_victims(
-            cfg, victim_ckpts, adv_ckpts[kind], os.path.join(out_dir, f"retrain_{kind}")
-        )
+        res = retrain_victims(cfg, victim_ckpts, adv_ckpts[kind], os.path.join(out_dir, f"retrain_{kind}"))
         retrained[kind] = res.checkpoint_paths
 
     conditions = [
@@ -331,13 +299,10 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
         ("retrained_collision", retrained["adv_collision"], adv_ckpts["adv_collision"]),
         ("retrained_offroad", retrained["adv_offroad"], adv_ckpts["adv_offroad"]),
     ]
-    reports = []
-    for label, vc, ac in conditions:
-        reports.append(
-            evaluate_condition(
-                cfg, label, vc, ac, os.path.join(out_dir, "eval", label), dump_obs=dump_obs
-            )
-        )
+    reports = [
+        evaluate_condition(cfg, label, vc, ac, os.path.join(out_dir, "eval", label), dump_obs=dump_obs)
+        for label, vc, ac in conditions
+    ]
 
     table = compare(reports)
     table.save(os.path.join(out_dir, "compare.json"), os.path.join(out_dir, "compare.txt"))

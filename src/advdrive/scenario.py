@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import worldmap
 from .errors import ConfigurationError
 from .geometry import Polyline, smooth_corners
@@ -237,45 +235,6 @@ def corridor_scenario(
         name="corridor",
         map=geo,
         agents=[agent],
-        dt=dt,
-        max_steps=max_steps,
-        spawn_jitter=spawn_jitter,
-    )
-
-
-def custom_scenario(
-    geo: MapGeometry,
-    agent_dicts: list[dict],
-    dt: float = 0.05,
-    max_steps: int = 500,
-    spawn_jitter: float = 0.0,
-) -> ScenarioConfig:
-    """Scenario from plain dicts (the config-file path)."""
-    agents = []
-    for i, raw in enumerate(agent_dicts):
-        spawn = tuple(float(v) for v in raw["spawn"])
-        goal = tuple(float(v) for v in raw["goal"])
-        waypoints = raw.get("route")
-        route = (
-            Polyline(np.asarray(waypoints, dtype=float))
-            if waypoints
-            else Polyline([spawn, goal])
-        )
-        agents.append(
-            AgentSpec(
-                agent_id=str(raw["id"]),
-                role=str(raw["role"]),
-                reward_kind=str(raw.get("reward_kind", "victim")),
-                spawn=spawn,
-                goal=goal,
-                route=route,
-                seed_index=i,
-            )
-        )
-    return ScenarioConfig(
-        name="custom",
-        map=geo,
-        agents=agents,
         dt=dt,
         max_steps=max_steps,
         spawn_jitter=spawn_jitter,

@@ -174,6 +174,61 @@ def test_bad_custom_map_exits_1_from_cli(key, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+GOOD_AGENT = {"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}
+BAD_AGENTS = [
+    (5, "scenario.agents[0]"),
+    ("v", "scenario.agents[0]"),
+    ({"id": "v"}, "scenario.agents[0].role"),
+    ({"id": "v", "role": "victim", "goal": [50, 0]}, "scenario.agents[0].spawn"),
+    ({**GOOD_AGENT, "spawn": [0]}, "scenario.agents[0].spawn"),
+    ({**GOOD_AGENT, "spawn": [0, "a"]}, "scenario.agents[0].spawn"),
+    ({**GOOD_AGENT, "spawn": 0}, "scenario.agents[0].spawn"),
+    ({**GOOD_AGENT, "goal": [0, 0, 0]}, "scenario.agents[0].goal"),
+    ({**GOOD_AGENT, "goal": [0, 0]}, "scenario.agents[0].goal"),
+    ({**GOOD_AGENT, "id": 7}, "scenario.agents[0].id"),
+    ({**GOOD_AGENT, "id": ""}, "scenario.agents[0].id"),
+    ({**GOOD_AGENT, "role": "pedestrian"}, "scenario.agents[0].role"),
+    ({**GOOD_AGENT, "reward_kind": "speed"}, "scenario.agents[0].reward_kind"),
+    ({**GOOD_AGENT, "route": [[0, 0]]}, "scenario.agents[0].route"),
+    ({**GOOD_AGENT, "route": [[0, 0], [0, 0], [50, 0]]}, "scenario.agents[0].route"),
+    ({**GOOD_AGENT, "spwan": [0, 0]}, "scenario.agents[0].spwan"),
+]
+
+
+def _custom_agents_data(agents):
+    return {"scenario": {"preset": "custom", "map": GOOD_MAP, "agents": agents}}
+
+
+@pytest.mark.parametrize("agent, key", BAD_AGENTS)
+def test_bad_custom_agent_names_the_key(agent, key):
+    cfg = parse_config(_custom_agents_data([GOOD_AGENT, agent]))
+    with pytest.raises(ValidationError) as info:
+        build_scenario(cfg)
+    assert str(info.value).startswith(f"{key.replace('[0]', '[1]')}: "), str(info.value)
+
+
+def test_custom_agents_build_specs():
+    adv = {"id": "a", "role": "adversary", "reward_kind": "adv_offroad", "spawn": [10, 0],
+           "goal": [40, 0], "route": [[10, 0], [25, 2], [40, 0]]}
+    sc = build_scenario(parse_config(_custom_agents_data([GOOD_AGENT, adv])))
+    v, a = sc.agents
+    assert (v.agent_id, v.role, v.reward_kind, v.spawn, v.goal, v.seed_index) == (
+        "v", "victim", "victim", (0.0, 0.0), (50.0, 0.0), 0
+    )
+    assert v.route.length == pytest.approx(50.0)
+    assert (a.role, a.reward_kind, a.seed_index) == ("adversary", "adv_offroad", 1)
+    assert a.route.points.tolist() == [[10.0, 0.0], [25.0, 2.0], [40.0, 0.0]]
+
+
+@pytest.mark.parametrize("agent, key", [BAD_AGENTS[0], BAD_AGENTS[2], BAD_AGENTS[4]])
+def test_bad_custom_agent_exits_1_from_cli(agent, key, tmp_path, capsys):
+    config = tmp_path / "custom.yaml"
+    config.write_text(yaml.safe_dump({**MICRO_CONFIG, **_custom_agents_data([agent])}))
+    assert dispatch(["train-baseline", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert f"error_class=ValidationError {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_float_keys_take_integers():
     cfg = parse_config({"ppo": {"lr": 1}, "reward": {"beta": 0}})
     assert cfg.ppo.lr == 1.0 and type(cfg.ppo.lr) is float
@@ -278,3 +333,68 @@ def test_mismatched_checkpoint_exits_1_from_cli(lite21_ckpts, tmp_path, capsys):
                    "--adversary", lite21_ckpts["victim"], "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "error_class=ConfigurationError" in capsys.readouterr().err
+
+
+# Checkpoints named by ids that are not agents of the role they are loaded
+# as: (command, victim id -> fixture checkpoint, adversary checkpoint, message).
+WRONG_ROLE_CASES = [
+    ("retrain", {"victim1": "victim", "adversary": "victim"}, "adversary",
+     "checkpoint id 'adversary' is not a victim in scenario 't_intersection', "
+     "whose victim agents are ['victim1', 'victim2']"),
+    ("evaluate", {"adversary": "victim"}, None, "checkpoint id 'adversary' is not a victim"),
+    ("evaluate", {"victim1": "victim"}, "victim", "role 'victim', expected 'adversary'"),
+    ("train-adversary", {"victim1": "victim", "victim9": "victim"}, None,
+     "checkpoint id 'victim9' is not a victim"),
+    ("train-adversary", {"victim1": "adversary"}, None, "role 'adversary', expected 'victim'"),
+    ("retrain", {"victim1": "adversary"}, "adversary", "role 'adversary', expected 'victim'"),
+    ("evaluate", {"victim1": "adversary"}, None, "role 'adversary', expected 'victim'"),
+]
+
+
+def _run_pipeline(command, cfg, victims, adversary, out):
+    if command == "train-adversary":
+        return pipeline.train_adversary(cfg, victims, "adv_collision", out)
+    if command == "retrain":
+        return pipeline.retrain_victims(cfg, victims, adversary, out)
+    return pipeline.evaluate_condition(cfg, "baseline", victims, adversary, out)
+
+
+WRONG_ROLE_IDS = ["retrain-adversary-as-victim", "evaluate-adversary-as-victim",
+                  "evaluate-victim-ckpt-as-adversary", "train-adversary-victim9",
+                  "train-adversary-adversary-ckpt", "retrain-adversary-ckpt",
+                  "evaluate-adversary-ckpt"]
+
+
+@pytest.mark.parametrize("command, victims, adversary, message", WRONG_ROLE_CASES, ids=WRONG_ROLE_IDS)
+def test_checkpoint_ids_must_name_agents_of_their_role(command, victims, adversary, message,
+                                                       lite21_ckpts, tmp_path):
+    victims = {aid: lite21_ckpts[name] for aid, name in victims.items()}
+    adversary = adversary and lite21_ckpts[adversary]
+    with pytest.raises(ConfigurationError) as info:
+        _run_pipeline(command, _cfg("lite21"), victims, adversary, str(tmp_path / "o"))
+    assert message in str(info.value)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, victims, adversary, message", WRONG_ROLE_CASES, ids=WRONG_ROLE_IDS)
+def test_checkpoint_role_mismatch_exits_1_from_cli(command, victims, adversary, message,
+                                                   lite21_ckpts, tmp_path, capsys):
+    config = tmp_path / "micro.yaml"
+    config.write_text(yaml.safe_dump(MICRO_CONFIG))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o"), "--victims"]
+    argv += [f"{aid}={lite21_ckpts[name]}" for aid, name in victims.items()]
+    if adversary:
+        argv += ["--adversary", lite21_ckpts[adversary]]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "error_class=ConfigurationError " in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train-adversary", "retrain", "evaluate"])
+def test_scenario_without_adversary_rejected(command, lite21_ckpts, tmp_path):
+    cfg = parse_config({**MICRO_CONFIG, "scenario": {"preset": "corridor", "max_steps": 40}})
+    with pytest.raises(ConfigurationError, match="^scenario 'corridor' has no adversary agent$"):
+        _run_pipeline(command, cfg, {"victim1": lite21_ckpts["victim"]},
+                      lite21_ckpts["adversary"], str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
