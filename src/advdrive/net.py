@@ -15,15 +15,22 @@ Observations may also come as uint8 codes (``obs_codes``): code k stands for
 the channel value k/256, which every raster palette colour is, so the codes
 are lossless and ``core_input`` decodes them exactly.
 
-``forward_core`` and ``backward`` take an optional ``Workspace`` whose
-buffers they fill through ``out=`` instead of allocating: the decoded input,
-one im2col patch matrix shared by every conv layer, the conv
-pre-activations and outputs, and backward's ``dx``, mask and dense-gradient
-arrays. The forward cache keeps each conv layer's input and pre-activation
-but no patch matrix; backward refills the shared patch buffer from the
-cached input and then reuses it for the patch gradients. Every GEMM and
-elementwise operation is the same with or without a workspace, so results
-are bit-identical.
+``forward_core`` takes an optional ``Workspace`` whose buffers it and the
+``backward`` of its cache fill through ``out=`` instead of allocating, and in
+which no buffer outlives its last reader. Conv1's im2col decodes uint8 codes
+straight into the patch matrix, one matrix shared by every conv layer. Each
+ReLU runs in place over its pre-activation, so the forward cache keeps each
+conv layer's input and activation but no patch matrix, and backward takes
+each mask as ``activation > 0`` (equal to ``pre-activation > 0``, NaN
+included) before that buffer is overwritten. Backward refills the patch
+buffer from the cached input for the weight gradient, writes the dense input
+gradient over the dense input and each conv layer's input gradient over that
+layer's input, and builds the latter from one GEMM per kernel tap into the
+dead patch buffer, added in the same order as the reference's full
+patch-gradient matrix. Each tap's GEMM gives the same bits as the matching
+columns of that matrix (checked on the SkylakeX, Haswell, SandyBridge,
+Nehalem and Zen OpenBLAS cores), and every other operation is the same, so
+results are bit-identical with or without a workspace; tests compare them.
 """
 from __future__ import annotations
 
@@ -206,9 +213,12 @@ class Workspace:
 
     Each named buffer keeps its storage and is handed out as a C-contiguous
     view of the requested shape, so minibatches of different sizes share it.
-    Arrays that a call returns while using a workspace (its forward cache, the
-    ``dense/w`` gradient, a decoded input) alias these buffers and stay valid
-    only until the workspace's next use. Not for concurrent use.
+    A workspace holds one im2col patch matrix shared by every conv layer, each
+    conv layer's pre-activation (rectified in place into its activation), one
+    ReLU mask and the ``dense/w`` gradient; no buffer outlives its last
+    reader. Arrays that a call returns while using a workspace (its forward
+    cache, the ``dense/w`` gradient) alias these buffers and stay valid only
+    until the workspace's next use. Not for concurrent use.
     """
 
     def __init__(self):
@@ -221,15 +231,23 @@ class Workspace:
             buf = self._buffers[key] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
+    def nbytes(self) -> int:
+        """Bytes held by all buffers."""
+        return sum(buf.nbytes for buf in self._buffers.values())
+
 
 def _scratch(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype=np.float64):
     """The workspace's buffer `key`, or a fresh array without a workspace."""
     return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
 
 
+OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
+
+
 def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) patch matrix, written into
-    the workspace's shared ``cols`` buffer when there is one."""
+    """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) float64 patch matrix,
+    written into the workspace's shared ``cols`` buffer when there is one.
+    uint8 observation codes are decoded on the way (exactly, as k / 256)."""
     n, h, w, c = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sh, sw, sc = x.strides
@@ -239,7 +257,10 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np
         writeable=False,
     )
     cols = _scratch(ws, "cols", (n * oh * ow, kernel * kernel * c))
-    np.copyto(cols.reshape(windows.shape), windows)
+    if x.dtype == np.uint8:
+        np.multiply(windows, 1.0 / OBS_CODE_SCALE, out=cols.reshape(windows.shape))
+    else:
+        np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
 
@@ -250,9 +271,6 @@ def _validate_obs_batch(x: np.ndarray):
         )
 
 
-OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
-
-
 def obs_codes(obs: np.ndarray) -> np.ndarray:
     """uint8 codes of observations whose every channel is k/256 with an
     integer 0 <= k <= 255 (all raster palette colours are; RasterConfig
@@ -260,37 +278,44 @@ def obs_codes(obs: np.ndarray) -> np.ndarray:
     return (np.asarray(obs, dtype=np.float64) * OBS_CODE_SCALE).astype(np.uint8)
 
 
-def core_input(
-    config: NetConfig, obs: np.ndarray, workspace: Workspace | None = None
-) -> np.ndarray:
-    """Bring an observation batch to the net's working resolution as float64.
-
-    Takes raw (N, 84, 84, 3) batches or batches already at core resolution;
-    float batches of core resolution come back unchanged, so the function is
-    idempotent. uint8 batches are observation codes (see ``obs_codes``) and
-    are decoded, into the workspace's ``input`` buffer when one is given.
-    Values are otherwise untouched; for lite nets an 84x84 batch gives one
-    pixel per 4x4 block (the inverse of ``raster.upsample``). Contiguous
-    output so repeated minibatch slicing stays cheap.
-    """
+def _core_view(config: NetConfig, obs: np.ndarray) -> np.ndarray:
+    """The batch at the net's core resolution, in its own dtype: itself, or
+    for lite nets given 84x84 a strided view of one pixel per 4x4 block."""
     x = np.asarray(obs)
     res = config.core_res()
     if not (x.ndim == 4 and x.shape[1:] == (res, res, INPUT_CHANNELS)):
         _validate_obs_batch(x)
         off = (config.decimation - 1) // 2
         x = x[:, off :: config.decimation, off :: config.decimation, :]
+    return x
+
+
+def core_input(config: NetConfig, obs: np.ndarray) -> np.ndarray:
+    """Bring an observation batch to the net's working resolution as float64.
+
+    Takes raw (N, 84, 84, 3) batches or batches already at core resolution;
+    float batches of core resolution come back unchanged, so the function is
+    idempotent. uint8 batches are observation codes (see ``obs_codes``) and
+    are decoded. Values are otherwise untouched; for lite nets an 84x84 batch
+    gives one pixel per 4x4 block (the inverse of ``raster.upsample``).
+    Contiguous output so repeated minibatch slicing stays cheap.
+    """
+    x = _core_view(config, obs)
     if x.dtype == np.uint8:
-        return np.multiply(x, 1.0 / OBS_CODE_SCALE, out=_scratch(workspace, "input", x.shape))
+        return np.multiply(x, 1.0 / OBS_CODE_SCALE, out=np.empty(x.shape))
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
-    """Forward pass on a batch at core resolution (see core_input).
+    """Forward pass on a batch at core resolution: float64 (see core_input)
+    or uint8 observation codes, which conv1's im2col decodes.
 
     Returns (logits (N, 9), values (N,), cache for backward). The cache holds
-    the input, each conv layer's input and pre-activation, and the dense
-    layer's input, pre-activation and output. With a workspace the conv
-    intermediates live in its buffers (see Workspace).
+    each conv layer's input and activation, and the dense layer's input,
+    pre-activation and output. Without a workspace it also holds each conv
+    layer's pre-activation (``cache["convs"][i]["pre"]``). With one, the conv
+    intermediates live in its buffers and each ReLU runs in place over its
+    pre-activation, so the cache keeps activations only (see Workspace).
     """
     cfg = params.config
     res = cfg.core_res()
@@ -300,7 +325,7 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
         )
     n = x.shape[0]
 
-    cache = {"input": x, "convs": []}
+    cache = {"convs": [], "workspace": workspace}
     h = x
     for i, spec in enumerate(cfg.convs):
         w = params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters)
@@ -311,9 +336,13 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
         pre_mat = pre.reshape(-1, spec.filters)
         np.matmul(cols, w, out=pre_mat)
         np.add(pre_mat, b, out=pre_mat)
-        post = np.maximum(pre, 0.0, out=_scratch(workspace, f"post{i}", pre.shape))
-        cache["convs"].append({"input": h, "pre": pre})
-        h = post
+        if workspace is None:
+            act = np.maximum(pre, 0.0)
+            cache["convs"].append({"input": h, "pre": pre, "act": act})
+        else:
+            act = np.maximum(pre, 0.0, out=pre)
+            cache["convs"].append({"input": h, "act": act})
+        h = act
 
     flat = h.reshape(n, -1)
     pre_dense = flat @ params.arrays["dense/w"] + params.arrays["dense/b"]
@@ -327,8 +356,11 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
 
 
 def forward_batch(params: NetworkParams, obs: np.ndarray, workspace: Workspace | None = None):
-    """Returns (logits (N, 9), values (N,), cache for backward)."""
-    return forward_core(params, core_input(params.config, obs, workspace), workspace)
+    """Returns (logits (N, 9), values (N,), cache for backward). With a
+    workspace, uint8 codes go to ``forward_core`` undecoded."""
+    if workspace is None:
+        return forward_core(params, core_input(params.config, obs))
+    return forward_core(params, _core_view(params.config, obs), workspace)
 
 
 def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -345,19 +377,50 @@ def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
     return logits[0], float(values[0])
 
 
+def _add_input_gradient(dx: np.ndarray, dpre: np.ndarray, w: np.ndarray, stride: int,
+                        ws: Workspace | None):
+    """Add a conv layer's input gradient onto ``dx`` (zeros), kernel tap
+    (a, b) by tap in (a, b) order. Without a workspace the taps are slices
+    of one full patch-gradient GEMM (the reference); with one, each tap is
+    its own GEMM into the dead patch buffer."""
+    n, oh, ow, filters = dpre.shape
+    kernel, c = w.shape[0], w.shape[2]
+    dpre_mat = dpre.reshape(-1, filters)
+    if ws is None:
+        dcols = (dpre_mat @ w.reshape(-1, filters).T).reshape(n, oh, ow, kernel, kernel, c)
+    else:
+        tap = ws.array("cols", (n * oh * ow, c))
+    for a in range(kernel):
+        for b in range(kernel):
+            if ws is None:
+                grad = dcols[:, :, :, a, b, :]
+            else:
+                grad = np.matmul(dpre_mat, w[a, b].T, out=tap).reshape(n, oh, ow, c)
+            dx[:, a : a + stride * oh : stride, b : b + stride * ow : stride, :] += grad
+
+
 def backward(
     params: NetworkParams,
     cache: dict,
     dlogits: np.ndarray,
     dvalues: np.ndarray,
-    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of sum(dlogits * logits) + sum(dvalues * values) w.r.t. params.
 
-    Leaves the cache intact. With a workspace, the ``dense/w`` gradient is
-    one of its buffers (see Workspace).
+    Runs in the workspace of the forward pass that made ``cache``, if any.
+    Without one it leaves the cache intact, so it can be used again. With
+    one, the ``dense/w`` gradient is one of its buffers, and the input
+    gradients overwrite the cached activations once they are dead: the
+    cache is used up, and a second backward on it raises
+    ``ContractViolationError``.
     """
+    if cache.get("used_up"):
+        raise ContractViolationError("forward cache already used up by a workspace backward pass")
+    workspace = cache["workspace"]
+    if workspace is not None:
+        cache["used_up"] = True
     cfg = params.config
+    convs = cache["convs"]
     hidden = cache["hidden"]
     dlogits = np.asarray(dlogits, dtype=np.float64)
     dvalues = np.asarray(dvalues, dtype=np.float64).reshape(-1, 1)
@@ -376,17 +439,16 @@ def backward(
         flat.T, dpre_dense, out=_scratch(workspace, "grad_dense_w", dense_w.shape)
     )
     grads["dense/b"] = dpre_dense.sum(axis=0)
-    dflat = np.matmul(dpre_dense, dense_w.T, out=_scratch(workspace, "dflat", flat.shape))
+    # each mask is taken before its activation can be overwritten below
+    act = convs[-1]["act"]
+    mask = np.greater(act, 0.0, out=_scratch(workspace, "mask", act.shape, np.bool_))
+    dflat = np.matmul(dpre_dense, dense_w.T, out=None if workspace is None else flat)
 
-    n = hidden.shape[0]
-    dpost = dflat.reshape(cache["convs"][-1]["pre"].shape)
+    dpost = dflat.reshape(act.shape)
     for i in range(len(cfg.convs) - 1, -1, -1):
         spec = cfg.convs[i]
-        layer = cache["convs"][i]
-        pre, h = layer["pre"], layer["input"]
-        mask = np.greater(pre, 0.0, out=_scratch(workspace, "mask", pre.shape, np.bool_))
+        h = convs[i]["input"]
         dpre = np.multiply(dpost, mask, out=dpost)
-        oh = dpre.shape[1]
         dpre_mat = dpre.reshape(-1, spec.filters)
         cols = _im2col(h, spec.kernel, spec.stride, workspace)
         grads[f"conv{i + 1}/w"] = (cols.T @ dpre_mat).reshape(
@@ -395,16 +457,11 @@ def backward(
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
         if i == 0:
             break
-        # the patch gradients overwrite the patches, which are no longer needed
-        w_mat = params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters)
-        dcols = np.matmul(dpre_mat, w_mat.T, out=cols)
-        dcols = dcols.reshape(n, oh, oh, spec.kernel, spec.kernel, h.shape[3])
-        dx = _scratch(workspace, f"dx{i}", h.shape)
+        # h is layer i-1's activation; with a workspace dx overwrites it
+        mask = np.greater(h, 0.0, out=_scratch(workspace, "mask", h.shape, np.bool_))
+        dx = np.empty(h.shape) if workspace is None else h
         dx.fill(0.0)
-        s = spec.stride
-        for a in range(spec.kernel):
-            for b in range(spec.kernel):
-                dx[:, a : a + s * oh : s, b : b + s * oh : s, :] += dcols[:, :, :, a, b, :]
+        _add_input_gradient(dx, dpre, params.arrays[f"conv{i + 1}/w"], spec.stride, workspace)
         dpost = dx
     return grads
 

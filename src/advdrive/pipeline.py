@@ -6,8 +6,8 @@ that chains them all and emits a comparison table.
 Every phase and evaluation is built from the same pieces. ``_load_policies``
 loads checkpoints as policies and raises ``ConfigurationError`` unless each
 id names a scenario agent of the role it is loaded as; ``_scenario_for`` cuts
-the scenario down to the agents that have a policy, each adversary rewarded
-by its policy's reward kind; ``_train`` runs one training phase within its
+the scenario down to the agents that have a policy (each agent's reward kind
+comes from its policy); ``_train`` runs one training phase within its
 ``cfg.phases`` budget and writes the run manifest.
 """
 from __future__ import annotations
@@ -139,12 +139,10 @@ def _adversary(full: ScenarioConfig) -> AgentSpec:
 
 
 def _scenario_for(full: ScenarioConfig, policies: dict[str, AgentPolicy]) -> ScenarioConfig:
-    """``full`` with only the agents that have a policy, each adversary
-    rewarded by its policy's reward kind."""
-    scenario = full.subset(policies)
-    for spec in scenario.adversaries():
-        scenario = scenario.with_reward_kind(spec.agent_id, policies[spec.agent_id].reward_kind)
-    return scenario
+    """``full`` with only the agents that have a policy. An adversary spec
+    keeps the scenario's reward kind: episodes reward each agent by its
+    policy's ``reward_kind``, and report fingerprints leave adversaries out."""
+    return full.subset(policies)
 
 
 def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_key: int,

@@ -6,10 +6,10 @@ backward pass and Adam.
 Rollouts store observations as uint8 codes at the net's core resolution
 (``net.obs_codes``: code k is the channel value k/256, exact for every
 raster palette colour), an eighth of float64. ``update_policy`` gathers each
-minibatch's codes and decodes them into one ``net.Workspace`` that serves
-all of its forward and backward passes. Float observations, as other callers
-build them, go through the same functions unchanged; a batch must not mix
-the two.
+minibatch's codes and passes them to one ``net.Workspace`` that serves all of
+its forward and backward passes; conv1's patch matrix decodes them. Float
+observations, as other callers build them, go through the same functions
+unchanged; a batch must not mix the two.
 """
 from __future__ import annotations
 
@@ -223,8 +223,9 @@ def ppo_loss_grads(
 ) -> tuple[float, dict, dict]:
     """Loss, components, and exact parameter gradients for one minibatch.
 
-    With a workspace, the forward and backward passes run in its buffers and
-    the ``dense/w`` gradient is one of them, overwritten by the next call.
+    With a workspace, the forward and backward passes run in its buffers
+    (see ``net.Workspace``) and the ``dense/w`` gradient is one of them,
+    overwritten by the next call.
     """
     logits, values, cache = net.forward_batch(params, mb.obs, workspace)
     logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, loss = _loss_pieces(
@@ -249,7 +250,7 @@ def ppo_loss_grads(
     dlogits += (kl_coef / n) * (probs - q)
 
     dvalues = (2.0 * hyper.vf_coef / n) * vf_err
-    grads = net.backward(params, cache, dlogits, dvalues, workspace)
+    grads = net.backward(params, cache, dlogits, dvalues)
     return float(total), components, grads
 
 

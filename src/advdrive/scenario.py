@@ -118,15 +118,6 @@ class ScenarioConfig:
         kept = [a for a in self.agents if a.agent_id in wanted]
         return replace(self, agents=kept)
 
-    def with_reward_kind(self, agent_id: str, reward_kind: str) -> "ScenarioConfig":
-        updated = [
-            replace(a, reward_kind=reward_kind) if a.agent_id == agent_id else a
-            for a in self.agents
-        ]
-        if agent_id not in self.agent_ids():
-            raise ConfigurationError(f"no agent '{agent_id}' in scenario '{self.name}'")
-        return replace(self, agents=updated)
-
     def fingerprint_payload(self) -> dict:
         """Everything that defines the evaluation world except the policy set.
 

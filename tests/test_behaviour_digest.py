@@ -1,13 +1,16 @@
-"""Fixed-seed behaviour digests of a small lite21 training run and a full84
-evaluation.
+"""Fixed-seed behaviour digests of small lite21 and full84 training runs and
+a full84 evaluation.
 
-Each runs one operation of a benchmark workload: ``train_lite21`` hashes the
-output checkpoints and ``train_log.jsonl``, ``eval_full84`` the
-``report.json`` of an attack-condition evaluation; both compare the hashes
-with ``perfbench/reference.json``. The reference was recorded with one
-numpy/BLAS build; on another build the digests may differ, so the tests are
-skipped there.
+Each runs one operation of a benchmark workload: ``train_lite21`` and
+``train_full84`` hash the output checkpoints and ``train_log.jsonl``,
+``eval_full84`` the ``report.json`` of an attack-condition evaluation; all
+compare the hashes with ``perfbench/reference.json``. The reference was
+recorded with one numpy/BLAS build on one OpenBLAS core; OpenBLAS picks its
+kernels by CPU at run time, so on another build or core the digests may
+differ and the tests are skipped there (``skip_unless_reference_build``).
 """
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -33,13 +36,42 @@ def _reference_env() -> dict:
         return json.load(fh)["env"]
 
 
-def _run_workload_once(workload: str):
-    if not os.path.isfile(os.path.join(BENCH, "run.py")):
-        pytest.skip("no perfbench/ in this checkout")
+# The OpenBLAS core the reference digests were recorded on; reference.json
+# records only the numpy and BLAS versions.
+REFERENCE_BLAS_CORE = "SkylakeX"
+
+
+def _blas_core() -> str | None:
+    """The core whose kernels numpy's bundled OpenBLAS runs (it honours
+    ``OPENBLAS_CORETYPE``), or None when there is no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def skip_unless_reference_build():
+    """Skip the calling test unless numpy, its BLAS and the BLAS core are
+    those the reference digests were recorded with."""
     ref = _reference_env()
     build = _numpy_build()
     if any(build[k] != ref[k] for k in ("numpy", "blas")):
         pytest.skip(f"numpy/BLAS {build} differ from the reference build {ref}")
+    core = _blas_core()
+    if core != REFERENCE_BLAS_CORE:
+        pytest.skip(f"OpenBLAS core {core} differs from the reference core {REFERENCE_BLAS_CORE}")
+
+
+def _run_workload_once(workload: str):
+    if not os.path.isfile(os.path.join(BENCH, "run.py")):
+        pytest.skip("no perfbench/ in this checkout")
+    skip_unless_reference_build()
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
@@ -55,6 +87,10 @@ def test_train_lite21_matches_reference_digest():
     _run_workload_once("train_lite21")
 
 
+def test_train_full84_matches_reference_digest():
+    _run_workload_once("train_full84")
+
+
 def test_eval_full84_matches_reference_digest():
     _run_workload_once("eval_full84")
 
@@ -66,10 +102,7 @@ FULL84_UPDATE_SHA256 = "a0bf3f0f697f5e0b879db4d30872a00105cadc2c642f8cf8e964bbec
 
 
 def test_full84_update_matches_golden_digest():
-    ref = _reference_env()
-    build = _numpy_build()
-    if any(build[k] != ref[k] for k in ("numpy", "blas")):
-        pytest.skip(f"numpy/BLAS {build} differ from the reference build {ref}")
+    skip_unless_reference_build()
     import hashlib
 
     from conftest import straight_scenario

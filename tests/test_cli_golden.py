@@ -5,16 +5,16 @@ A micro ``demo --dump-obs`` runs first, then the per-phase chain
 -> ``evaluate --greedy --dump-obs``. Every command runs from one temporary
 directory with relative ``--config``/``--out`` paths, so the manifests hold
 the same paths on every machine. The digests in ``golden_cli_outputs.json``
-were recorded with the numpy/BLAS build of ``perfbench/reference.json``;
-on another build they may differ, so the test is skipped there.
+were recorded with the numpy/BLAS build and OpenBLAS core of the reference
+digests (see ``test_behaviour_digest``); on another build or core they may
+differ, so the test is skipped there.
 """
 import hashlib
 import json
 import os
 
-import pytest
 import yaml
-from test_behaviour_digest import _numpy_build, _reference_env
+from test_behaviour_digest import skip_unless_reference_build
 from test_cli import MICRO_CONFIG
 
 from advdrive.cli import dispatch
@@ -74,10 +74,7 @@ def run_chain(workdir, capsys) -> dict:
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch, capsys):
-    ref = _reference_env()
-    build = _numpy_build()
-    if any(build[k] != ref[k] for k in ("numpy", "blas")):
-        pytest.skip(f"numpy/BLAS {build} differ from the reference build {ref}")
+    skip_unless_reference_build()
     monkeypatch.delenv("ADVDRIVE_OUT_ROOT", raising=False)
     monkeypatch.chdir(tmp_path)
     got = run_chain(tmp_path, capsys)

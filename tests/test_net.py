@@ -166,6 +166,20 @@ class TestGradients:
         assert np.array_equal(g1["value/b"], g2["value/b"])
         assert np.all(g1["policy/w"] == 0.0)
 
+    def test_workspace_cache_is_used_up_by_backward(self):
+        params = margin_params(tiny_net_config(), TINY_SEED)
+        obs = net.obs_codes(probe_obs(2))
+        a, b = np.ones((2, 9)), np.ones(2)
+        _, _, cache = net.forward_batch(params, obs)
+        first = net.backward(params, cache, a, b)
+        again = net.backward(params, cache, a, b)  # no workspace: the cache stays intact
+        assert all(np.array_equal(first[k], again[k]) for k in first)
+
+        _, _, cache = net.forward_batch(params, obs, net.Workspace())
+        net.backward(params, cache, a, b)
+        with pytest.raises(ContractViolationError, match="used up"):
+            net.backward(params, cache, a, b)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):

@@ -233,6 +233,50 @@ class TestLoss:
             for name in plain:
                 assert np.array_equal(plain[name], reused[name]), name
 
+    @staticmethod
+    def random_minibatch(rng, n, res):
+        codes = rng.integers(0, 256, size=(n, res, res, 3), dtype=np.uint8)
+        logp = net.log_softmax(rng.normal(size=(n, 9)))
+        actions = rng.integers(0, 9, size=n)
+        return Minibatch(
+            obs=codes,
+            actions=actions,
+            log_probs_old=logp[np.arange(n), actions],
+            log_prob_vecs_old=logp,
+            advantages=rng.normal(size=n),
+            returns=rng.normal(size=n),
+        )
+
+    def test_full84_workspace_outputs_bit_equal_over_consecutive_calls(self):
+        params = net.init_params(net.full84_config(), 6)
+        rng = np.random.default_rng(9)
+        workspace = net.Workspace()
+
+        def same(a, b):
+            return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+        for n in (64, 5):
+            mb = self.random_minibatch(rng, n, 84)
+            logits, values, _ = net.forward_batch(params, mb.obs)
+            logits_ws, values_ws, _ = net.forward_batch(params, mb.obs, workspace)
+            assert same(logits, logits_ws) and same(values, values_ws)
+            loss, _, plain = ppo_loss_grads(params, mb, self.hyper, 0.3)
+            loss_ws, _, reused = ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
+            assert loss_ws == loss
+            assert plain.keys() == reused.keys()
+            for name in plain:
+                assert same(plain[name], reused[name]), name
+            assert any(np.any(g == 0.0) for g in plain.values())  # dead ReLUs give exact zeros
+
+    def test_full84_workspace_footprint(self):
+        params = net.init_params(net.full84_config(), 6)
+        rng = np.random.default_rng(9)
+        workspace = net.Workspace()
+        for _ in range(2):
+            ppo_loss_grads(params, self.random_minibatch(rng, 64, 84), self.hyper, 0.3, workspace)
+        # patch matrix 37.5 MiB, dense/w gradient 12.25, pre-activations 10.3, mask 0.8
+        assert workspace.nbytes() <= 65 * 2**20
+
     def test_non_finite_ratio_names_transition(self):
         mb = self.identity_minibatch(2)
         mb.log_probs_old = mb.log_probs_old.copy()
