@@ -13,24 +13,24 @@ resolution, as the raster of the matching obs mode renders them, or as
 
 Observations may also come as uint8 codes (``obs_codes``): code k stands for
 the channel value k/256, which every raster palette colour is, so the codes
-are lossless and ``core_input`` decodes them exactly.
+are lossless. Conv1's im2col decodes them exactly, straight into its patch
+matrix; ``core_input`` decodes a whole batch.
+
+A conv layer's input gradient is built from one GEMM per kernel tap into a
+small tap buffer, added in (a, b) tap order onto zeros.
 
 ``forward_core`` takes an optional ``Workspace`` whose buffers it and the
 ``backward`` of its cache fill through ``out=`` instead of allocating, and in
-which no buffer outlives its last reader. Conv1's im2col decodes uint8 codes
-straight into the patch matrix, one matrix shared by every conv layer. Each
-ReLU runs in place over its pre-activation, so the forward cache keeps each
-conv layer's input and activation but no patch matrix, and backward takes
-each mask as ``activation > 0`` (equal to ``pre-activation > 0``, NaN
-included) before that buffer is overwritten. Backward refills the patch
-buffer from the cached input for the weight gradient, writes the dense input
-gradient over the dense input and each conv layer's input gradient over that
-layer's input, and builds the latter from one GEMM per kernel tap into the
-dead patch buffer, added in the same order as the reference's full
-patch-gradient matrix. Each tap's GEMM gives the same bits as the matching
-columns of that matrix (checked on the SkylakeX, Haswell, SandyBridge,
-Nehalem and Zen OpenBLAS cores), and every other operation is the same, so
-results are bit-identical with or without a workspace; tests compare them.
+which no buffer outlives its last reader. One patch matrix is shared by every
+conv layer. Each ReLU runs in place over its pre-activation, so the forward
+cache keeps each conv layer's input and activation but no patch matrix, and
+backward takes each mask as ``activation > 0`` (equal to ``pre-activation >
+0``, NaN included) before that buffer is overwritten. Backward refills the
+patch buffer from the cached input for the weight gradient, writes the dense
+input gradient over the dense input and each conv layer's input gradient
+over that layer's input, and uses the dead patch buffer as its tap buffer.
+Every operation is the same with or without a workspace, so results are
+bit-identical; tests compare them.
 """
 from __future__ import annotations
 
@@ -307,8 +307,8 @@ def core_input(config: NetConfig, obs: np.ndarray) -> np.ndarray:
 
 
 def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
-    """Forward pass on a batch at core resolution: float64 (see core_input)
-    or uint8 observation codes, which conv1's im2col decodes.
+    """Forward pass on a batch at core resolution: float values, or uint8
+    observation codes, which conv1's im2col decodes.
 
     Returns (logits (N, 9), values (N,), cache for backward). The cache holds
     each conv layer's input and activation, and the dense layer's input,
@@ -356,10 +356,9 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
 
 
 def forward_batch(params: NetworkParams, obs: np.ndarray, workspace: Workspace | None = None):
-    """Returns (logits (N, 9), values (N,), cache for backward). With a
-    workspace, uint8 codes go to ``forward_core`` undecoded."""
-    if workspace is None:
-        return forward_core(params, core_input(params.config, obs))
+    """Returns (logits (N, 9), values (N,), cache for backward). The batch
+    goes to ``forward_core`` at core resolution in its own dtype; uint8 codes
+    are decoded by conv1's im2col."""
     return forward_core(params, _core_view(params.config, obs), workspace)
 
 
@@ -380,22 +379,15 @@ def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
 def _add_input_gradient(dx: np.ndarray, dpre: np.ndarray, w: np.ndarray, stride: int,
                         ws: Workspace | None):
     """Add a conv layer's input gradient onto ``dx`` (zeros), kernel tap
-    (a, b) by tap in (a, b) order. Without a workspace the taps are slices
-    of one full patch-gradient GEMM (the reference); with one, each tap is
-    its own GEMM into the dead patch buffer."""
+    (a, b) by tap in (a, b) order, each tap its own GEMM into a tap buffer
+    (the dead patch buffer of the workspace, if any)."""
     n, oh, ow, filters = dpre.shape
     kernel, c = w.shape[0], w.shape[2]
     dpre_mat = dpre.reshape(-1, filters)
-    if ws is None:
-        dcols = (dpre_mat @ w.reshape(-1, filters).T).reshape(n, oh, ow, kernel, kernel, c)
-    else:
-        tap = ws.array("cols", (n * oh * ow, c))
+    tap = _scratch(ws, "cols", (n * oh * ow, c))
     for a in range(kernel):
         for b in range(kernel):
-            if ws is None:
-                grad = dcols[:, :, :, a, b, :]
-            else:
-                grad = np.matmul(dpre_mat, w[a, b].T, out=tap).reshape(n, oh, ow, c)
+            grad = np.matmul(dpre_mat, w[a, b].T, out=tap).reshape(n, oh, ow, c)
             dx[:, a : a + stride * oh : stride, b : b + stride * ow : stride, :] += grad
 
 

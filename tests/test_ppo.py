@@ -210,29 +210,6 @@ class TestLoss:
         )
         assert loss == pytest.approx(expected, abs=1e-9)
 
-    def test_workspace_gradients_bit_equal_over_consecutive_calls(self):
-        params = margin_params(net.lite21_config(), TINY_SEED)
-        rng = np.random.default_rng(4)
-        workspace = net.Workspace()
-        for n in (8, 5):
-            codes = rng.integers(0, 256, size=(n, 21, 21, 3), dtype=np.uint8)
-            logp = net.log_softmax(rng.normal(size=(n, 9)))
-            actions = rng.integers(0, 9, size=n)
-            mb = Minibatch(
-                obs=codes,
-                actions=actions,
-                log_probs_old=logp[np.arange(n), actions],
-                log_prob_vecs_old=logp,
-                advantages=rng.normal(size=n),
-                returns=rng.normal(size=n),
-            )
-            loss, _, plain = ppo_loss_grads(params, mb, self.hyper, 0.3)
-            loss_ws, _, reused = ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
-            assert loss_ws == loss
-            assert plain.keys() == reused.keys()
-            for name in plain:
-                assert np.array_equal(plain[name], reused[name]), name
-
     @staticmethod
     def random_minibatch(rng, n, res):
         codes = rng.integers(0, 256, size=(n, res, res, 3), dtype=np.uint8)
@@ -247,16 +224,17 @@ class TestLoss:
             returns=rng.normal(size=n),
         )
 
-    def test_full84_workspace_outputs_bit_equal_over_consecutive_calls(self):
-        params = net.init_params(net.full84_config(), 6)
-        rng = np.random.default_rng(9)
+    def check_workspace_bit_equal(self, params, rng, rows):
+        """Logits, values, loss, every gradient and their sign bits are the
+        same with and without one workspace reused over uint8 minibatches of
+        the given row counts."""
         workspace = net.Workspace()
 
         def same(a, b):
             return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
-        for n in (64, 5):
-            mb = self.random_minibatch(rng, n, 84)
+        for n in rows:
+            mb = self.random_minibatch(rng, n, params.config.core_res())
             logits, values, _ = net.forward_batch(params, mb.obs)
             logits_ws, values_ws, _ = net.forward_batch(params, mb.obs, workspace)
             assert same(logits, logits_ws) and same(values, values_ws)
@@ -267,6 +245,14 @@ class TestLoss:
             for name in plain:
                 assert same(plain[name], reused[name]), name
             assert any(np.any(g == 0.0) for g in plain.values())  # dead ReLUs give exact zeros
+
+    def test_workspace_gradients_bit_equal_over_consecutive_calls(self):
+        params = margin_params(net.lite21_config(), TINY_SEED)
+        self.check_workspace_bit_equal(params, np.random.default_rng(4), (8, 5))
+
+    def test_full84_workspace_outputs_bit_equal_over_consecutive_calls(self):
+        params = net.init_params(net.full84_config(), 6)
+        self.check_workspace_bit_equal(params, np.random.default_rng(9), (64, 5))
 
     def test_full84_workspace_footprint(self):
         params = net.init_params(net.full84_config(), 6)
