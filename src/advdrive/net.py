@@ -2,19 +2,18 @@
 
 Forward, reverse-mode gradients, and Adam are implemented directly on
 float64 numpy arrays (convolutions via im2col + BLAS). Each net works at
-its core resolution (84 / decimation) and takes observations either at that
-resolution, as the raster of the matching obs mode renders them, or as
-84x84x3 images:
+its core resolution (84 / decimation), the resolution at which the raster of
+the matching obs mode renders:
 
-* ``full84``: 32@8x8/4, 64@4x4/2, 64@3x3/1, dense 512 (the fidelity net).
-* ``lite21``: works at 21x21; an 84x84 input is block-decimated to it (the
-  exact inverse of ``raster.upsample``). Then 8@5x5/2, 16@3x3/2, 16@3x3/1,
-  dense 64. Small enough for finite-difference checking and fast desk runs.
+* ``full84``: 84x84 input; 32@8x8/4, 64@4x4/2, 64@3x3/1, dense 512 (the
+  fidelity net).
+* ``lite21``: 21x21 input; 8@5x5/2, 16@3x3/2, 16@3x3/1, dense 64. Small
+  enough for finite-difference checking and fast desk runs.
 
-Observations may also come as uint8 codes (``obs_codes``): code k stands for
-the channel value k/256, which every raster palette colour is, so the codes
-are lossless. Conv1's im2col decodes them exactly, straight into its patch
-matrix; ``core_input`` decodes a whole batch.
+Observations come in one format, the raster's: uint8 palette codes at core
+resolution, where code k stands for the channel value k/256. Conv1's im2col
+decodes them exactly, straight into its patch matrix; anything else is
+rejected.
 
 A conv layer's input gradient is built from one GEMM per kernel tap into a
 small tap buffer, added in (a, b) tap order onto zeros.
@@ -41,6 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolationError, NonFiniteError
+from .raster import OBS_CODE_SCALE
 from .world import ActionCommand
 
 INPUT_RES = 84
@@ -241,9 +241,6 @@ def _scratch(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype=np.fl
     return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
 
 
-OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
-
-
 def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np.ndarray:
     """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) float64 patch matrix,
     written into the workspace's shared ``cols`` buffer when there is one.
@@ -264,51 +261,9 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np
     return cols
 
 
-def _validate_obs_batch(x: np.ndarray):
-    if x.ndim != 4 or x.shape[1:] != (INPUT_RES, INPUT_RES, INPUT_CHANNELS):
-        raise ContractViolationError(
-            f"observation batch must be (N, {INPUT_RES}, {INPUT_RES}, {INPUT_CHANNELS}), got {x.shape}"
-        )
-
-
-def obs_codes(obs: np.ndarray) -> np.ndarray:
-    """uint8 codes of observations whose every channel is k/256 with an
-    integer 0 <= k <= 255 (all raster palette colours are; RasterConfig
-    checks it). Exact: ``core_input`` decodes them to the same values."""
-    return (np.asarray(obs, dtype=np.float64) * OBS_CODE_SCALE).astype(np.uint8)
-
-
-def _core_view(config: NetConfig, obs: np.ndarray) -> np.ndarray:
-    """The batch at the net's core resolution, in its own dtype: itself, or
-    for lite nets given 84x84 a strided view of one pixel per 4x4 block."""
-    x = np.asarray(obs)
-    res = config.core_res()
-    if not (x.ndim == 4 and x.shape[1:] == (res, res, INPUT_CHANNELS)):
-        _validate_obs_batch(x)
-        off = (config.decimation - 1) // 2
-        x = x[:, off :: config.decimation, off :: config.decimation, :]
-    return x
-
-
-def core_input(config: NetConfig, obs: np.ndarray) -> np.ndarray:
-    """Bring an observation batch to the net's working resolution as float64.
-
-    Takes raw (N, 84, 84, 3) batches or batches already at core resolution;
-    float batches of core resolution come back unchanged, so the function is
-    idempotent. uint8 batches are observation codes (see ``obs_codes``) and
-    are decoded. Values are otherwise untouched; for lite nets an 84x84 batch
-    gives one pixel per 4x4 block (the inverse of ``raster.upsample``).
-    Contiguous output so repeated minibatch slicing stays cheap.
-    """
-    x = _core_view(config, obs)
-    if x.dtype == np.uint8:
-        return np.multiply(x, 1.0 / OBS_CODE_SCALE, out=np.empty(x.shape))
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
 def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
-    """Forward pass on a batch at core resolution: float values, or uint8
-    observation codes, which conv1's im2col decodes.
+    """Forward pass on a batch of uint8 observation codes at core resolution,
+    which conv1's im2col decodes.
 
     Returns (logits (N, 9), values (N,), cache for backward). The cache holds
     each conv layer's input and activation, and the dense layer's input,
@@ -316,12 +271,14 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
     layer's pre-activation (``cache["convs"][i]["pre"]``). With one, the conv
     intermediates live in its buffers and each ReLU runs in place over its
     pre-activation, so the cache keeps activations only (see Workspace).
+    Raises ``ContractViolationError`` for any other dtype or shape.
     """
     cfg = params.config
     res = cfg.core_res()
-    if x.ndim != 4 or x.shape[1:] != (res, res, INPUT_CHANNELS):
+    if x.dtype != np.uint8 or x.ndim != 4 or x.shape[1:] != (res, res, INPUT_CHANNELS):
         raise ContractViolationError(
-            f"core batch must be (N, {res}, {res}, {INPUT_CHANNELS}), got {x.shape}"
+            f"net '{cfg.name}' takes uint8 codes of shape (N, {res}, {res}, {INPUT_CHANNELS}),"
+            f" got {x.dtype} of shape {x.shape}"
         )
     n = x.shape[0]
 
@@ -355,24 +312,10 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
     return logits, values, cache
 
 
-def forward_batch(params: NetworkParams, obs: np.ndarray, workspace: Workspace | None = None):
-    """Returns (logits (N, 9), values (N,), cache for backward). The batch
-    goes to ``forward_core`` at core resolution in its own dtype; uint8 codes
-    are decoded by conv1's im2col."""
-    return forward_core(params, _core_view(params.config, obs), workspace)
-
-
 def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Single-observation forward pass: (logits (9,), value). The observation
-    is at the net's core resolution or 84x84 (see core_input)."""
-    x = np.asarray(obs, dtype=np.float64)
-    res = params.config.core_res()
-    if x.shape not in ((res, res, INPUT_CHANNELS), (INPUT_RES, INPUT_RES, INPUT_CHANNELS)):
-        raise ContractViolationError(
-            f"observation must be ({res}, {res}, {INPUT_CHANNELS}) or"
-            f" ({INPUT_RES}, {INPUT_RES}, {INPUT_CHANNELS}), got {x.shape}"
-        )
-    logits, values, _ = forward_batch(params, x[None])
+    is uint8 codes of shape (R, R, 3), R the net's core resolution."""
+    logits, values, _ = forward_core(params, np.asarray(obs)[None])
     return logits[0], float(values[0])
 
 

@@ -2,7 +2,9 @@
 
 Every agent renders its own observation from the shared pre-step world and
 all live agents act simultaneously; no agent ever sees another agent's
-network, only its rendered pixels. Training phases interleave episode
+network, only its rendered pixels. That render, uint8 palette codes at the
+net's core resolution, is the one observation format: the net reads it and
+the trajectory stores it as rendered. Training phases interleave episode
 collection with per-policy PPO updates (each policy updates once its own
 buffer holds at least one train batch of whole episodes), verify frozen
 policies by checksum after every episode, and write checkpoints plus a
@@ -200,9 +202,8 @@ def run_episode(
                 obs, chosen, value = pending[aid]
                 reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
                 done = world.terminated[aid] or (t == max_steps - 1)
-                # the render is at the net's core resolution; uint8 codes are lossless
                 trajectories[aid].append(
-                    net.obs_codes(obs.pixels), chosen.index, chosen.log_prob, chosen.log_prob_vector,
+                    obs.pixels, chosen.index, chosen.log_prob, chosen.log_prob_vector,
                     value, reward, done,
                 )
             prev_flags[aid] = fl

@@ -5,10 +5,9 @@ that chains them all and emits a comparison table.
 
 Every phase and evaluation is built from the same pieces. ``_load_policies``
 loads checkpoints as policies and raises ``ConfigurationError`` unless each
-id names a scenario agent of the role it is loaded as; ``_scenario_for`` cuts
-the scenario down to the agents that have a policy (each agent's reward kind
-comes from its policy); ``_train`` runs one training phase within its
-``cfg.phases`` budget and writes the run manifest.
+id names a scenario agent of the role it is loaded as; ``full.subset(policies)``
+cuts the scenario down to the agents that have a policy; ``_train`` runs one
+training phase within its ``cfg.phases`` budget and writes the run manifest.
 """
 from __future__ import annotations
 
@@ -62,30 +61,28 @@ def fresh_policy(cfg: RunConfig, spec: AgentSpec) -> AgentPolicy:
     return AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params, kl_coef=cfg.ppo.kl_coef_init)
 
 
-def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str | None = None,
-                           obs_mode: str | None = None) -> tuple[AgentPolicy, list[str]]:
-    """Load a policy, checking what the caller names: its ``role`` (an
-    adversary's reward kind must also be one with an adversary phase), and
-    that its net is the one ``obs_mode`` trains. Raises ``ConfigurationError``
-    naming both values on a mismatch."""
+def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
+                           obs_mode: str) -> tuple[AgentPolicy, list[str]]:
+    """Load a policy, checking its ``role`` (an adversary's reward kind must
+    also be one with an adversary phase), and that its net is the one
+    ``obs_mode`` trains. Raises ``ConfigurationError`` naming both values on
+    a mismatch."""
     ckpt = load_checkpoint(path)
-    if role is not None:
-        if ckpt.role != role:
-            raise ConfigurationError(
-                f"checkpoint '{path}' for '{agent_id}' has role '{ckpt.role}', expected '{role}'"
-            )
-        if role == "adversary" and ckpt.reward_kind not in ADVERSARY_PHASE_KEYS:
-            raise ConfigurationError(
-                f"adversary checkpoint '{path}' has reward kind '{ckpt.reward_kind}', "
-                f"expected one of {list(ADVERSARY_PHASE_KEYS)}"
-            )
-    if obs_mode is not None:
-        want = net_config_for_mode(obs_mode)
-        if ckpt.net_config != want:
-            raise ConfigurationError(
-                f"checkpoint '{path}' for '{agent_id}' holds net {ckpt.net_config.to_dict()}, "
-                f"but obs_mode '{obs_mode}' uses net {want.to_dict()}"
-            )
+    if ckpt.role != role:
+        raise ConfigurationError(
+            f"checkpoint '{path}' for '{agent_id}' has role '{ckpt.role}', expected '{role}'"
+        )
+    if role == "adversary" and ckpt.reward_kind not in ADVERSARY_PHASE_KEYS:
+        raise ConfigurationError(
+            f"adversary checkpoint '{path}' has reward kind '{ckpt.reward_kind}', "
+            f"expected one of {list(ADVERSARY_PHASE_KEYS)}"
+        )
+    want = net_config_for_mode(obs_mode)
+    if ckpt.net_config != want:
+        raise ConfigurationError(
+            f"checkpoint '{path}' for '{agent_id}' holds net {ckpt.net_config.to_dict()}, "
+            f"but obs_mode '{obs_mode}' uses net {want.to_dict()}"
+        )
     warnings = []
     if not frozen and ckpt.adam is None:
         warnings.append(f"checkpoint for '{agent_id}' has no optimizer state; resuming with a fresh one")
@@ -138,13 +135,6 @@ def _adversary(full: ScenarioConfig) -> AgentSpec:
     return adversaries[0]
 
 
-def _scenario_for(full: ScenarioConfig, policies: dict[str, AgentPolicy]) -> ScenarioConfig:
-    """``full`` with only the agents that have a policy. An adversary spec
-    keeps the scenario's reward kind: episodes reward each agent by its
-    policy's ``reward_kind``, and report fingerprints leave adversaries out."""
-    return full.subset(policies)
-
-
 def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_key: int,
            budget: str, full: ScenarioConfig, policies: dict[str, AgentPolicy],
            warnings: list[str] | None = None) -> PhaseResult:
@@ -157,7 +147,9 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
     result = run_training_phase(
         phase_name=phase_name,
         phase_key=phase_key,
-        scenario=_scenario_for(full, policies),
+        # an adversary spec keeps the scenario's reward kind: episodes reward each agent
+        # by its policy's reward_kind, and report fingerprints leave adversaries out
+        scenario=full.subset(policies),
         policies=policies,
         hyper=cfg.ppo,
         reward_params=cfg.reward,
@@ -232,7 +224,7 @@ def evaluate_condition(
     if adversary_ckpt is not None:
         policies.update(_load_policies(cfg, full, {_adversary(full).agent_id: adversary_ckpt},
                                        "adversary", True, []))
-    scenario = _scenario_for(full, policies)
+    scenario = full.subset(policies)
     seed_tree = SeedTree(cfg.seed)
     raster_cfg = build_raster(cfg)
     condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)

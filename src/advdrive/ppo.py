@@ -3,13 +3,11 @@ surrogate objective combined with an adaptive KL penalty, value loss, and
 entropy bonus. Minibatch gradients flow through the hand-written network
 backward pass and Adam.
 
-Rollouts store observations as uint8 codes at the net's core resolution
-(``net.obs_codes``: code k is the channel value k/256, exact for every
-raster palette colour), an eighth of float64. ``update_policy`` gathers each
-minibatch's codes and passes them to one ``net.Workspace`` that serves all of
-its forward and backward passes; conv1's patch matrix decodes them. Float
-observations, as other callers build them, go through the same functions
-unchanged; a batch must not mix the two.
+Rollouts store observations as the raster renders them: uint8 palette
+codes at the net's core resolution (code k is the channel value k/256), an
+eighth of float64. ``update_policy`` gathers each minibatch's codes and
+passes them to one ``net.Workspace`` that serves all of its forward and
+backward passes; conv1's patch matrix decodes them.
 """
 from __future__ import annotations
 
@@ -99,7 +97,7 @@ def compute_advantages(
 class RolloutBatch:
     """Whole episodes stacked for one policy update; advantages already normalized."""
 
-    obs: np.ndarray  # (N, R, R, 3), as stored in the trajectories (uint8 codes or float)
+    obs: np.ndarray  # (N, R, R, 3) uint8 codes, R = net core resolution
     actions: np.ndarray  # (N,) int64
     log_probs_old: np.ndarray  # (N,)
     log_prob_vecs_old: np.ndarray  # (N, 9)
@@ -138,10 +136,6 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     trajs = list(trajectories)
     if not trajs:
         raise PpoError("rollout batch needs at least one trajectory")
-    obs = [o for t in trajs for o in t.obs]
-    codes = [np.asarray(o).dtype == np.uint8 for o in obs]
-    if any(codes) and not all(codes):
-        raise PpoError("rollout batch mixes uint8 observation codes with float observations")
     adv_parts = []
     ret_parts = []
     for traj in trajs:
@@ -154,7 +148,7 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     sigma = advantages.std()
     normalized = (advantages - mu) / (sigma + ADV_NORM_EPS)
     return RolloutBatch(
-        obs=np.stack(obs),
+        obs=np.stack([o for t in trajs for o in t.obs]),
         actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
         log_probs_old=np.array([lp for t in trajs for lp in t.log_probs_old]),
         log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
@@ -206,7 +200,7 @@ def ppo_loss(
 ) -> tuple[float, dict]:
     """Scalar PPO loss and its components (all components in loss convention
     except entropy and kl, which are reported as raw means)."""
-    logits, values, _ = net.forward_batch(params, mb.obs)
+    logits, values, _ = net.forward_core(params, mb.obs)
     *_, components, loss = _loss_pieces(logits, values, mb, hyper)
     total = loss + kl_coef * components["kl"]
     if not np.isfinite(total):
@@ -227,7 +221,7 @@ def ppo_loss_grads(
     (see ``net.Workspace``) and the ``dense/w`` gradient is one of them,
     overwritten by the next call.
     """
-    logits, values, cache = net.forward_batch(params, mb.obs, workspace)
+    logits, values, cache = net.forward_core(params, mb.obs, workspace)
     logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, loss = _loss_pieces(
         logits, values, mb, hyper
     )
@@ -269,7 +263,7 @@ def _batch_log_probs(
     """Log-probabilities for a whole batch, forwarded `rows` observations at a
     time through the workspace."""
     logits = [
-        net.forward_batch(params, obs[lo : lo + rows], workspace)[0]
+        net.forward_core(params, obs[lo : lo + rows], workspace)[0]
         for lo in range(0, len(obs), rows)
     ]
     return net.log_softmax(np.concatenate(logits))

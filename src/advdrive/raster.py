@@ -10,12 +10,14 @@ block for PPM dumps and for comparison with 84x84 images.
 
 Rendering paints a uint8 class index per pixel, in painter's order (road,
 lane markings on road, goal, other vehicles, own vehicle), and then looks
-the colors up in the palette once.
+the colors up in ``PALETTE`` once. An observation is a (res, res, 3) uint8
+image of palette codes: code k stands for the channel value k/256. It is the
+only observation format; the nets read it as rendered and rollouts store it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +33,24 @@ ANCHOR_COL = 42
 
 RESOLUTION_MODES = ("full84", "lite21")
 
-# Default class palette. Every channel value must be k/256 for an integer
-# 0 <= k <= 255, so rollouts can store observations as exact uint8 codes
-# (net.obs_codes); RasterConfig enforces it. Classes must stay pairwise distinct.
-DEFAULT_COLORS = {
-    "offroad": (32 / 256, 96 / 256, 32 / 256),
-    "road": (84 / 256, 84 / 256, 84 / 256),
-    "marking": (224 / 256, 224 / 256, 224 / 256),
-    "goal": (240 / 256, 208 / 256, 48 / 256),
-    "other_vehicle": (216 / 256, 48 / 256, 48 / 256),
-    "own_vehicle": (64 / 256, 112 / 256, 240 / 256),
-}
+OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
+
 # Class indices of the class-index image, in painter's order.
-CLASSES = ("offroad", "road", "marking", "goal", "other_vehicle", "own_vehicle")
-OFFROAD, ROAD, MARKING, GOAL, OTHER_VEHICLE, OWN_VEHICLE = range(len(CLASSES))
+OFFROAD, ROAD, MARKING, GOAL, OTHER_VEHICLE, OWN_VEHICLE = range(6)
+# Row k: the codes of class k's color. Classes stay pairwise distinct.
+PALETTE = np.array(
+    [
+        (32, 96, 32),  # offroad
+        (84, 84, 84),  # road
+        (224, 224, 224),  # marking
+        (240, 208, 48),  # goal
+        (216, 48, 48),  # other vehicle
+        (64, 112, 240),  # own vehicle
+    ],
+    dtype=np.uint8,
+)
+MARKING_HALFWIDTH = 0.3  # meters either side of a lane divider
+GOAL_RADIUS = 2.0  # meters
 
 
 @dataclass
@@ -52,32 +58,12 @@ class RasterConfig:
     view_ahead: float = 40.0
     view_side: float = 20.0
     resolution_mode: str = "lite21"
-    colors: dict = field(default_factory=lambda: dict(DEFAULT_COLORS))
-    marking_halfwidth: float = 0.3
-    goal_radius: float = 2.0
 
     def __post_init__(self):
         if self.resolution_mode not in RESOLUTION_MODES:
             raise ConfigurationError(f"unknown resolution_mode '{self.resolution_mode}'")
         if self.view_ahead <= 0 or self.view_side <= 0:
             raise ConfigurationError("view extents must be positive")
-        needed = set(DEFAULT_COLORS)
-        if set(self.colors) != needed:
-            raise ConfigurationError(f"colors must define exactly {sorted(needed)}")
-        seen = set()
-        for name, rgb in self.colors.items():
-            rgb = tuple(float(v) for v in rgb)
-            if len(rgb) != 3 or any(not (0.0 <= v <= 1.0) for v in rgb):
-                raise ConfigurationError(f"color '{name}' must be three values in [0, 1]")
-            for v in rgb:
-                if v * 256 != int(v * 256) or v * 256 > 255:
-                    raise ConfigurationError(
-                        f"color '{name}' channel value {v!r} is not k/256 for an integer"
-                        " 0 <= k <= 255"
-                    )
-            if rgb in seen:
-                raise ConfigurationError("class colors must be pairwise distinct")
-            seen.add(rgb)
 
     def grid_key(self):
         return (self.resolution_mode, self.view_ahead, self.view_side)
@@ -86,14 +72,10 @@ class RasterConfig:
         """Side length in pixels of the rendered image."""
         return FULL_RES if self.resolution_mode == "full84" else LITE_RES
 
-    def palette(self) -> np.ndarray:
-        """(classes, 3) float64 colors, row k for class index k."""
-        return np.array([self.colors[name] for name in CLASSES], dtype=np.float64)
-
 
 @dataclass
 class ObservationImage:
-    pixels: np.ndarray  # (res, res, 3) float64 in [0, 1]; res = RasterConfig.resolution()
+    pixels: np.ndarray  # (res, res, 3) uint8 palette codes; res = RasterConfig.resolution()
     agent_id: str
     tick: int
 
@@ -145,11 +127,11 @@ def render(world: WorldState, agent_id: str, cfg: RasterConfig) -> ObservationIm
     dividers = world.map.divider_segments
     if dividers is not None:
         on_road = np.flatnonzero(road)
-        near = dividers.distance_to_points(px[on_road], py[on_road]) <= cfg.marking_halfwidth
+        near = dividers.distance_to_points(px[on_road], py[on_road]) <= MARKING_HALFWIDTH
         classes[on_road[near]] = MARKING
 
     gx, gy = spec.goal
-    goal_mask = (px - gx) ** 2 + (py - gy) ** 2 <= cfg.goal_radius**2
+    goal_mask = (px - gx) ** 2 + (py - gy) ** 2 <= GOAL_RADIUS**2
     classes[goal_mask] = GOAL
 
     # vehicle footprints, one row per vehicle: the others, then the agent itself
@@ -167,7 +149,7 @@ def render(world: WorldState, agent_id: str, cfg: RasterConfig) -> ObservationIm
     classes[inside[:-1].any(axis=0)] = OTHER_VEHICLE
     classes[inside[-1]] = OWN_VEHICLE
 
-    pixels = cfg.palette()[classes].reshape(res, res, 3)
+    pixels = np.take(PALETTE, classes, axis=0).reshape(res, res, 3)
     return ObservationImage(pixels=pixels, agent_id=agent_id, tick=world.tick)
 
 
@@ -181,8 +163,9 @@ def upsample(pixels: np.ndarray) -> np.ndarray:
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:
-    """Dump an observation as an 84x84 binary portable pixmap (P6)."""
-    arr = np.clip(upsample(pixels) * 255.0, 0, 255).astype(np.uint8)
+    """Dump an observation as an 84x84 binary portable pixmap (P6): each
+    code k becomes the byte floor(k / 256 * 255)."""
+    arr = (upsample(pixels) / OBS_CODE_SCALE * 255.0).astype(np.uint8)
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())

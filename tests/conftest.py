@@ -63,6 +63,25 @@ def tiny_net_config(name: str = "tiny") -> NetConfig:
     )
 
 
+def uniform_codes(rng: np.random.Generator, n: int, res: int) -> np.ndarray:
+    """n observations as uint8 codes at res x res: uniform draws in [0.05, 0.95)
+    over 84x84 images, quantized to k/256 and read at the centers of the
+    (84 // res)-pixel blocks."""
+    draws = rng.uniform(0.05, 0.95, size=(n, 84, 84, 3))
+    step = 84 // res
+    off = (step - 1) // 2
+    return (draws[:, off::step, off::step] * 256).astype(np.uint8)
+
+
+OBS_SEED = 777  # frozen: keeps the probe's ReLU pre-activations off zero
+
+
+def probe_obs(config: NetConfig, n: int = 1) -> np.ndarray:
+    """The frozen probe observations of the gradient tests, as uint8 codes at
+    the core resolution of `config`."""
+    return uniform_codes(np.random.default_rng(OBS_SEED), n, config.core_res())
+
+
 def zero_params(config: NetConfig) -> NetworkParams:
     """Every weight and bias zero."""
     return NetworkParams(

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import assert_relu_margin, fd_gradient, grad_close, tiny_net_config, zero_params
+from conftest import (
+    assert_relu_margin,
+    fd_gradient,
+    grad_close,
+    probe_obs,
+    tiny_net_config,
+    zero_params,
+)
 
 from advdrive import net
 from advdrive.errors import ContractViolationError, NonFiniteError
 
 # Frozen seeds chosen so every ReLU pre-activation sits well away from zero
-# for the probe observations (verified by assert_relu_margin in each test);
-# finite differences then never cross a kink.
-OBS_SEED = 777
+# for the probe observations (conftest.OBS_SEED; verified by assert_relu_margin
+# in each test); finite differences then never cross a kink.
 TINY_SEED = 48
 STRIDE4_SEED = 7
-
-
-def probe_obs(n=1):
-    rng = np.random.default_rng(OBS_SEED)
-    return rng.uniform(0.05, 0.95, size=(n, 84, 84, 3))
 
 
 def margin_params(config, seed, bias_boost=0.07):
@@ -30,7 +31,7 @@ def margin_params(config, seed, bias_boost=0.07):
 class TestForward:
     def test_zero_network_outputs_zero(self):
         params = zero_params(net.lite21_config())
-        logits, value = net.forward(params, probe_obs()[0])
+        logits, value = net.forward(params, probe_obs(params.config)[0])
         assert np.array_equal(logits, np.zeros(9))
         assert value == 0.0
 
@@ -48,34 +49,38 @@ class TestForward:
 
     def test_deterministic_outputs(self):
         params = net.init_params(net.full84_config(), 5)
-        obs = probe_obs()[0]
+        obs = probe_obs(params.config)[0]
         a = net.forward(params, obs)
         b = net.forward(params, obs)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_shape_mismatch_rejected(self):
-        params = net.init_params(net.lite21_config(), 0)
-        with pytest.raises(ContractViolationError):
-            net.forward(params, np.zeros((42, 42, 3)))
-        with pytest.raises(ContractViolationError):
-            net.forward_batch(params, np.zeros((2, 84, 84, 1)))
-        with pytest.raises(ContractViolationError, match=r"\(84, 84, 3\).*\(21, 21, 3\)"):
-            net.forward(net.init_params(net.full84_config(), 0), np.zeros((21, 21, 3)))
-
-    def test_core_resolution_observation_matches_84x84(self):
-        params = net.init_params(net.lite21_config(), 9)
-        obs = probe_obs()[0]
-        core = net.core_input(params.config, obs[None])[0]
-        logits_84, value_84 = net.forward(params, obs)
-        logits_core, value_core = net.forward(params, core)
-        assert np.array_equal(logits_84, logits_core) and value_84 == value_core
+        # (net, observation, why it is rejected): only uint8 codes at the
+        # net's core resolution are observations
+        lite, full = net.lite21_config(), net.full84_config()
+        cases = [
+            (lite, np.zeros((21, 21, 3)), "float64 codes"),
+            (lite, np.zeros((84, 84, 3), np.uint8), "84x84 image for lite21"),
+            (full, np.zeros((21, 21, 3), np.uint8), "21x21 image for full84"),
+            (lite, np.zeros((21, 21, 1), np.uint8), "one channel"),
+        ]
+        for config, obs, why in cases:
+            params = net.init_params(config, 0)
+            res = config.core_res()
+            expected = rf"uint8 codes of shape \(N, {res}, {res}, 3\), got {obs.dtype}"
+            with pytest.raises(ContractViolationError, match=expected):
+                net.forward(params, obs)
+                pytest.fail(f"forward accepted {why}")
+            with pytest.raises(ContractViolationError, match=expected):
+                net.forward_core(params, obs[None])
+                pytest.fail(f"forward_core accepted {why}")
 
     def test_single_pixel_difference_propagates(self):
         params = margin_params(net.full84_config(), 3)
-        obs = probe_obs()[0]
+        obs = probe_obs(params.config)[0]
         logits0, _ = net.forward(params, obs)
         bumped = obs.copy()
-        bumped[1, 1, 0] += 0.05
+        bumped[1, 1, 0] += 13  # 13/256, about 0.05
         logits1, _ = net.forward(params, bumped)
         assert not np.allclose(logits0, logits1)
 
@@ -85,9 +90,9 @@ class TestForward:
             name="probe", decimation=4, convs=(net.ConvSpec(3, 4, 2),), dense_units=4
         )
         params = net.init_params(cfg, 1)
-        obs = probe_obs()
-        x = net.core_input(cfg, obs)
-        _, _, cache = net.forward_core(params, x)
+        codes = probe_obs(cfg)
+        _, _, cache = net.forward_core(params, codes)
+        x = codes / 256  # code k stands for k/256
         fast = cache["convs"][0]["pre"]
         w = params.arrays["conv1/w"]
         b = params.arrays["conv1/b"]
@@ -100,20 +105,10 @@ class TestForward:
                     slow[0, i, j, f] = np.sum(patch * w[:, :, :, f]) + b[f]
         assert np.allclose(fast, slow, atol=1e-12)
 
-    @pytest.mark.parametrize("make_config", [net.lite21_config, net.full84_config])
-    def test_core_input_is_idempotent(self, make_config):
-        cfg = make_config()
-        core = net.core_input(cfg, probe_obs(2))
-        res = cfg.core_res()
-        assert core.shape == (2, res, res, 3)
-        again = net.core_input(cfg, core)
-        assert np.array_equal(again, core)
-        assert np.shares_memory(again, core)  # returned unchanged, not copied
-
     def test_batch_matches_single(self):
         params = net.init_params(net.lite21_config(), 9)
-        obs = probe_obs(3)
-        logits_b, values_b, _ = net.forward_batch(params, obs)
+        obs = probe_obs(params.config, 3)
+        logits_b, values_b, _ = net.forward_core(params, obs)
         for i in range(3):
             logits_s, value_s = net.forward(params, obs[i])
             assert np.allclose(logits_b[i], logits_s, atol=1e-12)
@@ -123,7 +118,7 @@ class TestForward:
 class TestGradients:
     def probe_loss(self, weights_logits, weight_value):
         def loss(params, obs):
-            logits, values, _ = net.forward_batch(params, obs)
+            logits, values, _ = net.forward_core(params, obs)
             return float((logits * weights_logits).sum() + (values * weight_value).sum())
 
         return loss
@@ -138,10 +133,10 @@ class TestGradients:
     )
     def test_backward_matches_central_differences_per_layer(self, config, seed):
         params = margin_params(config, seed)
-        obs = probe_obs()
+        obs = probe_obs(config)
         a = np.linspace(-1.0, 1.0, 9).reshape(1, 9)
         b = np.array([0.7])
-        logits, values, cache = net.forward_batch(params, obs)
+        logits, values, cache = net.forward_core(params, obs)
         assert_relu_margin(cache)
         analytic = net.backward(params, cache, a, b)
         numeric = fd_gradient(lambda p: self.probe_loss(a, b)(p, obs), params)
@@ -151,15 +146,15 @@ class TestGradients:
 
     def test_zero_upstream_gradient_gives_zero_grads(self):
         params = margin_params(tiny_net_config(), TINY_SEED)
-        obs = probe_obs()
-        _, _, cache = net.forward_batch(params, obs)
+        obs = probe_obs(params.config)
+        _, _, cache = net.forward_core(params, obs)
         grads = net.backward(params, cache, np.zeros((1, 9)), np.zeros(1))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_value_head_gradient_independent_of_policy_upstream(self):
         params = margin_params(tiny_net_config(), TINY_SEED)
-        obs = probe_obs()
-        _, _, cache = net.forward_batch(params, obs)
+        obs = probe_obs(params.config)
+        _, _, cache = net.forward_core(params, obs)
         g1 = net.backward(params, cache, np.zeros((1, 9)), np.ones(1))
         g2 = net.backward(params, cache, np.full((1, 9), 3.0), np.ones(1))
         assert np.array_equal(g1["value/w"], g2["value/w"])
@@ -168,14 +163,14 @@ class TestGradients:
 
     def test_workspace_cache_is_used_up_by_backward(self):
         params = margin_params(tiny_net_config(), TINY_SEED)
-        obs = net.obs_codes(probe_obs(2))
+        obs = probe_obs(params.config, 2)
         a, b = np.ones((2, 9)), np.ones(2)
-        _, _, cache = net.forward_batch(params, obs)
+        _, _, cache = net.forward_core(params, obs)
         first = net.backward(params, cache, a, b)
         again = net.backward(params, cache, a, b)  # no workspace: the cache stays intact
         assert all(np.array_equal(first[k], again[k]) for k in first)
 
-        _, _, cache = net.forward_batch(params, obs, net.Workspace())
+        _, _, cache = net.forward_core(params, obs, net.Workspace())
         net.backward(params, cache, a, b)
         with pytest.raises(ContractViolationError, match="used up"):
             net.backward(params, cache, a, b)

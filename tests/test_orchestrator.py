@@ -179,10 +179,8 @@ class TestRunEpisode:
         assert len(stored) == len(rendered) == 12
         for obs, pixels in zip(stored, rendered):
             # the lite21 render is already at the net's core resolution
-            assert pixels.shape == (21, 21, 3)
+            assert obs is pixels  # stored as rendered
             assert obs.shape == (21, 21, 3) and obs.dtype == np.uint8
-            decoded = net.core_input(pol.params.config, obs[None])[0]
-            assert np.array_equal(decoded, pixels)
 
     def test_raster_resolution_must_match_the_net(self):
         sc = straight_scenario(route_length=20.0, max_steps=4)

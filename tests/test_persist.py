@@ -31,8 +31,8 @@ from advdrive.errors import (
 from advdrive.pipeline import policy_from_checkpoint
 
 
-def make_checkpoint(with_adam=True, seed=0):
-    params = net.init_params(tiny_net_config(), seed)
+def make_checkpoint(with_adam=True, seed=0, config=tiny_net_config()):
+    params = net.init_params(config, seed)
     adam = None
     if with_adam:
         adam = net.init_adam_state(params)
@@ -68,7 +68,8 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "a.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
-        obs = np.random.default_rng(3).uniform(0, 1, size=(84, 84, 3))
+        res = ckpt.params.config.core_res()
+        obs = np.random.default_rng(3).integers(0, 256, size=(res, res, 3), dtype=np.uint8)
         la, va = net.forward(ckpt.params, obs)
         lb, vb = net.forward(loaded.params, obs)
         assert np.array_equal(la, lb) and va == vb
@@ -152,16 +153,18 @@ class TestCheckpointErrors:
 
 class TestOptimizerStateFallback:
     def test_missing_adam_resumes_fresh_with_warning(self, tmp_path):
-        ckpt = make_checkpoint(with_adam=False)
+        ckpt = make_checkpoint(with_adam=False, config=net.lite21_config())
         path = tmp_path / "no_adam.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
         assert loaded.adam is None
-        policy, warnings = policy_from_checkpoint(path, "victim1", frozen=False)
+        policy, warnings = policy_from_checkpoint(path, "victim1", frozen=False, role="victim",
+                                                  obs_mode="lite21")
         assert policy.adam is None
         assert len(warnings) == 1 and "optimizer state" in warnings[0]
         # frozen loads do not warn: they never optimize
-        _, frozen_warnings = policy_from_checkpoint(path, "victim1", frozen=True)
+        _, frozen_warnings = policy_from_checkpoint(path, "victim1", frozen=True, role="victim",
+                                                    obs_mode="lite21")
         assert frozen_warnings == []
 
 

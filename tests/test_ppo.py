@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_relu_margin, fd_gradient, grad_close, tiny_net_config
+from conftest import (
+    assert_relu_margin,
+    fd_gradient,
+    grad_close,
+    probe_obs,
+    tiny_net_config,
+    uniform_codes,
+)
 
 from advdrive import net, ppo
 from advdrive.errors import PpoError
@@ -19,13 +26,7 @@ from advdrive.ppo import (
     update_policy,
 )
 
-OBS_SEED = 777
 TINY_SEED = 48
-
-
-def probe_obs(n=1):
-    rng = np.random.default_rng(OBS_SEED)
-    return rng.uniform(0.05, 0.95, size=(n, 84, 84, 3))
 
 
 def margin_params(config, seed, bias_boost=0.07):
@@ -39,7 +40,7 @@ def margin_params(config, seed, bias_boost=0.07):
 def make_trajectory(params, n, rewards=None, values=None, rng_seed=5, episode_index=0):
     """Transitions whose log-probs come from `params` (on-policy by construction)."""
     rng = np.random.default_rng(rng_seed)
-    obs = rng.uniform(0.05, 0.95, size=(n, 84, 84, 3))
+    obs = uniform_codes(rng, n, params.config.core_res())
     traj = Trajectory(agent_id="victim1", episode_index=episode_index)
     for t in range(n):
         logits, value = net.forward(params, obs[t])
@@ -126,16 +127,6 @@ class TestRolloutBatch:
         assert batch.n_steps == 16
         assert batch.episode_rewards.shape == (2,)
 
-    def test_mixed_codes_and_float_observations_rejected(self):
-        params = net.init_params(tiny_net_config(), 2)
-        t1 = make_trajectory(params, 5, rng_seed=1, episode_index=0)
-        t2 = make_trajectory(params, 5, rng_seed=2, episode_index=1)
-        core = net.core_input(params.config, np.stack(t2.obs))
-        t2.obs = list(net.obs_codes(np.round(core * 256) / 256))
-        assert build_rollout_batch([t2], 0.99, 1.0).obs.dtype == np.uint8
-        with pytest.raises(PpoError, match="mixes uint8 observation codes with float"):
-            build_rollout_batch([t1, t2], 0.99, 1.0)
-
 
 class TestLoss:
     def setup_method(self):
@@ -143,9 +134,8 @@ class TestLoss:
         self.hyper = PpoHyper()
 
     def identity_minibatch(self, n=4, adv=None):
-        obs = probe_obs(n)
-        core = net.core_input(self.params.config, obs)
-        logits, values, _ = net.forward_core(self.params, core)
+        obs = probe_obs(self.params.config, n)
+        logits, values, _ = net.forward_core(self.params, obs)
         logp = net.log_softmax(logits)
         actions = np.arange(n) % 9
         return Minibatch(
@@ -186,7 +176,7 @@ class TestLoss:
         loss, comps = ppo_loss(self.params, mb, self.hyper, kl_coef)
 
         # independent recomputation with plain python/numpy arithmetic
-        logits, values, _ = net.forward_batch(self.params, mb.obs)
+        logits, values, _ = net.forward_core(self.params, mb.obs)
         surr_terms = []
         ent_terms = []
         kl_terms = []
@@ -235,8 +225,8 @@ class TestLoss:
 
         for n in rows:
             mb = self.random_minibatch(rng, n, params.config.core_res())
-            logits, values, _ = net.forward_batch(params, mb.obs)
-            logits_ws, values_ws, _ = net.forward_batch(params, mb.obs, workspace)
+            logits, values, _ = net.forward_core(params, mb.obs)
+            logits_ws, values_ws, _ = net.forward_core(params, mb.obs, workspace)
             assert same(logits, logits_ws) and same(values, values_ws)
             loss, _, plain = ppo_loss_grads(params, mb, self.hyper, 0.3)
             loss_ws, _, reused = ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
@@ -277,7 +267,7 @@ class TestLoss:
             [0.0, math.log(2.0), -math.log(2.0), 0.1]
         )
         kl_coef = 0.2
-        _, _, cache = net.forward_batch(self.params, mb.obs)
+        _, _, cache = net.forward_core(self.params, mb.obs)
         assert_relu_margin(cache)
         _, _, analytic = ppo_loss_grads(self.params, mb, self.hyper, kl_coef)
         numeric = fd_gradient(
@@ -304,7 +294,7 @@ class TestUpdatePolicy:
     def test_on_policy_identity_at_start(self):
         params = net.init_params(tiny_net_config(), 3)
         batch = build_rollout_batch([make_trajectory(params, 16)], 0.99, 1.0)
-        logits, _, _ = net.forward_batch(params, batch.obs)
+        logits, _, _ = net.forward_core(params, batch.obs)
         logp = net.log_softmax(logits)
         ratios = np.exp(logp[np.arange(batch.n_steps), batch.actions] - batch.log_probs_old)
         assert np.all(np.abs(ratios - 1.0) <= 1e-9)
@@ -325,13 +315,13 @@ class TestUpdatePolicy:
         batch = build_rollout_batch([traj], 0.99, 1.0)
         assert np.all(batch.advantages == 0.0)
 
-        logits0, _, _ = net.forward_batch(params, batch.obs)
+        logits0, _, _ = net.forward_core(params, batch.obs)
         entropy_before = float(net.entropy_from_logp(net.log_softmax(logits0)).mean())
         new_params, _, _, stats = update_policy(
             params, net.init_adam_state(params), batch, PpoHyper(), 0.3,
             np.random.default_rng(1),
         )
-        logits1, _, _ = net.forward_batch(new_params, batch.obs)
+        logits1, _, _ = net.forward_core(new_params, batch.obs)
         entropy_after = float(net.entropy_from_logp(net.log_softmax(logits1)).mean())
         assert entropy_after >= entropy_before - 1e-12
 

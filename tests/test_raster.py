@@ -13,7 +13,10 @@ from advdrive.raster import (
     ANCHOR_COL,
     ANCHOR_ROW,
     BLOCK,
-    DEFAULT_COLORS,
+    GOAL,
+    OTHER_VEHICLE,
+    OWN_VEHICLE,
+    PALETTE,
     RasterConfig,
     render,
     upsample,
@@ -55,8 +58,8 @@ def open_field_scenario(agents):
     return ScenarioConfig(name="field", map=geo, agents=specs)
 
 
-def color_mask(pixels, color):
-    return np.all(np.isclose(pixels, np.asarray(color)), axis=-1)
+def color_mask(pixels, cls):
+    return np.all(pixels == PALETTE[cls], axis=-1)
 
 
 def dilate(mask):
@@ -77,8 +80,7 @@ class TestBasics:
             a = render(w, "victim1", cfg)
             b = render(w, "victim1", cfg)
             assert cfg.resolution() == res
-            assert a.pixels.shape == (res, res, 3)
-            assert a.pixels.min() >= 0.0 and a.pixels.max() <= 1.0
+            assert a.pixels.shape == (res, res, 3) and a.pixels.dtype == np.uint8
             assert np.array_equal(a.pixels, b.pixels)
             assert a.agent_id == "victim1" and a.tick == 0
 
@@ -89,19 +91,7 @@ class TestBasics:
             render(w, "ghost", RasterConfig())
 
     def test_distinct_colors_enforced(self):
-        colors = dict(DEFAULT_COLORS)
-        colors["road"] = colors["offroad"]
-        with pytest.raises(ConfigurationError):
-            RasterConfig(colors=colors)
-
-    @pytest.mark.parametrize("value", [0.3, 1.0, 0.5 + 1 / 1024])
-    def test_colors_must_be_exact_uint8_codes(self, value):
-        colors = dict(DEFAULT_COLORS)
-        colors["goal"] = (value, 0.5, 0.25)
-        with pytest.raises(ConfigurationError, match=rf"'goal'.*{value!r}.*k/256"):
-            RasterConfig(colors=colors)
-        colors["goal"] = (255 / 256, 0.5, 0.0)
-        RasterConfig(colors=colors)
+        assert len({tuple(row) for row in PALETTE}) == len(PALETTE)
 
     def test_lite21_is_block_constant_replication(self):
         sc = t_intersection_scenario()
@@ -114,7 +104,7 @@ class TestBasics:
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
         img = render(w, "victim1", RasterConfig(resolution_mode="full84")).pixels
-        own = color_mask(img, DEFAULT_COLORS["own_vehicle"])
+        own = color_mask(img, OWN_VEHICLE)
         assert own[ANCHOR_ROW, ANCHOR_COL]
         rows, cols = np.nonzero(own)
         assert abs(rows.mean() - ANCHOR_ROW) < 2.5
@@ -132,7 +122,7 @@ class TestProjection:
         w = init_world(sc, 0)
         cfg = RasterConfig(resolution_mode="full84")
         img = render(w, "me", cfg).pixels
-        other = color_mask(img, DEFAULT_COLORS["other_vehicle"])
+        other = color_mask(img, OTHER_VEHICLE)
         assert other.any()
         rows, cols = np.nonzero(other)
         m_per_row = cfg.view_ahead / ANCHOR_ROW
@@ -144,7 +134,7 @@ class TestProjection:
         sc = straight_scenario()
         w = init_world(sc, 0)
         img = render(w, "victim1", RasterConfig(resolution_mode="full84")).pixels
-        assert not color_mask(img, DEFAULT_COLORS["other_vehicle"]).any()
+        assert not color_mask(img, OTHER_VEHICLE).any()
 
     def test_out_of_window_vehicle_invisible(self):
         base = open_field_scenario(
@@ -173,8 +163,8 @@ class TestProjection:
         )
         w = init_world(sc, 0)
         img = render(w, "me", RasterConfig(resolution_mode="full84")).pixels
-        goal = color_mask(img, DEFAULT_COLORS["goal"])
-        other = color_mask(img, DEFAULT_COLORS["other_vehicle"])
+        goal = color_mask(img, GOAL)
+        other = color_mask(img, OTHER_VEHICLE)
         assert other.any()
         # the vehicle body hides the goal pixels underneath it
         assert not (goal & other).any()
@@ -206,9 +196,9 @@ class TestRotationEquivariance:
         cfg = RasterConfig(resolution_mode="full84")
         img0 = render(build(0.0), "me", cfg).pixels
         img1 = render(build(theta), "me", cfg).pixels
-        for cls in ("other_vehicle", "goal", "own_vehicle"):
-            m0 = color_mask(img0, DEFAULT_COLORS[cls])
-            m1 = color_mask(img1, DEFAULT_COLORS[cls])
+        for cls in (OTHER_VEHICLE, GOAL, OWN_VEHICLE):
+            m0 = color_mask(img0, cls)
+            m1 = color_mask(img1, cls)
             # masks agree within one pixel of aliasing on each edge
             assert (m0 & ~dilate(m1)).sum() == 0
             assert (m1 & ~dilate(m0)).sum() == 0
@@ -236,7 +226,8 @@ def golden_configs(mode):
 
 # SHA-256 over the 84x84 float64 images of every agent of golden_worlds(),
 # both modes and both view extents, recorded when render still returned
-# lite21 images replicated to 84x84. Native renders, upsampled, must match.
+# lite21 images replicated to 84x84 and colors as float64 values. Native
+# renders, upsampled and decoded as k/256, must match.
 RENDER_84_SHA256 = "2c804f30814c7edf0b2cacf5546b83dd2793679b5706f793d07501dc74a6dca3"
 
 
@@ -246,21 +237,13 @@ def test_renders_match_golden_digest():
         for mode in ("full84", "lite21"):
             for cfg in golden_configs(mode):
                 for aid in w.scenario.agent_ids():
-                    pixels = upsample(render(w, aid, cfg).pixels)
+                    codes = render(w, aid, cfg).pixels
+                    assert codes.dtype == np.uint8
+                    pixels = upsample(codes) / 256
                     assert pixels.shape == (84, 84, 3) and pixels.dtype == np.float64
                     h.update(f"{wi}/{mode}/{cfg.view_ahead}/{aid}".encode())
                     h.update(np.ascontiguousarray(pixels))
     assert h.hexdigest() == RENDER_84_SHA256
-
-
-def test_core_input_of_upsampled_render_is_the_native_render():
-    lite = net.lite21_config()
-    for w in golden_worlds():
-        for cfg in golden_configs("lite21"):
-            for aid in w.scenario.agent_ids():
-                native = render(w, aid, cfg).pixels
-                core = net.core_input(lite, upsample(native)[None])[0]
-                assert np.array_equal(core, native)
 
 
 def test_ppm_dump(tmp_path):
@@ -273,4 +256,4 @@ def test_ppm_dump(tmp_path):
     assert raw.startswith(b"P6\n84 84\n255\n")
     assert len(raw) == len(b"P6\n84 84\n255\n") + 84 * 84 * 3
     body = np.frombuffer(raw[len(b"P6\n84 84\n255\n"):], dtype=np.uint8).reshape(84, 84, 3)
-    assert np.array_equal(body[1::BLOCK, 1::BLOCK], (img.pixels * 255.0).astype(np.uint8))
+    assert np.array_equal(body[1::BLOCK, 1::BLOCK], (img.pixels / 256 * 255.0).astype(np.uint8))
