@@ -28,9 +28,9 @@ from .config import (
 )
 from .errors import AdvDriveError, ConfigurationError
 from .metrics import MetricsReport, compare
+from .net import OBS_MODES
 from .orchestrator import EpisodeLog
 from .plot import emit_trajectory_plot
-from .raster import RESOLUTION_MODES
 
 OUT_ROOT_ENV = "ADVDRIVE_OUT_ROOT"
 
@@ -68,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--workers", type=int, help="concurrent world instances for evaluation")
     p.add_argument("--episodes", type=int, help="episode budget override for this command")
     p.add_argument("--steps", type=int, help="per-episode step cap override")
-    p.add_argument("--obs-mode", choices=RESOLUTION_MODES, dest="obs_mode")
+    p.add_argument("--obs-mode", choices=OBS_MODES, dest="obs_mode")
     p.add_argument("--out", help="output directory")
 
 

@@ -25,8 +25,8 @@ import yaml
 
 from .errors import ValidationError
 from .geometry import Polyline, Rect
+from .net import OBS_MODES
 from .ppo import PpoHyper
-from .raster import RESOLUTION_MODES, RasterConfig
 from .rewards import RewardParams
 from .scenario import (
     REWARD_KINDS,
@@ -83,7 +83,7 @@ class AdversarySettings:
 class RunConfig:
     seed: int = setting(0, lo=0)
     out_dir: str = setting("runs/run")
-    obs_mode: str = setting("full84", choices=RESOLUTION_MODES)
+    obs_mode: str = setting("full84", choices=OBS_MODES)
     workers: int = setting(1, lo=1)
     checkpoint_every: int = setting(25, lo=1)
     scenario: ScenarioSettings = field(default_factory=ScenarioSettings)
@@ -271,10 +271,6 @@ def build_scenario(cfg: RunConfig) -> ScenarioConfig:
     return ScenarioConfig(
         name="custom", map=geo, agents=agents, dt=s.dt, max_steps=s.max_steps, spawn_jitter=s.spawn_jitter
     )
-
-
-def build_raster(cfg: RunConfig) -> RasterConfig:
-    return RasterConfig(resolution_mode=cfg.obs_mode)
 
 
 def config_echo(cfg: RunConfig) -> dict[str, Any]:

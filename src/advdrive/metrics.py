@@ -5,7 +5,10 @@ collision (cv_rate), an object collision (co_rate), or an out-of-lane flag
 (os_rate), plus time-to-first-collision in seconds (absent when the episode
 had no collision). Reports average over a fixed number of frozen-policy
 episodes and carry a scenario fingerprint so only like-for-like conditions
-can be compared.
+can be compared. The fingerprint covers the victims' part of the scenario,
+the evaluation protocol and what the victims saw: the obs mode, taken from
+the names of the victims' nets (each victim is rendered at its own net's
+resolution), and the raster's fixed view extents.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .orchestrator import AgentPolicy, EpisodeLog, run_episode
-from .raster import RasterConfig
+from .raster import VIEW_AHEAD, VIEW_SIDE
 from .rewards import RewardParams
 from .scenario import ScenarioConfig
 from .seeding import SeedTree
@@ -143,15 +146,11 @@ class MetricsReport:
 
 
 def scenario_fingerprint(
-    scenario: ScenarioConfig, raster_cfg: RasterConfig, episodes: int, max_steps: int, action_mode: str
+    scenario: ScenarioConfig, obs_mode: str, episodes: int, max_steps: int, action_mode: str
 ) -> str:
     payload = {
         "scenario": scenario.fingerprint_payload(),
-        "raster": {
-            "mode": raster_cfg.resolution_mode,
-            "view_ahead": raster_cfg.view_ahead,
-            "view_side": raster_cfg.view_side,
-        },
+        "raster": {"mode": obs_mode, "view_ahead": VIEW_AHEAD, "view_side": VIEW_SIDE},
         "episodes": episodes,
         "max_steps": max_steps,
         "action_mode": action_mode,
@@ -159,12 +158,11 @@ def scenario_fingerprint(
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _eval_episode(scenario, policies, raster_cfg, max_steps, seed_tree, condition_key,
+def _eval_episode(scenario, policies, max_steps, seed_tree, condition_key,
                   action_mode, ep: int) -> EpisodeLog:
     _, log = run_episode(
         scenario,
         policies,
-        raster_cfg,
         RewardParams(),
         max_steps=max_steps,
         seed_tree=seed_tree,
@@ -192,7 +190,6 @@ def _eval_in_worker(ep: int) -> EpisodeLog:
 def evaluate(
     scenario: ScenarioConfig,
     policies: dict[str, AgentPolicy],
-    raster_cfg: RasterConfig,
     *,
     label: str,
     episodes: int,
@@ -209,7 +206,7 @@ def evaluate(
     one-item list) for plotting.
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
-    context = (scenario, policies, raster_cfg, max_steps, seed_tree, condition_key, action_mode)
+    context = (scenario, policies, max_steps, seed_tree, condition_key, action_mode)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_eval_worker_init, initargs=context
@@ -220,6 +217,7 @@ def evaluate(
 
     per_episode = {aid: [episode_metrics(log, aid) for log in logs] for aid in victim_ids}
     victims = {aid: aggregate_episode_metrics(per_episode[aid]) for aid in victim_ids}
+    obs_mode = "/".join(sorted({policies[aid].params.config.name for aid in victim_ids}))
     report = MetricsReport(
         label=label,
         episodes=episodes,
@@ -227,7 +225,7 @@ def evaluate(
         action_mode=action_mode,
         master_seed=seed_tree.master_seed,
         condition_key=condition_key,
-        fingerprint=scenario_fingerprint(scenario, raster_cfg, episodes, max_steps, action_mode),
+        fingerprint=scenario_fingerprint(scenario, obs_mode, episodes, max_steps, action_mode),
         victims=victims,
         per_episode={aid: [m.as_dict() for m in per_episode[aid]] for aid in victim_ids},
     )
@@ -273,13 +271,10 @@ class ComparisonTable:
         }
 
     def to_text(self) -> str:
-        width = 16
+        columns = [f"{label}/{v}" for label in self.labels for v in self.victims]
+        width = max([16] + [len(c) + 2 for c in columns])
         lines = ["Victim driving error comparison (rows: metrics, columns: condition/victim)"]
-        head = f"{'metric':<26}"
-        for label in self.labels:
-            for v in self.victims:
-                head += f"{label + '/' + v:>{width}}"[: width * 99]
-        lines.append(head)
+        lines.append(f"{'metric':<26}" + "".join(f"{c:>{width}}" for c in columns))
         rows = (
             ("collision with cars", "mean_cv_rate"),
             ("collision with objects", "mean_co_rate"),

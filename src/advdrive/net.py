@@ -2,8 +2,8 @@
 
 Forward, reverse-mode gradients, and Adam are implemented directly on
 float64 numpy arrays (convolutions via im2col + BLAS). Each net works at
-its core resolution (84 / decimation), the resolution at which the raster of
-the matching obs mode renders:
+its core resolution (84 / decimation), the resolution at which every agent
+driven by it is rendered; a run's obs mode names its net:
 
 * ``full84``: 84x84 input; 32@8x8/4, 64@4x4/2, 64@3x3/1, dense 512 (the
   fidelity net).
@@ -45,6 +45,7 @@ from .world import ActionCommand
 
 INPUT_RES = 84
 INPUT_CHANNELS = 3
+OBS_MODES = ("full84", "lite21")  # the nets a run can train, by NetConfig.name
 N_ACTIONS = 9
 
 STEER_VALUES = (-0.5, 0.0, 0.5)
@@ -168,9 +169,6 @@ class NetworkParams:
         for name, arr in self.arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"parameter array '{name}' contains NaN/Inf")
-
-    def n_params(self) -> int:
-        return sum(a.size for a in self.arrays.values())
 
 
 def _orthogonal(rng: np.random.Generator, fan_in: int, fan_out: int, gain: float) -> np.ndarray:

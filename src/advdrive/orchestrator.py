@@ -2,9 +2,11 @@
 
 Every agent renders its own observation from the shared pre-step world and
 all live agents act simultaneously; no agent ever sees another agent's
-network, only its rendered pixels. That render, uint8 palette codes at the
-net's core resolution, is the one observation format: the net reads it and
-the trajectory stores it as rendered. Training phases interleave episode
+network, only its rendered pixels. Each agent is rendered at its own net's
+core resolution (``NetConfig.core_res()``), so the net decides what the agent
+sees and a render the net cannot read cannot be built. That render, uint8
+palette codes, is the one observation format: the net reads it and the
+trajectory stores it as rendered. Training phases interleave episode
 collection with per-policy PPO updates (each policy updates once its own
 buffer holds at least one train batch of whole episodes), verify frozen
 policies by checksum after every episode, and write checkpoints plus a
@@ -38,14 +40,13 @@ from . import net
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
     PhaseAbortedError,
 )
 from .net import AdamState, NetworkParams
 from .ppo import PpoHyper, Trajectory, build_rollout_batch, update_policy
-from .raster import RasterConfig, render
+from .raster import render
 from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
 from .seeding import KEY_UPDATE_BASE, SeedTree
@@ -137,7 +138,6 @@ class EpisodeLog:
 def run_episode(
     scenario: ScenarioConfig,
     policies: dict[str, AgentPolicy],
-    raster_cfg: RasterConfig,
     reward_params: RewardParams,
     max_steps: int,
     seed_tree: SeedTree,
@@ -149,16 +149,10 @@ def run_episode(
     and the episode log. Deterministic in (scenario, policies, key_prefix)."""
     collect = set() if collect is None else set(collect)
     ids = scenario.agent_ids()
-    res = raster_cfg.resolution()
     for aid in ids:
         if aid not in policies:
             raise ConfigurationError(f"no policy provided for agent '{aid}'")
-        net_cfg = policies[aid].params.config
-        if net_cfg.core_res() != res:
-            raise ContractViolationError(
-                f"agent '{aid}': the {raster_cfg.resolution_mode} raster renders {res}x{res}"
-                f" but net '{net_cfg.name}' works at {net_cfg.core_res()}x{net_cfg.core_res()}"
-            )
+    res = {aid: policies[aid].params.config.core_res() for aid in ids}
     greedy = action_mode == "greedy"
 
     world = init_world(scenario, seed=seed_tree.sequence(*key_prefix, 0))
@@ -183,7 +177,7 @@ def run_episode(
         actions = {}
         pending = {}
         for aid in live:
-            obs = render(world, aid, raster_cfg)
+            obs = render(world, aid, res[aid])
             logits, value = net.forward(policies[aid].params, obs.pixels)
             chosen = net.greedy_action(logits) if greedy else net.sample_action(logits, rngs[aid])
             actions[aid] = net.action_to_command(chosen.index)
@@ -303,7 +297,6 @@ def run_training_phase(
     policies: dict[str, AgentPolicy],
     hyper: PpoHyper,
     reward_params: RewardParams,
-    raster_cfg: RasterConfig,
     episodes: int,
     step_cap: int | None,
     seed_tree: SeedTree,
@@ -347,7 +340,6 @@ def run_training_phase(
             trajs, log = run_episode(
                 scenario,
                 policies,
-                raster_cfg,
                 reward_params,
                 max_steps=scenario.max_steps,
                 seed_tree=seed_tree,

@@ -5,9 +5,13 @@ that chains them all and emits a comparison table.
 
 Every phase and evaluation is built from the same pieces. ``_load_policies``
 loads checkpoints as policies and raises ``ConfigurationError`` unless each
-id names a scenario agent of the role it is loaded as; ``full.subset(policies)``
-cuts the scenario down to the agents that have a policy; ``_train`` runs one
-training phase within its ``cfg.phases`` budget and writes the run manifest.
+id names a scenario agent of the role it is loaded as and holds the net of
+``cfg.obs_mode``; ``full.subset(policies)`` cuts the scenario down to the
+agents that have a policy; ``_train`` runs one training phase within its
+``cfg.phases`` budget and writes the run manifest. The obs mode reaches the
+rest of the run only through the nets: fresh policies get its net, loaded
+ones are checked to hold it, and every agent is rendered at its own net's
+core resolution.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import replace
 
 from . import __version__
 from .checkpoint import load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps it here)
-from .config import RunConfig, build_raster, build_scenario, config_echo
+from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
@@ -153,7 +157,6 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
         policies=policies,
         hyper=cfg.ppo,
         reward_params=cfg.reward,
-        raster_cfg=build_raster(cfg),
         episodes=getattr(cfg.phases, f"{budget}_episodes"),
         step_cap=getattr(cfg.phases, f"{budget}_step_cap"),
         seed_tree=SeedTree(cfg.seed),
@@ -226,13 +229,11 @@ def evaluate_condition(
                                        "adversary", True, []))
     scenario = full.subset(policies)
     seed_tree = SeedTree(cfg.seed)
-    raster_cfg = build_raster(cfg)
     condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)
 
     report, logs = evaluate(
         scenario,
         policies,
-        raster_cfg,
         label=label,
         episodes=cfg.eval.episodes,
         max_steps=cfg.eval.max_steps,
@@ -258,7 +259,7 @@ def evaluate_condition(
     if dump_obs:
         world = init_world(scenario, seed=seed_tree.sequence(condition_key, 0, 0))
         for aid in scenario.agent_ids():
-            obs = render(world, aid, raster_cfg)
+            obs = render(world, aid, policies[aid].params.config.core_res())
             write_ppm(obs.pixels, os.path.join(out_dir, f"obs_{aid}.ppm"))
     write_run_manifest(out_dir, cfg, f"evaluate --label {label}", {"fingerprint": report.fingerprint})
     return report

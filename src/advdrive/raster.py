@@ -3,10 +3,13 @@
 Each agent sees a crop of the world: itself anchored at pixel (row 70,
 col 42) of an 84x84 frame with its heading pointing up, other vehicles, road
 surface, lane markings and its goal marker painted in fixed class colors.
-`full84` renders that frame at 84x84. `lite21` renders the same view on a
-21x21 grid, sampled at the centers of 4x4 pixel blocks, which is the lite
-net's working resolution; ``upsample`` replicates each pixel to its 4x4
-block for PPM dumps and for comparison with 84x84 images.
+The frame spans ``VIEW_AHEAD`` meters ahead of the agent and ``VIEW_SIDE``
+either side. ``render(world, agent_id, res)`` samples that frame on a
+res x res grid at the centers of its (84 / res)-pixel blocks; ``res`` must
+divide 84. The resolution is the observing net's core resolution
+(``NetConfig.core_res()``, 84 for ``full84`` and 21 for ``lite21``), so
+what an agent sees is decided by its net alone. ``upsample`` replicates each
+pixel to its block for PPM dumps and for comparison with 84x84 images.
 
 Rendering paints a uint8 class index per pixel, in painter's order (road,
 lane markings on road, goal, other vehicles, own vehicle), and then looks
@@ -16,22 +19,21 @@ only observation format; the nets read it as rendered and rollouts store it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ContractViolationError
 from .world import WorldState
 
 FULL_RES = 84
-LITE_RES = 21
-BLOCK = FULL_RES // LITE_RES
 
 ANCHOR_ROW = 70
 ANCHOR_COL = 42
-
-RESOLUTION_MODES = ("full84", "lite21")
+VIEW_AHEAD = 40.0  # meters from the agent to the top edge of the frame
+VIEW_SIDE = 20.0  # meters from the agent to either side edge
 
 OBS_CODE_SCALE = 256  # observation code k stands for the channel value k / 256
 
@@ -54,63 +56,32 @@ GOAL_RADIUS = 2.0  # meters
 
 
 @dataclass
-class RasterConfig:
-    view_ahead: float = 40.0
-    view_side: float = 20.0
-    resolution_mode: str = "lite21"
-
-    def __post_init__(self):
-        if self.resolution_mode not in RESOLUTION_MODES:
-            raise ConfigurationError(f"unknown resolution_mode '{self.resolution_mode}'")
-        if self.view_ahead <= 0 or self.view_side <= 0:
-            raise ConfigurationError("view extents must be positive")
-
-    def grid_key(self):
-        return (self.resolution_mode, self.view_ahead, self.view_side)
-
-    def resolution(self) -> int:
-        """Side length in pixels of the rendered image."""
-        return FULL_RES if self.resolution_mode == "full84" else LITE_RES
-
-
-@dataclass
 class ObservationImage:
-    pixels: np.ndarray  # (res, res, 3) uint8 palette codes; res = RasterConfig.resolution()
+    pixels: np.ndarray  # (res, res, 3) uint8 palette codes
     agent_id: str
     tick: int
 
 
-_GRID_CACHE: dict = {}
+@functools.cache
+def _ego_grid(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, side) offsets in meters of every pixel center, ego frame."""
+    if res <= 0 or FULL_RES % res:
+        raise ContractViolationError(
+            f"cannot render at {res}x{res}: the resolution must divide {FULL_RES}"
+        )
+    block = FULL_RES // res
+    centers = block * np.arange(res, dtype=np.float64) + (block - 1) / 2.0
+    fwd = (ANCHOR_ROW - centers) * (VIEW_AHEAD / ANCHOR_ROW)
+    side = (centers - ANCHOR_COL) * (2.0 * VIEW_SIDE / FULL_RES)
+    return np.repeat(fwd, res), np.tile(side, res)
 
 
-def _ego_grid(cfg: RasterConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """(forward, side) offsets in meters for every pixel center, ego frame."""
-    key = cfg.grid_key()
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m_per_row = cfg.view_ahead / ANCHOR_ROW
-    m_per_col = 2.0 * cfg.view_side / FULL_RES
-    res = cfg.resolution()
-    if res == FULL_RES:
-        rows = np.arange(res, dtype=np.float64)
-        cols = np.arange(res, dtype=np.float64)
-    else:
-        rows = BLOCK * np.arange(res, dtype=np.float64) + (BLOCK - 1) / 2.0
-        cols = BLOCK * np.arange(res, dtype=np.float64) + (BLOCK - 1) / 2.0
-    fwd = (ANCHOR_ROW - rows) * m_per_row
-    side = (cols - ANCHOR_COL) * m_per_col
-    fwd_grid = np.repeat(fwd, res)
-    side_grid = np.tile(side, res)
-    _GRID_CACHE[key] = (fwd_grid, side_grid, res)
-    return fwd_grid, side_grid, res
-
-
-def render(world: WorldState, agent_id: str, cfg: RasterConfig) -> ObservationImage:
+def render(world: WorldState, agent_id: str, res: int) -> ObservationImage:
+    """``agent_id``'s view of ``world`` as a res x res code image."""
     scenario = world.scenario
     spec = scenario.agent(agent_id)  # raises for unknown agents
     me = world.vehicles[agent_id]
-    fwd, side, res = _ego_grid(cfg)
+    fwd, side = _ego_grid(res)
 
     c, s = math.cos(me.heading), math.sin(me.heading)
     # forward = heading direction, side = to the agent's right
@@ -154,12 +125,13 @@ def render(world: WorldState, agent_id: str, cfg: RasterConfig) -> ObservationIm
 
 
 def upsample(pixels: np.ndarray) -> np.ndarray:
-    """An observation at 84x84: a 21x21 image with each pixel replicated to
-    its 4x4 block, an 84x84 image unchanged."""
+    """An observation at 84x84: each pixel replicated to its block, an 84x84
+    image unchanged."""
     pixels = np.asarray(pixels)
-    if pixels.shape[0] == FULL_RES:
+    block = FULL_RES // pixels.shape[0]
+    if block == 1:
         return pixels
-    return np.repeat(np.repeat(pixels, BLOCK, axis=0), BLOCK, axis=1)
+    return np.repeat(np.repeat(pixels, block, axis=0), block, axis=1)
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:

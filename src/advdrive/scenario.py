@@ -75,7 +75,6 @@ class ScenarioConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     spawn_jitter: float = 0.0
     goal_tolerance: float = 1.0
-    offroad_threshold: float | None = None  # None -> lane_width / 2
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -90,8 +89,6 @@ class ScenarioConfig:
 
     @property
     def lateral_limit(self) -> float:
-        if self.offroad_threshold is not None:
-            return self.offroad_threshold
         return self.map.lane_width / 2.0
 
     def agent(self, agent_id: str) -> AgentSpec:
@@ -143,18 +140,11 @@ class ScenarioConfig:
         }
 
 
-def _route_or_straight(spawn, goal, waypoints=None, radius: float = 6.0) -> Polyline:
-    if waypoints is None:
-        return Polyline([spawn, goal])
-    return smooth_corners(waypoints, radius=radius)
-
-
 def t_intersection_scenario(
     lane_width: float = 3.5,
     dt: float = 0.05,
     max_steps: int = 500,
     spawn_jitter: float = 0.0,
-    adversary_reward: str = "adv_collision",
 ) -> ScenarioConfig:
     """Three-agent T-intersection: two victims crossing, one adversary turning in.
 
@@ -172,7 +162,7 @@ def t_intersection_scenario(
             reward_kind="victim",
             spawn=(188.0, wb),
             goal=(nb, 75.7),
-            route=_route_or_straight((188.0, wb), (nb, 75.7), [(188.0, wb), (nb, wb), (nb, 75.7)]),
+            route=smooth_corners([(188.0, wb), (nb, wb), (nb, 75.7)], radius=6.0),
             seed_index=0,
         ),
         AgentSpec(
@@ -187,10 +177,10 @@ def t_intersection_scenario(
         AgentSpec(
             agent_id=ADVERSARY,
             role="adversary",
-            reward_kind=adversary_reward,
+            reward_kind="adv_collision",
             spawn=(sb, 80.0),
             goal=(144.0, wb),
-            route=_route_or_straight((sb, 80.0), (144.0, wb), [(sb, 80.0), (sb, wb), (144.0, wb)]),
+            route=smooth_corners([(sb, 80.0), (sb, wb), (144.0, wb)], radius=6.0),
             seed_index=2,
         ),
     ]

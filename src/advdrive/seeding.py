@@ -33,7 +33,3 @@ class SeedTree:
 
     def rng(self, *key: int) -> np.random.Generator:
         return np.random.default_rng(self.sequence(*key))
-
-    def child_int(self, *key: int) -> int:
-        """A derived 63-bit seed, for APIs that want a plain integer."""
-        return int(self.sequence(*key).generate_state(1, np.uint64)[0] >> 1)

@@ -75,9 +75,6 @@ class WorldState:
     def live_agents(self) -> list[str]:
         return [a for a in self.scenario.agent_ids() if not self.terminated[a]]
 
-    def all_terminated(self) -> bool:
-        return all(self.terminated.values())
-
     def digest(self) -> str:
         """Checksum of the dynamic state, for determinism checks."""
         h = hashlib.sha256()

@@ -110,7 +110,6 @@ def test_full84_update_matches_golden_digest():
     from advdrive import net
     from advdrive.orchestrator import AgentPolicy, run_episode
     from advdrive.ppo import PpoHyper, build_rollout_batch, update_policy
-    from advdrive.raster import RasterConfig
     from advdrive.rewards import RewardParams
     from advdrive.seeding import SeedTree
 
@@ -118,8 +117,8 @@ def test_full84_update_matches_golden_digest():
     spec = sc.agents[0]
     params = net.init_params(net.full84_config(), 5)
     pol = AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params)
-    trajs, _ = run_episode(sc, {spec.agent_id: pol}, RasterConfig(resolution_mode="full84"),
-                           RewardParams(), 16, SeedTree(3), (1, 0), collect={spec.agent_id})
+    trajs, _ = run_episode(sc, {spec.agent_id: pol}, RewardParams(), 16, SeedTree(3), (1, 0),
+                           collect={spec.agent_id})
     batch = build_rollout_batch([trajs[spec.agent_id]], 0.99, 1.0)
     assert batch.n_steps == 16
     hyper = PpoHyper(minibatch=8, epochs_per_batch=2, train_batch=16)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,12 +23,9 @@ from advdrive.metrics import (
 )
 from advdrive.orchestrator import AgentPolicy, EpisodeLog, run_episode
 from advdrive.plot import emit_trajectory_plot
-from advdrive.raster import RasterConfig
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
 from advdrive.seeding import SeedTree
-
-LITE = RasterConfig(resolution_mode="lite21")
 
 
 def make_log(flag_streams, dt=0.05, agent_ids=None):
@@ -142,7 +140,7 @@ class TestEvaluate:
             )
         }
         return evaluate(
-            sc, pols, LITE,
+            sc, pols,
             label="probe", episodes=episodes, max_steps=50,
             seed_tree=SeedTree(seed), condition_key=100, workers=workers,
         )
@@ -233,14 +231,37 @@ class TestCompare:
         text = compare([base, attack]).to_text()
         assert "-" in text
 
+    def test_columns_sit_under_their_headers(self):
+        reports = [synthetic_report("baseline", 0.0, 0.0, 0.1, None),
+                   synthetic_report("attack_collision", 0.2, 0.0, 0.3, 9.5),
+                   synthetic_report("retrained_collision", 0.1, 0.0, 0.2, 12.0)]
+        lines = compare(reports).to_text().splitlines()
+        head, rows = lines[1], lines[2:]
+        columns = [f"{r.label}/{v}" for r in reports for v in ("victim1", "victim2")]
+        assert head.split()[1:] == columns
+        ends = [m.end() for m in re.finditer(r"\S+", head)][1:]
+        for row in rows:
+            assert len(row) == len(head), row
+            # each cell is right-aligned and ends where its header ends
+            assert all(row[e - 1] != " " and (e == len(row) or row[e] == " ") for e in ends), row
+
     def test_fingerprint_ignores_adversary_presence(self):
         full = t_intersection_scenario()
         victims_only = full.subset(["victim1", "victim2"])
-        f1 = scenario_fingerprint(full, LITE, 20, 400, "sample")
-        f2 = scenario_fingerprint(victims_only, LITE, 20, 400, "sample")
+        f1 = scenario_fingerprint(full, "lite21", 20, 400, "sample")
+        f2 = scenario_fingerprint(victims_only, "lite21", 20, 400, "sample")
         assert f1 == f2
-        f3 = scenario_fingerprint(victims_only, LITE, 21, 400, "sample")
+        f3 = scenario_fingerprint(victims_only, "lite21", 21, 400, "sample")
         assert f3 != f1  # protocol changes do alter it
+
+    @pytest.mark.parametrize("obs_mode, digest", [
+        ("lite21", "31908d633174ba143f008f710c3c430d74c499946643580aa944f14e493f438a"),
+        ("full84", "bf576a88f2f94b44f67279ae2653e22a65d34bacd2fef766bb72382d0b3abcdd"),
+    ], ids=["lite21", "full84"])
+    def test_fingerprint_is_pinned(self, obs_mode, digest):
+        # reports already written carry these values; a change makes them incomparable
+        victims_only = t_intersection_scenario().subset(["victim1", "victim2"])
+        assert scenario_fingerprint(victims_only, obs_mode, 20, 400, "sample") == digest
 
 
 class TestPlot:
@@ -253,7 +274,7 @@ class TestPlot:
             )
             for s in sc.agents
         }
-        _, log = run_episode(sc, pols, LITE, RewardParams(), 40, SeedTree(0), (100, 0))
+        _, log = run_episode(sc, pols, RewardParams(), 40, SeedTree(0), (100, 0))
         svg = tmp_path / "traj.svg"
         csv_path = tmp_path / "traj.csv"
         emit_trajectory_plot(log, sc, svg, csv_path, title="probe")

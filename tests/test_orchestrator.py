@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -18,12 +19,11 @@ from advdrive.orchestrator import (
     run_training_phase,
 )
 from advdrive.ppo import PpoHyper, update_policy
-from advdrive.raster import RasterConfig
+from advdrive.raster import render
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
 from advdrive.seeding import SeedTree
-
-LITE = RasterConfig(resolution_mode="lite21")
+from advdrive.world import init_world
 
 
 def make_policy(spec, seed=None, reward_kind=None, frozen=False):
@@ -67,7 +67,7 @@ class TestRunEpisode:
         runs = []
         for _ in range(2):
             trajs, log = run_episode(
-                sc, pols, LITE, RewardParams(), 80, SeedTree(5), (1, 0),
+                sc, pols, RewardParams(), 80, SeedTree(5), (1, 0),
                 collect=set(sc.agent_ids()),
             )
             runs.append((trajs, log))
@@ -79,15 +79,15 @@ class TestRunEpisode:
     def test_different_episode_keys_differ(self):
         sc = t_intersection_scenario(max_steps=60)
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
-        t0, _ = run_episode(sc, pols, LITE, RewardParams(), 60, SeedTree(5), (1, 0), collect={"victim1"})
-        t1, _ = run_episode(sc, pols, LITE, RewardParams(), 60, SeedTree(5), (1, 1), collect={"victim1"})
+        t0, _ = run_episode(sc, pols, RewardParams(), 60, SeedTree(5), (1, 0), collect={"victim1"})
+        t1, _ = run_episode(sc, pols, RewardParams(), 60, SeedTree(5), (1, 1), collect={"victim1"})
         assert t0["victim1"].actions != t1["victim1"].actions
 
     def test_collision_ends_agent_transitions(self):
         sc = head_on_scenario()
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
         trajs, log = run_episode(
-            sc, pols, LITE, RewardParams(), 600, SeedTree(0), (1, 0), collect={"a", "b"}
+            sc, pols, RewardParams(), 600, SeedTree(0), (1, 0), collect={"a", "b"}
         )
         assert log.termination["a"]["reason"] == "collision"
         k = log.termination["a"]["tick"]
@@ -102,7 +102,7 @@ class TestRunEpisode:
             sc = head_on_scenario(adversary_reward=kind)
             pols = {s.agent_id: make_policy(s) for s in sc.agents}
             trajs, log = run_episode(
-                sc, pols, LITE, RewardParams(), 600, SeedTree(0), (1, 0), collect={"a", "b"}
+                sc, pols, RewardParams(), 600, SeedTree(0), (1, 0), collect={"a", "b"}
             )
             results[kind] = (trajs, log)
         t_coll, log_coll = results["adv_collision"]
@@ -121,7 +121,7 @@ class TestRunEpisode:
         sc = straight_scenario(route_length=3.0, max_steps=500)
         pols = {"victim1": make_policy(sc.agents[0])}
         trajs, log = run_episode(
-            sc, pols, LITE, RewardParams(), 500, SeedTree(0), (1, 0), collect={"victim1"}
+            sc, pols, RewardParams(), 500, SeedTree(0), (1, 0), collect={"victim1"}
         )
         assert log.termination["victim1"]["reason"] == "goal"
         assert trajs["victim1"].dones[-1]
@@ -131,8 +131,8 @@ class TestRunEpisode:
         pols1 = {s.agent_id: make_policy(s) for s in sc.agents}
         pols2 = {s.agent_id: make_policy(s) for s in sc.agents}
         pols2["b"] = make_policy(sc.agents[1], seed=99)  # different adversary network
-        t1, _ = run_episode(sc, pols1, LITE, RewardParams(), 1, SeedTree(3), (1, 0), collect={"a"})
-        t2, _ = run_episode(sc, pols2, LITE, RewardParams(), 1, SeedTree(3), (1, 0), collect={"a"})
+        t1, _ = run_episode(sc, pols1, RewardParams(), 1, SeedTree(3), (1, 0), collect={"a"})
+        t2, _ = run_episode(sc, pols2, RewardParams(), 1, SeedTree(3), (1, 0), collect={"a"})
         assert t1["a"].actions == t2["a"].actions  # first tick sees the same pre-step world
 
     def test_value_head_never_leaks_into_behavior(self):
@@ -142,8 +142,8 @@ class TestRunEpisode:
         pols2["b"].params = pols2["b"].params.copy()
         pols2["b"].params.arrays["value/w"] += 3.0
         pols2["b"].params.arrays["value/b"] += 10.0
-        t1, log1 = run_episode(sc, pols1, LITE, RewardParams(), 200, SeedTree(4), (1, 0), collect={"a", "b"})
-        t2, log2 = run_episode(sc, pols2, LITE, RewardParams(), 200, SeedTree(4), (1, 0), collect={"a", "b"})
+        t1, log1 = run_episode(sc, pols1, RewardParams(), 200, SeedTree(4), (1, 0), collect={"a", "b"})
+        t2, log2 = run_episode(sc, pols2, RewardParams(), 200, SeedTree(4), (1, 0), collect={"a", "b"})
         # actions and world evolution identical; only stored value estimates move
         assert t1["b"].actions == t2["b"].actions
         assert trajectories_equal(t1["a"], t2["a"])
@@ -153,9 +153,9 @@ class TestRunEpisode:
     def test_greedy_mode_needs_no_sampling(self):
         sc = straight_scenario(route_length=20.0, max_steps=30)
         pols = {"victim1": make_policy(sc.agents[0])}
-        a, _ = run_episode(sc, pols, LITE, RewardParams(), 30, SeedTree(0), (1, 0),
+        a, _ = run_episode(sc, pols, RewardParams(), 30, SeedTree(0), (1, 0),
                            collect={"victim1"}, action_mode="greedy")
-        b, _ = run_episode(sc, pols, LITE, RewardParams(), 30, SeedTree(1), (1, 0),
+        b, _ = run_episode(sc, pols, RewardParams(), 30, SeedTree(1), (1, 0),
                            collect={"victim1"}, action_mode="greedy")
         assert a["victim1"].actions == b["victim1"].actions  # seed-independent
 
@@ -164,35 +164,39 @@ class TestRunEpisode:
         pol = make_policy(sc.agents[0])
         pol.params = net.init_params(net.lite21_config(), 0)
         rendered = []
-        render = orchestrator.render
 
-        def recorder(world, agent_id, cfg):
-            obs = render(world, agent_id, cfg)
+        def recorder(world, agent_id, res):
+            obs = render(world, agent_id, res)
             rendered.append(obs.pixels)
             return obs
 
         monkeypatch.setattr(orchestrator, "render", recorder)
         trajs, _ = run_episode(
-            sc, {"victim1": pol}, LITE, RewardParams(), 12, SeedTree(0), (1, 0), collect={"victim1"}
+            sc, {"victim1": pol}, RewardParams(), 12, SeedTree(0), (1, 0), collect={"victim1"}
         )
         stored = trajs["victim1"].obs
         assert len(stored) == len(rendered) == 12
         for obs, pixels in zip(stored, rendered):
-            # the lite21 render is already at the net's core resolution
+            # rendered at the lite21 net's core resolution
             assert obs is pixels  # stored as rendered
             assert obs.shape == (21, 21, 3) and obs.dtype == np.uint8
 
-    def test_raster_resolution_must_match_the_net(self):
+    def test_resolution_must_divide_the_frame(self):
         sc = straight_scenario(route_length=20.0, max_steps=4)
+        world = init_world(sc, 0)
+        for res in (16, 0):
+            with pytest.raises(ContractViolationError, match=rf"cannot render at {res}x{res}"):
+                render(world, "victim1", res)
         pol = make_policy(sc.agents[0])
-        pol.params = net.init_params(net.full84_config(), 0)
-        with pytest.raises(ContractViolationError, match=r"lite21 raster renders 21x21.*84x84"):
-            run_episode(sc, {"victim1": pol}, LITE, RewardParams(), 4, SeedTree(0), (1, 0))
+        pol.params = net.init_params(dataclasses.replace(tiny_net_config(), decimation=5), 0)
+        assert pol.params.config.core_res() == 16
+        with pytest.raises(ContractViolationError, match=r"cannot render at 16x16"):
+            run_episode(sc, {"victim1": pol}, RewardParams(), 4, SeedTree(0), (1, 0))
 
     def test_episode_log_round_trip(self):
         sc = head_on_scenario()
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
-        _, log = run_episode(sc, pols, LITE, RewardParams(), 100, SeedTree(0), (1, 0))
+        _, log = run_episode(sc, pols, RewardParams(), 100, SeedTree(0), (1, 0))
         restored = EpisodeLog.from_dict(json.loads(json.dumps(log.to_dict())))
         assert restored.ticks == log.ticks
         assert np.array_equal(restored.positions, log.positions)
@@ -235,7 +239,6 @@ class TestTrainingPhase:
             policies={"victim1": victim, "adversary": adversary},
             hyper=FAST_HYPER,
             reward_params=RewardParams(),
-            raster_cfg=LITE,
             episodes=3,
             step_cap=None,
             seed_tree=SeedTree(1),
@@ -267,7 +270,6 @@ class TestTrainingPhase:
                 policies={"victim1": victim, "adversary": adversary},
                 hyper=FAST_HYPER,
                 reward_params=RewardParams(),
-                raster_cfg=LITE,
                 episodes=3,
                 step_cap=None,
                 seed_tree=SeedTree(1),
@@ -303,7 +305,6 @@ class TestTrainingPhase:
                 policies={"victim1": victim, "adversary": adversary},
                 hyper=FAST_HYPER,
                 reward_params=RewardParams(),
-                raster_cfg=LITE,
                 episodes=3,
                 step_cap=None,
                 seed_tree=SeedTree(1),
@@ -329,7 +330,6 @@ class TestTrainingPhase:
                 policies={"victim1": victim, "adversary": adversary},
                 hyper=FAST_HYPER,
                 reward_params=RewardParams(),
-                raster_cfg=LITE,
                 episodes=4,
                 step_cap=None,
                 seed_tree=SeedTree(1),
@@ -354,7 +354,6 @@ class TestTrainingPhase:
             policies={"victim1": victim, "adversary": adversary},
             hyper=FAST_HYPER,
             reward_params=RewardParams(),
-            raster_cfg=LITE,
             episodes=50,
             step_cap=75,  # two 40-tick episodes reach 80 >= 75
             seed_tree=SeedTree(1),
@@ -378,7 +377,6 @@ class TestTrainingPhase:
                 policies=policies,
                 hyper=FAST_HYPER,
                 reward_params=RewardParams(),
-                raster_cfg=LITE,
                 episodes=3,
                 step_cap=None,
                 seed_tree=SeedTree(7),
@@ -401,7 +399,6 @@ class TestTrainingPhase:
             policies=policies,
             hyper=FAST_HYPER,
             reward_params=RewardParams(),
-            raster_cfg=LITE,
             episodes=3,
             step_cap=None,
             seed_tree=SeedTree(1),
@@ -465,7 +462,6 @@ class TestConcurrentUpdates:
                 policies={s.agent_id: make_policy(s) for s in sc.agents},
                 hyper=PpoHyper(minibatch=10, epochs_per_batch=2, train_batch=20),
                 reward_params=RewardParams(),
-                raster_cfg=LITE,
                 episodes=4,
                 step_cap=None,
                 seed_tree=SeedTree(5),
@@ -517,6 +513,5 @@ class TestSeeding:
     def test_seed_tree_deterministic_and_distinct(self):
         t = SeedTree(42)
         assert t.rng(1, 2, 3).random() == SeedTree(42).rng(1, 2, 3).random()
-        assert t.child_int(1, 2) == SeedTree(42).child_int(1, 2)
-        assert t.child_int(1, 2) != t.child_int(1, 3)
-        assert SeedTree(42).child_int(5) != SeedTree(43).child_int(5)
+        assert t.rng(1, 2).random() != t.rng(1, 3).random()
+        assert SeedTree(42).rng(5).random() != SeedTree(43).rng(5).random()

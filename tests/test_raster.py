@@ -12,12 +12,11 @@ from advdrive.geometry import Rect
 from advdrive.raster import (
     ANCHOR_COL,
     ANCHOR_ROW,
-    BLOCK,
     GOAL,
     OTHER_VEHICLE,
     OWN_VEHICLE,
     PALETTE,
-    RasterConfig,
+    VIEW_AHEAD,
     render,
     upsample,
     write_ppm,
@@ -31,6 +30,8 @@ from advdrive.scenario import (
 from advdrive.geometry import Polyline
 from advdrive.world import init_world, step
 from advdrive.worldmap import MapGeometry
+
+BLOCK = 84 // 21  # pixels of an 84x84 frame per lite21 pixel, each way
 
 
 def open_field_scenario(agents):
@@ -75,11 +76,9 @@ class TestBasics:
     def test_shape_range_determinism(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
-        for mode, res in (("full84", 84), ("lite21", 21)):
-            cfg = RasterConfig(resolution_mode=mode)
-            a = render(w, "victim1", cfg)
-            b = render(w, "victim1", cfg)
-            assert cfg.resolution() == res
+        for res in (84, 21):
+            a = render(w, "victim1", res)
+            b = render(w, "victim1", res)
             assert a.pixels.shape == (res, res, 3) and a.pixels.dtype == np.uint8
             assert np.array_equal(a.pixels, b.pixels)
             assert a.agent_id == "victim1" and a.tick == 0
@@ -88,7 +87,7 @@ class TestBasics:
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
         with pytest.raises(ConfigurationError):
-            render(w, "ghost", RasterConfig())
+            render(w, "ghost", 21)
 
     def test_distinct_colors_enforced(self):
         assert len({tuple(row) for row in PALETTE}) == len(PALETTE)
@@ -96,14 +95,14 @@ class TestBasics:
     def test_lite21_is_block_constant_replication(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
-        native = render(w, "victim2", RasterConfig(resolution_mode="lite21")).pixels
+        native = render(w, "victim2", 21).pixels
         blocks = upsample(native).reshape(21, BLOCK, 21, BLOCK, 3)
         assert np.all(blocks == native[:, None, :, None, :])
 
     def test_own_vehicle_at_anchor(self):
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
-        img = render(w, "victim1", RasterConfig(resolution_mode="full84")).pixels
+        img = render(w, "victim1", 84).pixels
         own = color_mask(img, OWN_VEHICLE)
         assert own[ANCHOR_ROW, ANCHOR_COL]
         rows, cols = np.nonzero(own)
@@ -120,12 +119,11 @@ class TestProjection:
             ]
         )
         w = init_world(sc, 0)
-        cfg = RasterConfig(resolution_mode="full84")
-        img = render(w, "me", cfg).pixels
+        img = render(w, "me", 84).pixels
         other = color_mask(img, OTHER_VEHICLE)
         assert other.any()
         rows, cols = np.nonzero(other)
-        m_per_row = cfg.view_ahead / ANCHOR_ROW
+        m_per_row = VIEW_AHEAD / ANCHOR_ROW
         expected_row = ANCHOR_ROW - 10.0 / m_per_row  # 52.5
         assert abs(cols.mean() - ANCHOR_COL) <= 2.0
         assert abs(rows.mean() - expected_row) <= 2.0
@@ -133,7 +131,7 @@ class TestProjection:
     def test_alone_on_road_shows_no_other_vehicle(self):
         sc = straight_scenario()
         w = init_world(sc, 0)
-        img = render(w, "victim1", RasterConfig(resolution_mode="full84")).pixels
+        img = render(w, "victim1", 84).pixels
         assert not color_mask(img, OTHER_VEHICLE).any()
 
     def test_out_of_window_vehicle_invisible(self):
@@ -149,9 +147,8 @@ class TestProjection:
                 {"id": "far", "spawn": (120.0, 30.0), "goal": (200.0, 0.0)},
             ]
         )
-        cfg = RasterConfig(resolution_mode="full84")
-        img_a = render(init_world(base, 0), "me", cfg).pixels
-        img_b = render(init_world(moved, 0), "me", cfg).pixels
+        img_a = render(init_world(base, 0), "me", 84).pixels
+        img_b = render(init_world(moved, 0), "me", 84).pixels
         assert np.array_equal(img_a, img_b)
 
     def test_painter_order_goal_under_vehicles(self):
@@ -162,7 +159,7 @@ class TestProjection:
             ]
         )
         w = init_world(sc, 0)
-        img = render(w, "me", RasterConfig(resolution_mode="full84")).pixels
+        img = render(w, "me", 84).pixels
         goal = color_mask(img, GOAL)
         other = color_mask(img, OTHER_VEHICLE)
         assert other.any()
@@ -193,9 +190,8 @@ class TestRotationEquivariance:
             w.vehicles["other"].heading = alpha + 0.9
             return w
 
-        cfg = RasterConfig(resolution_mode="full84")
-        img0 = render(build(0.0), "me", cfg).pixels
-        img1 = render(build(theta), "me", cfg).pixels
+        img0 = render(build(0.0), "me", 84).pixels
+        img1 = render(build(theta), "me", 84).pixels
         for cls in (OTHER_VEHICLE, GOAL, OWN_VEHICLE):
             m0 = color_mask(img0, cls)
             m1 = color_mask(img1, cls)
@@ -219,37 +215,30 @@ def golden_worlds():
     return worlds
 
 
-def golden_configs(mode):
-    return (RasterConfig(resolution_mode=mode),
-            RasterConfig(resolution_mode=mode, view_ahead=30.0, view_side=12.5))
-
-
-# SHA-256 over the 84x84 float64 images of every agent of golden_worlds(),
-# both modes and both view extents, recorded when render still returned
-# lite21 images replicated to 84x84 and colors as float64 values. Native
-# renders, upsampled and decoded as k/256, must match.
-RENDER_84_SHA256 = "2c804f30814c7edf0b2cacf5546b83dd2793679b5706f793d07501dc74a6dca3"
+# SHA-256 over the 84x84 float64 images of every agent of golden_worlds() in
+# both modes, upsampled and decoded as k/256.
+RENDER_84_SHA256 = "98130a1e70c92120984df0c95f1e21dc5992f0616c074c5f18bc053b48e204d6"
 
 
 def test_renders_match_golden_digest():
     h = hashlib.sha256()
     for wi, w in enumerate(golden_worlds()):
         for mode in ("full84", "lite21"):
-            for cfg in golden_configs(mode):
-                for aid in w.scenario.agent_ids():
-                    codes = render(w, aid, cfg).pixels
-                    assert codes.dtype == np.uint8
-                    pixels = upsample(codes) / 256
-                    assert pixels.shape == (84, 84, 3) and pixels.dtype == np.float64
-                    h.update(f"{wi}/{mode}/{cfg.view_ahead}/{aid}".encode())
-                    h.update(np.ascontiguousarray(pixels))
+            res = net.net_config_for_mode(mode).core_res()
+            for aid in w.scenario.agent_ids():
+                codes = render(w, aid, res).pixels
+                assert codes.dtype == np.uint8
+                pixels = upsample(codes) / 256
+                assert pixels.shape == (84, 84, 3) and pixels.dtype == np.float64
+                h.update(f"{wi}/{mode}/{VIEW_AHEAD}/{aid}".encode())
+                h.update(np.ascontiguousarray(pixels))
     assert h.hexdigest() == RENDER_84_SHA256
 
 
 def test_ppm_dump(tmp_path):
     sc = t_intersection_scenario()
     w = init_world(sc, 0)
-    img = render(w, "victim1", RasterConfig(resolution_mode="lite21"))
+    img = render(w, "victim1", 21)
     path = tmp_path / "obs.ppm"
     write_ppm(img.pixels, path)
     raw = path.read_bytes()
