@@ -34,8 +34,11 @@ from .plot import emit_trajectory_plot
 
 OUT_ROOT_ENV = "ADVDRIVE_OUT_ROOT"
 
-# The config key each common flag sets.
-_FLAG_KEYS = {"seed": "seed", "workers": "workers", "obs_mode": "obs_mode", "out": "out_dir"}
+# The config key each flag sets, on the commands that have the flag.
+_FLAG_KEYS = {
+    "seed": "seed", "workers": "workers", "obs_mode": "obs_mode", "out": "out_dir",
+    "reward": "adversary.reward",
+}
 
 # Per command: the config keys --episodes and --steps set, and the step cap
 # that --episodes clears (None: keep it).
@@ -125,7 +128,7 @@ def _load_cfg(args) -> RunConfig:
     if args.command == "demo" and args.config is None:
         overrides.update(_DEMO_OVERRIDES)
     for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
+        if getattr(args, flag, None) is not None:
             overrides[key] = getattr(args, flag)
     episodes_key, cap_key, steps_key = _BUDGET_FLAG_KEYS.get(args.command, (None, None, None))
     if episodes_key and args.episodes is not None:
@@ -176,7 +179,7 @@ def _cmd_train_baseline(args) -> int:
 
 def _cmd_train_adversary(args) -> int:
     cfg = _load_cfg(args)
-    reward = args.reward or cfg.adversary.reward
+    reward = cfg.adversary.reward
     result = pipeline.train_adversary(cfg, _victim_ckpts(args.victims, cfg), reward, cfg.out_dir)
     print(f"adversary ({reward}) complete: {result.episodes_run} episodes")
     for aid, path in result.checkpoint_paths.items():

@@ -160,10 +160,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_config(data, overrides)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 MAP_KEYS = ("drivable_rects", "intersection_rect", "dividers", "lane_width")
 AGENT_KEYS = ("id", "role", "reward_kind", "spawn", "goal", "route")
 

@@ -92,14 +92,6 @@ class Polyline:
         self._cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.length = float(self._cum[-1])
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
     def initial_heading(self) -> float:
         d = self.segments.deltas[0]
         return math.atan2(d[1], d[0])

@@ -29,9 +29,6 @@ from .rewards import RewardParams
 from .scenario import ScenarioConfig
 from .seeding import SeedTree
 
-RATE_FLAGS = {"cv_rate": "cv", "co_rate": "co", "os_rate": "iol"}
-
-
 @dataclass
 class VictimEpisodeMetrics:
     cv_rate: float

@@ -15,26 +15,23 @@ resolution, where code k stands for the channel value k/256. Conv1's im2col
 decodes them exactly, straight into its patch matrix; anything else is
 rejected.
 
-A conv layer's input gradient is built from one GEMM per kernel tap into a
-small tap buffer, added in (a, b) tap order onto zeros.
-
-``forward_core`` takes an optional ``Workspace`` whose buffers it and the
-``backward`` of its cache fill through ``out=`` instead of allocating, and in
-which no buffer outlives its last reader. One patch matrix is shared by every
-conv layer. Each ReLU runs in place over its pre-activation, so the forward
-cache keeps each conv layer's input and activation but no patch matrix, and
-backward takes each mask as ``activation > 0`` (equal to ``pre-activation >
-0``, NaN included) before that buffer is overwritten. Backward refills the
-patch buffer from the cached input for the weight gradient, writes the dense
-input gradient over the dense input and each conv layer's input gradient
-over that layer's input, and uses the dead patch buffer as its tap buffer.
-Every operation is the same with or without a workspace, so results are
-bit-identical; tests compare them.
+Every forward pass runs in a ``Workspace``, the caller's or a fresh one, and
+no buffer in it outlives its last reader. One patch matrix is shared by every
+conv layer. Each conv pre-activation is a workspace buffer and its ReLU runs
+in place over it, so the forward cache keeps each conv layer's input and
+activation but no pre-activation and no patch matrix. ``backward`` takes each
+ReLU mask as ``activation > 0`` (equal to ``pre-activation > 0``, NaN
+included) before that buffer is overwritten, refills the patch buffer from
+the cached input for the weight gradient, writes the dense input gradient
+over the dense input and each conv layer's input gradient over that layer's
+input, and uses the dead patch buffer as its tap buffer: one GEMM per kernel
+tap, added in (a, b) tap order onto zeros. A cache is therefore good for one
+backward pass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -207,16 +204,17 @@ def init_params(config: NetConfig, seed) -> NetworkParams:
 
 
 class Workspace:
-    """Scratch buffers reused across calls of ``forward_core`` and ``backward``.
+    """Scratch buffers that ``forward_core`` and ``backward`` fill through
+    ``out=`` instead of allocating, reusable across calls.
 
     Each named buffer keeps its storage and is handed out as a C-contiguous
     view of the requested shape, so minibatches of different sizes share it.
     A workspace holds one im2col patch matrix shared by every conv layer, each
     conv layer's pre-activation (rectified in place into its activation), one
     ReLU mask and the ``dense/w`` gradient; no buffer outlives its last
-    reader. Arrays that a call returns while using a workspace (its forward
-    cache, the ``dense/w`` gradient) alias these buffers and stay valid only
-    until the workspace's next use. Not for concurrent use.
+    reader. A forward cache and the ``dense/w`` gradient alias these buffers
+    and stay valid only until the workspace's next use. Not for concurrent
+    use.
     """
 
     def __init__(self):
@@ -234,15 +232,10 @@ class Workspace:
         return sum(buf.nbytes for buf in self._buffers.values())
 
 
-def _scratch(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype=np.float64):
-    """The workspace's buffer `key`, or a fresh array without a workspace."""
-    return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
-
-
-def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np.ndarray:
+def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace) -> np.ndarray:
     """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) float64 patch matrix,
-    written into the workspace's shared ``cols`` buffer when there is one.
-    uint8 observation codes are decoded on the way (exactly, as k / 256)."""
+    written into the workspace's shared ``cols`` buffer. uint8 observation
+    codes are decoded on the way (exactly, as k / 256)."""
     n, h, w, c = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sh, sw, sc = x.strides
@@ -251,7 +244,7 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace | None) -> np
         x, (n, oh, ow, kernel, kernel, c), (sn, stride * sh, stride * sw, sh, sw, sc),
         writeable=False,
     )
-    cols = _scratch(ws, "cols", (n * oh * ow, kernel * kernel * c))
+    cols = ws.array("cols", (n * oh * ow, kernel * kernel * c))
     if x.dtype == np.uint8:
         np.multiply(windows, 1.0 / OBS_CODE_SCALE, out=cols.reshape(windows.shape))
     else:
@@ -263,12 +256,10 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
     """Forward pass on a batch of uint8 observation codes at core resolution,
     which conv1's im2col decodes.
 
-    Returns (logits (N, 9), values (N,), cache for backward). The cache holds
-    each conv layer's input and activation, and the dense layer's input,
-    pre-activation and output. Without a workspace it also holds each conv
-    layer's pre-activation (``cache["convs"][i]["pre"]``). With one, the conv
-    intermediates live in its buffers and each ReLU runs in place over its
-    pre-activation, so the cache keeps activations only (see Workspace).
+    Runs in ``workspace``, or in a fresh one when none is given. Returns
+    (logits (N, 9), values (N,), cache for one ``backward``). The cache holds
+    each conv layer's input and activation (a workspace buffer), and the
+    dense layer's input, pre-activation and output.
     Raises ``ContractViolationError`` for any other dtype or shape.
     """
     cfg = params.config
@@ -279,6 +270,7 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
             f" got {x.dtype} of shape {x.shape}"
         )
     n = x.shape[0]
+    workspace = Workspace() if workspace is None else workspace
 
     cache = {"convs": [], "workspace": workspace}
     h = x
@@ -287,16 +279,12 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
         b = params.arrays[f"conv{i + 1}/b"]
         cols = _im2col(h, spec.kernel, spec.stride, workspace)
         out_size = (h.shape[1] - spec.kernel) // spec.stride + 1
-        pre = _scratch(workspace, f"pre{i}", (n, out_size, out_size, spec.filters))
+        pre = workspace.array(f"pre{i}", (n, out_size, out_size, spec.filters))
         pre_mat = pre.reshape(-1, spec.filters)
         np.matmul(cols, w, out=pre_mat)
         np.add(pre_mat, b, out=pre_mat)
-        if workspace is None:
-            act = np.maximum(pre, 0.0)
-            cache["convs"].append({"input": h, "pre": pre, "act": act})
-        else:
-            act = np.maximum(pre, 0.0, out=pre)
-            cache["convs"].append({"input": h, "act": act})
+        act = np.maximum(pre, 0.0, out=pre)
+        cache["convs"].append({"input": h, "act": act})
         h = act
 
     flat = h.reshape(n, -1)
@@ -318,14 +306,14 @@ def forward(params: NetworkParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _add_input_gradient(dx: np.ndarray, dpre: np.ndarray, w: np.ndarray, stride: int,
-                        ws: Workspace | None):
+                        ws: Workspace):
     """Add a conv layer's input gradient onto ``dx`` (zeros), kernel tap
     (a, b) by tap in (a, b) order, each tap its own GEMM into a tap buffer
-    (the dead patch buffer of the workspace, if any)."""
+    (the workspace's dead patch buffer)."""
     n, oh, ow, filters = dpre.shape
     kernel, c = w.shape[0], w.shape[2]
     dpre_mat = dpre.reshape(-1, filters)
-    tap = _scratch(ws, "cols", (n * oh * ow, c))
+    tap = ws.array("cols", (n * oh * ow, c))
     for a in range(kernel):
         for b in range(kernel):
             grad = np.matmul(dpre_mat, w[a, b].T, out=tap).reshape(n, oh, ow, c)
@@ -340,18 +328,15 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of sum(dlogits * logits) + sum(dvalues * values) w.r.t. params.
 
-    Runs in the workspace of the forward pass that made ``cache``, if any.
-    Without one it leaves the cache intact, so it can be used again. With
-    one, the ``dense/w`` gradient is one of its buffers, and the input
-    gradients overwrite the cached activations once they are dead: the
-    cache is used up, and a second backward on it raises
-    ``ContractViolationError``.
+    Runs in the workspace of the forward pass that made ``cache``. The
+    ``dense/w`` gradient is one of its buffers, and the input gradients
+    overwrite the cached activations once they are dead: the cache is used
+    up, and a second backward on it raises ``ContractViolationError``.
     """
     if cache.get("used_up"):
-        raise ContractViolationError("forward cache already used up by a workspace backward pass")
+        raise ContractViolationError("forward cache already used up by a backward pass")
+    cache["used_up"] = True
     workspace = cache["workspace"]
-    if workspace is not None:
-        cache["used_up"] = True
     cfg = params.config
     convs = cache["convs"]
     hidden = cache["hidden"]
@@ -369,13 +354,13 @@ def backward(
     flat = cache["flat"]
     dense_w = params.arrays["dense/w"]
     grads["dense/w"] = np.matmul(
-        flat.T, dpre_dense, out=_scratch(workspace, "grad_dense_w", dense_w.shape)
+        flat.T, dpre_dense, out=workspace.array("grad_dense_w", dense_w.shape)
     )
     grads["dense/b"] = dpre_dense.sum(axis=0)
-    # each mask is taken before its activation can be overwritten below
+    # each mask is taken before its activation is overwritten below
     act = convs[-1]["act"]
-    mask = np.greater(act, 0.0, out=_scratch(workspace, "mask", act.shape, np.bool_))
-    dflat = np.matmul(dpre_dense, dense_w.T, out=None if workspace is None else flat)
+    mask = np.greater(act, 0.0, out=workspace.array("mask", act.shape, np.bool_))
+    dflat = np.matmul(dpre_dense, dense_w.T, out=flat)
 
     dpost = dflat.reshape(act.shape)
     for i in range(len(cfg.convs) - 1, -1, -1):
@@ -390,12 +375,11 @@ def backward(
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
         if i == 0:
             break
-        # h is layer i-1's activation; with a workspace dx overwrites it
-        mask = np.greater(h, 0.0, out=_scratch(workspace, "mask", h.shape, np.bool_))
-        dx = np.empty(h.shape) if workspace is None else h
-        dx.fill(0.0)
-        _add_input_gradient(dx, dpre, params.arrays[f"conv{i + 1}/w"], spec.stride, workspace)
-        dpost = dx
+        # h is layer i-1's activation; its input gradient overwrites it
+        mask = np.greater(h, 0.0, out=workspace.array("mask", h.shape, np.bool_))
+        h.fill(0.0)
+        _add_input_gradient(h, dpre, params.arrays[f"conv{i + 1}/w"], spec.stride, workspace)
+        dpost = h
     return grads
 
 
@@ -404,13 +388,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-
-    def copy(self) -> "AdamState":
-        return AdamState(
-            m={k: a.copy() for k, a in self.m.items()},
-            v={k: a.copy() for k, a in self.v.items()},
-            step=self.step,
-        )
 
 
 def init_adam_state(params: NetworkParams) -> AdamState:
@@ -494,10 +471,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def entropy_from_logp(logp: np.ndarray) -> np.ndarray:
     return -(np.exp(logp) * logp).sum(axis=-1)
 
@@ -506,7 +479,6 @@ def entropy_from_logp(logp: np.ndarray) -> np.ndarray:
 class SampledAction:
     index: int
     log_prob: float
-    entropy: float
     log_prob_vector: np.ndarray  # (9,)
 
 
@@ -522,7 +494,6 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> SampledAction
     return SampledAction(
         index=index,
         log_prob=float(logp[index]),
-        entropy=float(entropy_from_logp(logp)),
         log_prob_vector=logp,
     )
 
@@ -533,6 +504,5 @@ def greedy_action(logits: np.ndarray) -> SampledAction:
     return SampledAction(
         index=index,
         log_prob=float(logp[index]),
-        entropy=float(entropy_from_logp(logp)),
         log_prob_vector=logp,
     )

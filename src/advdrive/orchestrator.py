@@ -50,7 +50,7 @@ from .raster import render
 from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
 from .seeding import KEY_UPDATE_BASE, SeedTree
-from .world import init_world, initial_flags, step
+from .world import WorldState, init_world, initial_flags, step
 
 FLAG_NAMES = ("cv", "co", "io", "iol")
 
@@ -135,6 +135,12 @@ class EpisodeLog:
         return log
 
 
+def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
+                  key_prefix: tuple[int, ...]) -> WorldState:
+    """The initial world of the episode keyed by ``key_prefix``."""
+    return init_world(scenario, seed=seed_tree.sequence(*key_prefix, 0))
+
+
 def run_episode(
     scenario: ScenarioConfig,
     policies: dict[str, AgentPolicy],
@@ -155,7 +161,7 @@ def run_episode(
     res = {aid: policies[aid].params.config.core_res() for aid in ids}
     greedy = action_mode == "greedy"
 
-    world = init_world(scenario, seed=seed_tree.sequence(*key_prefix, 0))
+    world = episode_world(scenario, seed_tree, key_prefix)
     rngs = {
         aid: seed_tree.rng(*key_prefix, 10 + scenario.agent(aid).seed_index) for aid in ids
     }

@@ -25,7 +25,7 @@ from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
-from .orchestrator import AgentPolicy, PhaseResult, run_training_phase
+from .orchestrator import AgentPolicy, PhaseResult, episode_world, run_training_phase
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
 from .scenario import AgentSpec, ScenarioConfig
@@ -39,7 +39,6 @@ from .seeding import (
     KEY_RETRAIN_OFFROAD,
     SeedTree,
 )
-from .world import init_world
 
 ADVERSARY_PHASE_KEYS = {
     "adv_collision": KEY_ADVERSARY_COLLISION,
@@ -181,7 +180,8 @@ def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
 def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: str,
                     out_dir: str) -> PhaseResult:
     """Train a fresh adversary against the frozen victims of
-    ``cfg.adversary.train_victims`` among ``victim_ckpts``."""
+    ``cfg.adversary.train_victims`` among ``victim_ckpts``. Each other
+    checkpoint goes unused, and the phase manifest warns of it by id."""
     if reward_kind not in ADVERSARY_PHASE_KEYS:
         raise ConfigurationError(f"adversary reward must be adv_collision or adv_offroad, got '{reward_kind}'")
     full = build_scenario(cfg)
@@ -192,7 +192,11 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: s
         raise ConfigurationError(
             f"none of adversary.train_victims {cfg.adversary.train_victims} has a checkpoint"
         )
-    warnings = []
+    warnings = [
+        f"checkpoint for '{aid}' is unused: it is not in adversary.train_victims "
+        f"{cfg.adversary.train_victims}"
+        for aid in victim_ckpts if aid not in opponents
+    ]
     policies = _load_policies(cfg, full, opponents, "victim", True, warnings)
     policies[adv.agent_id] = fresh_policy(cfg, replace(adv, reward_kind=reward_kind))
     return _train(cfg, out_dir, f"train-adversary --reward {reward_kind}", f"adversary_{reward_kind}",
@@ -257,7 +261,7 @@ def evaluate_condition(
             title=label,
         )
     if dump_obs:
-        world = init_world(scenario, seed=seed_tree.sequence(condition_key, 0, 0))
+        world = episode_world(scenario, seed_tree, (condition_key, 0))
         for aid in scenario.agent_ids():
             obs = render(world, aid, policies[aid].params.config.core_res())
             write_ppm(obs.pixels, os.path.join(out_dir, f"obs_{aid}.ppm"))

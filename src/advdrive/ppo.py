@@ -101,7 +101,6 @@ class RolloutBatch:
     actions: np.ndarray  # (N,) int64
     log_probs_old: np.ndarray  # (N,)
     log_prob_vecs_old: np.ndarray  # (N, 9)
-    values_old: np.ndarray  # (N,)
     advantages: np.ndarray  # (N,), mean 0 / std 1
     returns: np.ndarray  # (N,)
     n_steps: int
@@ -152,7 +151,6 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
         actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
         log_probs_old=np.array([lp for t in trajs for lp in t.log_probs_old]),
         log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
-        values_old=np.array([v for t in trajs for v in t.values_old]),
         advantages=normalized,
         returns=np.concatenate(ret_parts),
         n_steps=int(advantages.size),
@@ -161,7 +159,22 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     )
 
 
-def _loss_pieces(logits, values, mb: Minibatch, hyper: PpoHyper):
+def ppo_loss_grads(
+    params: NetworkParams,
+    mb: Minibatch,
+    hyper: PpoHyper,
+    kl_coef: float,
+    workspace: net.Workspace | None = None,
+) -> tuple[float, dict, dict]:
+    """Scalar PPO loss, its components (all in loss convention except
+    entropy and kl, which are reported as raw means) and exact parameter
+    gradients for one minibatch.
+
+    The forward and backward passes run in ``workspace``, or in a fresh one
+    when none is given (see ``net.Workspace``); the ``dense/w`` gradient is
+    one of its buffers, overwritten by the workspace's next use.
+    """
+    logits, values, cache = net.forward_core(params, mb.obs, workspace)
     logp = net.log_softmax(logits)
     n = len(mb)
     logp_act = logp[np.arange(n), mb.actions]
@@ -186,50 +199,15 @@ def _loss_pieces(logits, values, mb: Minibatch, hyper: PpoHyper):
         "entropy": float(entropy.mean()),
         "kl": float(kl.mean()),
     }
-    # the KL penalty is added by the caller, scaled by the live coefficient
-    partial_loss = (
+    total = (
         components["surrogate"]
         + hyper.vf_coef * components["vf"]
         - hyper.ent_coef * components["entropy"]
+        + kl_coef * components["kl"]
     )
-    return logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, partial_loss
-
-
-def ppo_loss(
-    params: NetworkParams, mb: Minibatch, hyper: PpoHyper, kl_coef: float
-) -> tuple[float, dict]:
-    """Scalar PPO loss and its components (all components in loss convention
-    except entropy and kl, which are reported as raw means)."""
-    logits, values, _ = net.forward_core(params, mb.obs)
-    *_, components, loss = _loss_pieces(logits, values, mb, hyper)
-    total = loss + kl_coef * components["kl"]
-    if not np.isfinite(total):
-        raise NonFiniteError("non-finite PPO loss")
-    return float(total), components
-
-
-def ppo_loss_grads(
-    params: NetworkParams,
-    mb: Minibatch,
-    hyper: PpoHyper,
-    kl_coef: float,
-    workspace: net.Workspace | None = None,
-) -> tuple[float, dict, dict]:
-    """Loss, components, and exact parameter gradients for one minibatch.
-
-    With a workspace, the forward and backward passes run in its buffers
-    (see ``net.Workspace``) and the ``dense/w`` gradient is one of them,
-    overwritten by the next call.
-    """
-    logits, values, cache = net.forward_core(params, mb.obs, workspace)
-    logp, probs, ratio, unclipped, clipped, entropy, kl, vf_err, components, loss = _loss_pieces(
-        logits, values, mb, hyper
-    )
-    total = loss + kl_coef * components["kl"]
     if not np.isfinite(total):
         raise NonFiniteError("non-finite PPO loss")
 
-    n = len(mb)
     onehot = np.zeros_like(logp)
     onehot[np.arange(n), mb.actions] = 1.0
 
@@ -240,7 +218,6 @@ def ppo_loss_grads(
     # entropy bonus: d(-ent_coef * mean(H)) with dH/dlogits = -p * (logp + H)
     dlogits += (hyper.ent_coef / n) * probs * (logp + entropy[:, None])
     # KL(old || new): gradient is p - q
-    q = np.exp(mb.log_prob_vecs_old)
     dlogits += (kl_coef / n) * (probs - q)
 
     dvalues = (2.0 * hyper.vf_coef / n) * vf_err

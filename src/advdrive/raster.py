@@ -58,8 +58,6 @@ GOAL_RADIUS = 2.0  # meters
 @dataclass
 class ObservationImage:
     pixels: np.ndarray  # (res, res, 3) uint8 palette codes
-    agent_id: str
-    tick: int
 
 
 @functools.cache
@@ -121,7 +119,7 @@ def render(world: WorldState, agent_id: str, res: int) -> ObservationImage:
     classes[inside[-1]] = OWN_VEHICLE
 
     pixels = np.take(PALETTE, classes, axis=0).reshape(res, res, 3)
-    return ObservationImage(pixels=pixels, agent_id=agent_id, tick=world.tick)
+    return ObservationImage(pixels=pixels)
 
 
 def upsample(pixels: np.ndarray) -> np.ndarray:

@@ -45,9 +45,6 @@ class VehicleState:
     speed: float
     goal: np.ndarray  # (2,)
 
-    def copy(self) -> "VehicleState":
-        return VehicleState(self.position.copy(), self.heading, self.speed, self.goal.copy())
-
 
 @dataclass
 class StepFlags:

@@ -1,9 +1,10 @@
 """Static road geometry.
 
 Maps are unions of axis-aligned road rectangles plus lane centerlines and
-divider markings. Two builders cover the shipped scenarios: a T-intersection
-(a two-lane east-west road with a two-lane stem joining from the north) and
-a straight corridor used for single-agent sanity training.
+divider markings. Each lane is its centerline ``Polyline``; every lane of a
+map is ``lane_width`` wide. Two builders cover the shipped scenarios: a
+T-intersection (a two-lane east-west road with a two-lane stem joining from
+the north) and a straight corridor used for single-agent sanity training.
 """
 from __future__ import annotations
 
@@ -13,12 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Polyline, Rect, Segments
-
-
-@dataclass(frozen=True)
-class LaneSegment:
-    centerline: Polyline
-    width: float
 
 
 @dataclass
@@ -33,7 +28,7 @@ class MapGeometry:
     lane_width: float
     drivable_rects: list[Rect]
     intersection_region: Rect | None
-    lane_segments: list[LaneSegment]
+    lane_segments: list[Polyline]  # lane centerlines
     divider_lines: list[Polyline] = field(default_factory=list)
 
     def __post_init__(self):
@@ -41,8 +36,8 @@ class MapGeometry:
             raise ConfigurationError("lane_width must be positive")
         if not self.drivable_rects:
             raise ConfigurationError("map needs at least one drivable rectangle")
-        for seg in self.lane_segments:
-            pts = seg.centerline.points
+        for lane in self.lane_segments:
+            pts = lane.points
             inside = self.contains_points(pts[:, 0], pts[:, 1])
             if not bool(np.all(inside)):
                 raise ConfigurationError(
@@ -82,7 +77,7 @@ class MapGeometry:
                     self.intersection_region.y1,
                 ]
             ),
-            "lanes": [seg.centerline.points.tolist() for seg in self.lane_segments],
+            "lanes": [lane.points.tolist() for lane in self.lane_segments],
         }
 
 
@@ -109,10 +104,10 @@ def t_intersection_map(lane_width: float = 3.5) -> MapGeometry:
     intersection = Rect(stem_x0, road_y0, stem_x1, road_y1)
 
     lanes = [
-        LaneSegment(Polyline([[ROAD_X_MIN, WESTBOUND_Y], [ROAD_X_MAX, WESTBOUND_Y]]), lane_width),
-        LaneSegment(Polyline([[ROAD_X_MIN, EASTBOUND_Y], [ROAD_X_MAX, EASTBOUND_Y]]), lane_width),
-        LaneSegment(Polyline([[NORTHBOUND_X, road_y1], [NORTHBOUND_X, STEM_Y_MAX]]), lane_width),
-        LaneSegment(Polyline([[SOUTHBOUND_X, road_y1], [SOUTHBOUND_X, STEM_Y_MAX]]), lane_width),
+        Polyline([[ROAD_X_MIN, WESTBOUND_Y], [ROAD_X_MAX, WESTBOUND_Y]]),
+        Polyline([[ROAD_X_MIN, EASTBOUND_Y], [ROAD_X_MAX, EASTBOUND_Y]]),
+        Polyline([[NORTHBOUND_X, road_y1], [NORTHBOUND_X, STEM_Y_MAX]]),
+        Polyline([[SOUTHBOUND_X, road_y1], [SOUTHBOUND_X, STEM_Y_MAX]]),
     ]
     mid_y = 0.5 * (WESTBOUND_Y + EASTBOUND_Y)
     mid_x = 0.5 * (NORTHBOUND_X + SOUTHBOUND_X)
@@ -135,7 +130,7 @@ def corridor_map(length: float = 50.0, lane_width: float = 3.5) -> MapGeometry:
     # road is three lane-widths across so early policies have room to recover
     half_road = 1.5 * lane_width
     road = Rect(-5.0, -half_road, length + 10.0, half_road)
-    lane = LaneSegment(Polyline([[-5.0, 0.0], [length + 10.0, 0.0]]), lane_width)
+    lane = Polyline([[-5.0, 0.0], [length + 10.0, 0.0]])
     return MapGeometry(
         name="corridor",
         lane_width=lane_width,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from advdrive.geometry import Polyline, Rect
 from advdrive.net import ConvSpec, NetConfig, NetworkParams
@@ -123,10 +124,19 @@ def grad_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float = 1e-4)
     return bool(np.all(rel < rel_tol)), float(rel.max())
 
 
-def assert_relu_margin(cache, margin: float = 1e-3):
-    """Guarantees the finite-difference probe never crosses a ReLU kink."""
-    for layer in cache["convs"]:
-        assert np.abs(layer["pre"]).min() > margin
+def assert_relu_margin(params, cache, margin: float = 1e-3):
+    """Guarantees the finite-difference probe never crosses a ReLU kink. The
+    cache keeps no conv pre-activation, so each is recomputed from the cached
+    layer input by a direct convolution over its sliding windows. Call before
+    ``backward``, which overwrites the inputs of every conv layer but the first."""
+    for i, (layer, spec) in enumerate(zip(cache["convs"], params.config.convs)):
+        x = layer["input"]
+        x = x / 256 if x.dtype == np.uint8 else x  # code k stands for k/256
+        windows = sliding_window_view(x, (spec.kernel, spec.kernel), axis=(1, 2))
+        windows = windows[:, :: spec.stride, :: spec.stride]  # (N, OH, OW, C, kh, kw)
+        pre = np.einsum("nijcab,abcf->nijf", windows, params.arrays[f"conv{i + 1}/w"])
+        pre += params.arrays[f"conv{i + 1}/b"]
+        assert np.abs(pre).min() > margin
     assert np.abs(cache["pre_dense"]).min() > margin
 
 

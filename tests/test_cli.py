@@ -71,8 +71,11 @@ def test_full_cli_flow(tmp_path, micro_config, capsys):
     assert rc == 0
     adv_ckpt = adv_out / "checkpoints" / "adversary.ckpt"
     assert adv_ckpt.exists()
-    # the checkpoint is labeled with its reward kind
+    # the checkpoint is labeled with its reward kind, and the manifest echoes the flag
     assert load_checkpoint(adv_ckpt).reward_kind == "adv_offroad"
+    manifest = json.loads((adv_out / "run_manifest.json").read_text())
+    assert manifest["command"] == "train-adversary --reward adv_offroad"
+    assert manifest["config"]["adversary"]["reward"] == "adv_offroad"
 
     retrain_out = tmp_path / "retrain"
     rc = dispatch(

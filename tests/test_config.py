@@ -12,10 +12,13 @@ from test_cli import MICRO_CONFIG
 from advdrive import pipeline
 from advdrive.checkpoint import Checkpoint, save_checkpoint
 from advdrive.cli import _victim_ckpts, dispatch
-from advdrive.config import RunConfig, build_scenario, config_echo, default_config, parse_config
+from advdrive.config import RunConfig, build_scenario, config_echo, parse_config
 from advdrive.errors import ConfigurationError, ValidationError
-from advdrive.net import init_params, lite21_config
+from advdrive.net import full84_config, init_params, lite21_config
+from advdrive.orchestrator import run_episode
+from advdrive.raster import write_ppm
 from advdrive.schema import Check, section_fields
+from advdrive.seeding import SeedTree
 
 # SHA-256 of json.dumps(config_echo(cfg), sort_keys=True), recorded before the
 # schema was defined from dataclass fields; the manifests' `config` must not move.
@@ -247,7 +250,7 @@ def test_overrides_merge_over_data_without_mutating_it():
 
 @pytest.mark.parametrize("name", sorted(ECHO_GOLDENS))
 def test_config_echo_golden(name):
-    cfg = default_config() if name == "default" else parse_config(MICRO_CONFIG)
+    cfg = RunConfig() if name == "default" else parse_config(MICRO_CONFIG)
     blob = json.dumps(config_echo(cfg), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == ECHO_GOLDENS[name]
 
@@ -275,7 +278,7 @@ def test_bad_flag_values_exit_1_naming_the_key(argv, key, tmp_path, capsys):
 
 
 def test_extra_bare_victim_paths_rejected():
-    cfg = default_config()
+    cfg = RunConfig()
     assert _victim_ckpts(["p1", "p2"], cfg) == {"victim1": "p1", "victim2": "p2"}
     assert _victim_ckpts(["victim2=q", "p1"], cfg) == {"victim2": "q", "victim1": "p1"}
     with pytest.raises(ConfigurationError, match=r"extra \['p3'\]"):
@@ -398,3 +401,40 @@ def test_scenario_without_adversary_rejected(command, lite21_ckpts, tmp_path):
         _run_pipeline(command, cfg, {"victim1": lite21_ckpts["victim"]},
                       lite21_ckpts["adversary"], str(tmp_path / "o"))
     assert not (tmp_path / "o").exists()
+
+
+def test_unused_victim_checkpoint_is_a_manifest_warning(lite21_ckpts, tmp_path):
+    # the default adversary.train_victims is [victim1]: victim2's checkpoint goes unused
+    victims = {"victim1": lite21_ckpts["victim"], "victim2": lite21_ckpts["victim"]}
+    pipeline.train_adversary(_cfg("lite21"), victims, "adv_collision", str(tmp_path / "a"))
+    manifest = json.loads((tmp_path / "a" / "phase_manifest.json").read_text())
+    assert manifest["agents"] == ["victim1", "adversary"]
+    assert manifest["config"]["warnings"] == [
+        "checkpoint for 'victim2' is unused: it is not in adversary.train_victims ['victim1']"
+    ]
+
+
+def test_dumped_observation_is_episode0_first_observation(tmp_path):
+    # with spawn jitter the first observation depends on the episode's world
+    # seed; at full84 episodes 0 and 1 of this seed see different pixels
+    cfg = parse_config({**MICRO_CONFIG, "obs_mode": "full84",
+                        "scenario": {**MICRO_CONFIG["scenario"], "spawn_jitter": 1.5}})
+    ckpt = str(tmp_path / "victim.ckpt")
+    save_checkpoint(ckpt, Checkpoint(role="victim", reward_kind="victim",
+                                     params=init_params(full84_config(), 0)))
+    out = tmp_path / "e"
+    pipeline.evaluate_condition(cfg, "baseline", {"victim1": ckpt}, None, str(out), dump_obs=True)
+
+    policy, _ = pipeline.policy_from_checkpoint(ckpt, "victim1", True, "victim", "full84")
+    scenario = build_scenario(cfg).subset({"victim1": policy})
+    dumps = []
+    for episode in (0, 1):
+        trajectories, _ = run_episode(
+            scenario, {"victim1": policy}, cfg.reward, cfg.eval.max_steps, SeedTree(cfg.seed),
+            (pipeline.EVAL_CONDITION_KEYS["baseline"], episode), collect={"victim1"},
+        )
+        path = tmp_path / f"episode{episode}.ppm"
+        write_ppm(trajectories["victim1"].obs[0], path)
+        dumps.append(path.read_bytes())
+    assert (out / "obs_victim1.ppm").read_bytes() == dumps[0]
+    assert dumps[1] != dumps[0]

@@ -15,9 +15,9 @@ from advdrive.checkpoint import (
 )
 from advdrive.config import (
     DEMO_BUDGETS,
+    RunConfig,
     build_scenario,
     config_echo,
-    default_config,
     load_config,
     parse_config,
 )
@@ -237,7 +237,7 @@ class TestConfigDefaults:
     def test_echo_is_json_friendly(self):
         import json
 
-        echo = config_echo(default_config())
+        echo = config_echo(RunConfig())
         blob = json.dumps(echo, sort_keys=True)
         assert '"lr": 0.0006' in blob
 

@@ -21,7 +21,6 @@ from advdrive.ppo import (
     adapt_kl_coef,
     build_rollout_batch,
     compute_advantages,
-    ppo_loss,
     ppo_loss_grads,
     update_policy,
 )
@@ -150,21 +149,21 @@ class TestLoss:
     def test_identity_policy_surrogate_is_minus_mean_advantage(self, rng):
         adv = rng.normal(size=6)
         mb = self.identity_minibatch(6, adv=adv)
-        _, comps = ppo_loss(self.params, mb, self.hyper, kl_coef=0.3)
+        _, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.3)[:2]
         assert comps["surrogate"] == pytest.approx(-adv.mean(), abs=1e-12)
         assert comps["kl"] == pytest.approx(0.0, abs=1e-15)
 
     def test_clip_boundary_positive_advantage(self):
         mb = self.identity_minibatch(1, adv=[1.0])
         mb.log_probs_old = mb.log_probs_old - math.log(2.0)  # ratio = 2.0
-        _, comps = ppo_loss(self.params, mb, self.hyper, kl_coef=0.0)
+        _, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.0)[:2]
         # min(2.0 * 1, 1.3 * 1) -> clipped value 1.3
         assert comps["surrogate"] == pytest.approx(-1.3, abs=1e-12)
 
     def test_clip_boundary_negative_advantage(self):
         mb = self.identity_minibatch(1, adv=[-1.0])
         mb.log_probs_old = mb.log_probs_old + math.log(2.0)  # ratio = 0.5
-        _, comps = ppo_loss(self.params, mb, self.hyper, kl_coef=0.0)
+        _, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.0)[:2]
         # min(0.5 * -1, 0.7 * -1) = -0.7: the clipped branch is the pessimistic one
         assert comps["surrogate"] == pytest.approx(0.7, abs=1e-12)
 
@@ -173,7 +172,7 @@ class TestLoss:
         mb = self.identity_minibatch(n, adv=[0.5, -1.2, 2.0])
         mb.log_probs_old = mb.log_probs_old + np.array([0.0, math.log(2.0), -math.log(2.0)])
         kl_coef = 0.25
-        loss, comps = ppo_loss(self.params, mb, self.hyper, kl_coef)
+        loss, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef)[:2]
 
         # independent recomputation with plain python/numpy arithmetic
         logits, values, _ = net.forward_core(self.params, mb.obs)
@@ -216,8 +215,8 @@ class TestLoss:
 
     def check_workspace_bit_equal(self, params, rng, rows):
         """Logits, values, loss, every gradient and their sign bits are the
-        same with and without one workspace reused over uint8 minibatches of
-        the given row counts."""
+        same in a fresh workspace per call and in one workspace reused over
+        uint8 minibatches of the given row counts."""
         workspace = net.Workspace()
 
         def same(a, b):
@@ -225,16 +224,16 @@ class TestLoss:
 
         for n in rows:
             mb = self.random_minibatch(rng, n, params.config.core_res())
-            logits, values, _ = net.forward_core(params, mb.obs)
+            logits, values, _ = net.forward_core(params, mb.obs)  # a fresh workspace
             logits_ws, values_ws, _ = net.forward_core(params, mb.obs, workspace)
             assert same(logits, logits_ws) and same(values, values_ws)
-            loss, _, plain = ppo_loss_grads(params, mb, self.hyper, 0.3)
+            loss, _, fresh = ppo_loss_grads(params, mb, self.hyper, 0.3)
             loss_ws, _, reused = ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
             assert loss_ws == loss
-            assert plain.keys() == reused.keys()
-            for name in plain:
-                assert same(plain[name], reused[name]), name
-            assert any(np.any(g == 0.0) for g in plain.values())  # dead ReLUs give exact zeros
+            assert fresh.keys() == reused.keys()
+            for name in fresh:
+                assert same(fresh[name], reused[name]), name
+            assert any(np.any(g == 0.0) for g in fresh.values())  # dead ReLUs give exact zeros
 
     def test_workspace_gradients_bit_equal_over_consecutive_calls(self):
         params = margin_params(net.lite21_config(), TINY_SEED)
@@ -258,7 +257,7 @@ class TestLoss:
         mb.log_probs_old = mb.log_probs_old.copy()
         mb.log_probs_old[1] = -np.inf
         with pytest.raises(PpoError, match="transition 1"):
-            ppo_loss(self.params, mb, self.hyper, kl_coef=0.1)
+            ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.1)
 
     def test_loss_gradient_matches_central_differences(self):
         # ratios pushed off 1 and one transition into each clip branch
@@ -268,10 +267,10 @@ class TestLoss:
         )
         kl_coef = 0.2
         _, _, cache = net.forward_core(self.params, mb.obs)
-        assert_relu_margin(cache)
+        assert_relu_margin(self.params, cache)
         _, _, analytic = ppo_loss_grads(self.params, mb, self.hyper, kl_coef)
         numeric = fd_gradient(
-            lambda p: ppo_loss(p, mb, self.hyper, kl_coef)[0], self.params
+            lambda p: ppo_loss_grads(p, mb, self.hyper, kl_coef)[0], self.params
         )
         for name, _ in self.params.config.param_layout():
             ok, worst = grad_close(analytic[name], numeric[name])

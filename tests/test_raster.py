@@ -81,7 +81,6 @@ class TestBasics:
             b = render(w, "victim1", res)
             assert a.pixels.shape == (res, res, 3) and a.pixels.dtype == np.uint8
             assert np.array_equal(a.pixels, b.pixels)
-            assert a.agent_id == "victim1" and a.tick == 0
 
     def test_unknown_agent_rejected(self):
         sc = t_intersection_scenario()
