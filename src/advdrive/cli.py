@@ -20,7 +20,6 @@ import sys
 from . import pipeline
 from .config import (
     ADVERSARY_REWARDS,
-    DEMO_BUDGETS,
     RunConfig,
     build_scenario,
     load_config,
@@ -50,18 +49,19 @@ _BUDGET_FLAG_KEYS = {
     "demo": ("phases.baseline_episodes", None, "scenario.max_steps"),
 }
 
-# What `demo` without --config lays over the defaults, under any flags.
+# What `demo` without --config lays over the defaults, under any flags:
+# desk-scale budgets.
 _DEMO_OVERRIDES = {
     "obs_mode": "lite21",
-    "phases.baseline_episodes": DEMO_BUDGETS["baseline_episodes"],
-    "phases.adversary_episodes": DEMO_BUDGETS["adversary_episodes"],
-    "phases.retrain_episodes": DEMO_BUDGETS["retrain_episodes"],
+    "phases.baseline_episodes": 120,
+    "phases.adversary_episodes": 40,
+    "phases.retrain_episodes": 60,
     "phases.baseline_step_cap": None,
     "phases.adversary_step_cap": None,
     "phases.retrain_step_cap": None,
-    "eval.episodes": DEMO_BUDGETS["eval_episodes"],
-    "eval.max_steps": DEMO_BUDGETS["eval_max_steps"],
-    "scenario.max_steps": DEMO_BUDGETS["train_max_steps"],
+    "eval.episodes": 20,
+    "eval.max_steps": 400,
+    "scenario.max_steps": 300,
 }
 
 
@@ -179,9 +179,8 @@ def _cmd_train_baseline(args) -> int:
 
 def _cmd_train_adversary(args) -> int:
     cfg = _load_cfg(args)
-    reward = cfg.adversary.reward
-    result = pipeline.train_adversary(cfg, _victim_ckpts(args.victims, cfg), reward, cfg.out_dir)
-    print(f"adversary ({reward}) complete: {result.episodes_run} episodes")
+    result = pipeline.train_adversary(cfg, _victim_ckpts(args.victims, cfg), cfg.out_dir)
+    print(f"adversary ({cfg.adversary.reward}) complete: {result.episodes_run} episodes")
     for aid, path in result.checkpoint_paths.items():
         print(f"  checkpoint {aid}: {path}")
     return 0
@@ -229,9 +228,8 @@ def _cmd_plot(args) -> int:
     cfg = _load_cfg(args)
     with open(args.episode_log, "r", encoding="utf-8") as fh:
         log = EpisodeLog.from_dict(json.load(fh))
-    scenario = build_scenario(cfg).subset(
-        [a for a in log.agent_ids if a in build_scenario(cfg).agent_ids()]
-    )
+    full = build_scenario(cfg)
+    scenario = full.subset([a for a in log.agent_ids if a in full.agent_ids()])
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     svg = os.path.join(out, "trajectories.svg")

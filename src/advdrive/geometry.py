@@ -109,11 +109,6 @@ class Polyline:
         arc = float(self._cum[i] + t[i] * seg.lengths[i])
         return arc, float(math.sqrt(d2[i]))
 
-    def arc_remaining(self, point) -> tuple[float, float]:
-        """(arc length from the nearest route point to the end, lateral distance)."""
-        arc, dist = self.project(point)
-        return self.length - arc, dist
-
 
 def smooth_corners(waypoints, radius: float = 5.0, max_seg: float = 1.0) -> Polyline:
     """Polyline through waypoints with interior corners rounded off.

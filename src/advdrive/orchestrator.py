@@ -53,6 +53,8 @@ from .seeding import KEY_UPDATE_BASE, SeedTree
 from .world import WorldState, init_world, initial_flags, step
 
 FLAG_NAMES = ("cv", "co", "io", "iol")
+# Episodes between the `_latest` checkpoints a diverged phase falls back to.
+CHECKPOINT_EVERY = 25
 
 
 @dataclass
@@ -307,14 +309,15 @@ def run_training_phase(
     step_cap: int | None,
     seed_tree: SeedTree,
     out_dir: str,
-    checkpoint_every: int = 25,
     config_echo: dict | None = None,
     on_episode_end=None,
 ) -> PhaseResult:
     """Collect-and-update loop for one phase. Frozen policies are checksum
-    verified after every episode; any mutation aborts the phase. A non-finite
-    loss or gradient aborts with the last good checkpoints preserved. Updates
-    due after the same episode run concurrently (see the module docstring).
+    verified after every episode; any mutation aborts the phase. Every
+    ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
+    ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
+    phase with those last good checkpoints preserved. Updates due after the
+    same episode run concurrently (see the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
@@ -392,7 +395,7 @@ def run_training_phase(
                     )
             if on_episode_end is not None:
                 on_episode_end(ep, policies)
-            if (ep + 1) % checkpoint_every == 0:
+            if (ep + 1) % CHECKPOINT_EVERY == 0:
                 last_paths, _ = _save_policy_checkpoints(policies, trainable, out_dir, "_latest")
     except NonFiniteError as exc:
         status = "aborted"

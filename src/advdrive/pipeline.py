@@ -160,7 +160,6 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
         step_cap=getattr(cfg.phases, f"{budget}_step_cap"),
         seed_tree=SeedTree(cfg.seed),
         out_dir=out_dir,
-        checkpoint_every=cfg.checkpoint_every,
         config_echo=echo,
     )
     write_run_manifest(out_dir, cfg, command, {"checkpoints": result.checkpoint_checksums})
@@ -170,20 +169,17 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
 def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
     """Train every victim concurrently in a shared adversary-free world."""
     full = build_scenario(cfg)
-    if not full.victims():
-        raise ConfigurationError("scenario has no victim agents to train")
     policies = {v.agent_id: fresh_policy(cfg, v) for v in full.victims()}
     return _train(cfg, out_dir, "train-baseline", "baseline", KEY_BASELINE, "baseline",
                   full, policies)
 
 
-def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], reward_kind: str,
-                    out_dir: str) -> PhaseResult:
-    """Train a fresh adversary against the frozen victims of
-    ``cfg.adversary.train_victims`` among ``victim_ckpts``. Each other
-    checkpoint goes unused, and the phase manifest warns of it by id."""
-    if reward_kind not in ADVERSARY_PHASE_KEYS:
-        raise ConfigurationError(f"adversary reward must be adv_collision or adv_offroad, got '{reward_kind}'")
+def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], out_dir: str) -> PhaseResult:
+    """Train a fresh adversary with reward ``cfg.adversary.reward`` against
+    the frozen victims of ``cfg.adversary.train_victims`` among
+    ``victim_ckpts``. Each other checkpoint goes unused, and the phase
+    manifest warns of it by id."""
+    reward_kind = cfg.adversary.reward
     full = build_scenario(cfg)
     adv = _adversary(full)
     _check_roles(full, victim_ckpts, "victim")
@@ -282,7 +278,8 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
 
     adv_ckpts, retrained = {}, {}
     for kind in ADVERSARY_PHASE_KEYS:
-        res = train_adversary(cfg, victim_ckpts, kind, os.path.join(out_dir, f"adversary_{kind}"))
+        res = train_adversary(replace(cfg, adversary=replace(cfg.adversary, reward=kind)),
+                              victim_ckpts, os.path.join(out_dir, f"adversary_{kind}"))
         adv_ckpts[kind] = next(iter(res.checkpoint_paths.values()))
         res = retrain_victims(cfg, victim_ckpts, adv_ckpts[kind], os.path.join(out_dir, f"retrain_{kind}"))
         retrained[kind] = res.checkpoint_paths

@@ -18,7 +18,7 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Check:
-    kind: type  # int, float, str, dict or list
+    kind: type  # int, float, str or list
     lo: float | None = None
     hi: float | None = None
     choices: tuple | None = None
@@ -38,7 +38,7 @@ def error(key: str, message: str):
     raise ValidationError(f"{key}: {message}")
 
 
-_NOUNS = {str: "a non-empty string", dict: "a mapping", list: "a list"}
+_NOUNS = {str: "a non-empty string", list: "a list"}
 
 
 def _parse_value(check: Check, value, key: str):

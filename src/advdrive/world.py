@@ -127,37 +127,30 @@ def init_world(scenario: ScenarioConfig, seed) -> WorldState:
     )
 
 
-def remaining_distance(world: WorldState, agent_id: str) -> float:
-    """Route distance still to cover; exactly 0 once within goal tolerance."""
+def route_flags(world: WorldState, agent_id: str) -> tuple[bool, bool, float]:
+    """(IO, IOL, d) from one projection onto the agent's route. IOL when off
+    the route centerline beyond the lateral limit, IO when that happens
+    inside the intersection region; d is the route distance still to cover,
+    exactly 0 once within goal tolerance."""
     scenario = world.scenario
-    spec = scenario.agent(agent_id)
+    route = scenario.agent(agent_id).route
     veh = world.vehicles[agent_id]
-    to_goal = float(np.hypot(*(veh.position - veh.goal)))
-    if to_goal <= scenario.goal_tolerance:
-        return 0.0
-    arc, _ = spec.route.arc_remaining(veh.position)
-    return max(arc, to_goal - scenario.goal_tolerance)
-
-
-def offroad_flags(world: WorldState, agent_id: str) -> tuple[bool, bool]:
-    """(IO, IOL): IOL when off the route centerline beyond the lateral limit,
-    IO when that happens inside the intersection region."""
-    scenario = world.scenario
-    spec = scenario.agent(agent_id)
-    veh = world.vehicles[agent_id]
-    _, lateral = spec.route.project(veh.position)
+    arc, lateral = route.project(veh.position)
     iol = lateral > scenario.lateral_limit
     region = scenario.map.intersection_region
     io = bool(iol and region is not None and region.contains(veh.position[0], veh.position[1]))
-    return io, iol
+    to_goal = float(np.hypot(*(veh.position - veh.goal)))
+    if to_goal <= scenario.goal_tolerance:
+        return io, iol, 0.0
+    return io, iol, max(route.length - arc, to_goal - scenario.goal_tolerance)
 
 
 def initial_flags(world: WorldState) -> dict[str, StepFlags]:
     """Flags at spawn (tick 0): stationary, no events, full route remaining."""
     out = {}
     for aid in world.scenario.agent_ids():
-        io, iol = offroad_flags(world, aid)
-        out[aid] = StepFlags(cv=False, co=False, io=io, iol=iol, f=0.0, d=remaining_distance(world, aid))
+        io, iol, d = route_flags(world, aid)
+        out[aid] = StepFlags(cv=False, co=False, io=io, iol=iol, f=0.0, d=d)
     return out
 
 
@@ -218,8 +211,7 @@ def step(
             if other != aid
         )
         co = _footprint_outside(new_world, corners[aid], veh.position)
-        io, iol = offroad_flags(new_world, aid)
-        d = remaining_distance(new_world, aid)
+        io, iol, d = route_flags(new_world, aid)
         flags[aid] = StepFlags(cv=cv, co=co, io=io, iol=iol, f=veh.speed, d=d)
 
         reached = float(np.hypot(*(veh.position - veh.goal))) <= scenario.goal_tolerance

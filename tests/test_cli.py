@@ -147,6 +147,10 @@ def test_demo_micro(tmp_path, micro_config, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "demo"
     assert manifest["config"]["ppo"]["lr"] == 0.0006
+    for kind in ("adv_collision", "adv_offroad"):
+        for name in ("run_manifest.json", "phase_manifest.json"):
+            echo = json.loads((out / f"adversary_{kind}" / name).read_text())["config"]
+            assert echo["adversary"]["reward"] == kind, (kind, name)
 
 
 def test_out_root_env_var(tmp_path, micro_config, monkeypatch, capsys):

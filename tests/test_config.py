@@ -20,11 +20,11 @@ from advdrive.raster import write_ppm
 from advdrive.schema import Check, section_fields
 from advdrive.seeding import SeedTree
 
-# SHA-256 of json.dumps(config_echo(cfg), sort_keys=True), recorded before the
-# schema was defined from dataclass fields; the manifests' `config` must not move.
+# SHA-256 of json.dumps(config_echo(cfg), sort_keys=True); the manifests'
+# `config` must not move.
 ECHO_GOLDENS = {
-    "default": "c3127c067ccc6234dcfe2e533c3d10bb15292a82f39478ded4d69c2819aced02",
-    "micro": "4aa82f259bbb2396adb1cafd818a7d9c2fb95e4cf06df0a9dbd49ce92c16c76e",
+    "default": "22e07b467380d8b4a3b152f28236e8752832148da4d80f9572aff3b60b9ba80e",
+    "micro": "7b1b47ad26585d7369fd6494c34b5948bbd24e2a1b3517b7a818996f32c1c107",
 }
 
 
@@ -62,7 +62,7 @@ def _rejects(data, key):
 
 
 def test_schema_covers_every_numeric_key():
-    assert len(NUMERIC_LEAVES) == 28
+    assert len(NUMERIC_LEAVES) == 27
     assert {"seed", "reward.beta", "ppo.lr", "phases.retrain_step_cap", "eval.max_steps"} <= set(
         NUMERIC_LEAVES
     )
@@ -111,124 +111,31 @@ def test_out_dir_null_empty_or_not_a_string_rejected():
     _rejects({"out_dir": ""}, "out_dir")
 
 
+# Keys of the removed `custom` preset and the removed `checkpoint_every`
+# option: (config data, the key the error names, its message).
+REMOVED_KEYS = [
+    ({"scenario": {"preset": "custom"}}, "scenario.preset",
+     "must be one of ['t_intersection', 'corridor'], got 'custom'"),
+    ({"scenario": {"map": {"drivable_rects": [[-5, -5, 60, 5]]}}}, "scenario.map", "unknown key"),
+    ({"scenario": {"agents": [{"id": "v", "role": "victim"}]}}, "scenario.agents", "unknown key"),
+    ({"checkpoint_every": 25}, "checkpoint_every", "unknown key"),
+]
+
+
 def test_cross_field_rules():
-    _rejects({"scenario": {"preset": "custom"}}, "scenario")
-    _rejects({"scenario": {"preset": "custom", "map": {}, "agents": []}}, "scenario.agents")
-    _rejects({"scenario": {"map": {}}}, "scenario.map")
+    for data, key, message in REMOVED_KEYS:
+        assert _rejects(data, key) == f"{key}: {message}"
     for bad in ([], [1], "victim1"):
         _rejects({"adversary": {"train_victims": bad}}, "adversary.train_victims")
 
 
-GOOD_MAP = {"drivable_rects": [[-5, -5, 60, 5]], "intersection_rect": [20, -5, 30, 5],
-            "dividers": [[[-5, 0], [60, 0]]]}
-BAD_MAPS = [
-    ("drivable_rects", [[0, 0, 5]]),
-    ("drivable_rects", [[5, 0, 0, 3]]),
-    ("drivable_rects", [[0, 0, "a", 3]]),
-    ("drivable_rects", [[0, 0, True, 3]]),
-    ("drivable_rects", [5]),
-    ("drivable_rects", "0 0 5 5"),
-    ("drivable_rects", []),
-    ("intersection_rect", [0, 0, 5]),
-    ("intersection_rect", [0, 3, 5, 3]),
-    ("dividers", [[[0, 0]]]),
-    ("dividers", [[[0, 0], [0, 0]]]),
-    ("dividers", [[[0, 0], [1, 2, 3]]]),
-    ("dividers", [[0, 1]]),
-    ("lane_width", "wide"),
-    ("lane_width", 0),
-]
-
-
-def _custom_map_data(key, value):
-    return {"scenario": {"preset": "custom", "map": {**GOOD_MAP, key: value},
-                         "agents": [{"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}]}}
-
-
-@pytest.mark.parametrize("key, value", BAD_MAPS)
-def test_bad_custom_map_geometry_names_the_key(key, value):
-    cfg = parse_config(_custom_map_data(key, value))
-    with pytest.raises(ValidationError) as info:
-        build_scenario(cfg)
-    assert str(info.value).startswith(f"scenario.map.{key}: "), str(info.value)
-
-
-def test_custom_map_rejects_unknown_keys_and_builds_good_geometry():
-    with pytest.raises(ValidationError, match=r"^scenario\.map\.divders: unknown key"):
-        build_scenario(parse_config(_custom_map_data("divders", [])))
-    sc = build_scenario(parse_config(_custom_map_data("lane_width", 3)))
-    assert sc.map.lane_width == 3.0
-    assert len(sc.map.drivable_rects) == 1 and len(sc.map.divider_lines) == 1
-    assert sc.map.intersection_region.x0 == 20.0
-
-
-@pytest.mark.parametrize("key, value", [
-    ("drivable_rects", [[0, 0, 5]]),
-    ("drivable_rects", [[5, 0, 0, 3]]),
-    ("drivable_rects", [[0, 0, "a", 3]]),
-    ("intersection_rect", [0, 0, 5]),
-    ("dividers", [[[0, 0]]]),
-])
-def test_bad_custom_map_exits_1_from_cli(key, value, tmp_path, capsys):
-    config = tmp_path / "custom.yaml"
-    config.write_text(yaml.safe_dump({**MICRO_CONFIG, **_custom_map_data(key, value)}))
+@pytest.mark.parametrize("data, key, message", REMOVED_KEYS, ids=[k for _, k, _ in REMOVED_KEYS])
+def test_removed_keys_exit_1_from_cli(data, key, message, tmp_path, capsys):
+    config = tmp_path / "old.yaml"
+    scenario = {**MICRO_CONFIG["scenario"], **data.get("scenario", {})}
+    config.write_text(yaml.safe_dump({**MICRO_CONFIG, **data, "scenario": scenario}))
     assert dispatch(["train-baseline", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert f"error_class=ValidationError scenario.map.{key}: " in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-GOOD_AGENT = {"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}
-BAD_AGENTS = [
-    (5, "scenario.agents[0]"),
-    ("v", "scenario.agents[0]"),
-    ({"id": "v"}, "scenario.agents[0].role"),
-    ({"id": "v", "role": "victim", "goal": [50, 0]}, "scenario.agents[0].spawn"),
-    ({**GOOD_AGENT, "spawn": [0]}, "scenario.agents[0].spawn"),
-    ({**GOOD_AGENT, "spawn": [0, "a"]}, "scenario.agents[0].spawn"),
-    ({**GOOD_AGENT, "spawn": 0}, "scenario.agents[0].spawn"),
-    ({**GOOD_AGENT, "goal": [0, 0, 0]}, "scenario.agents[0].goal"),
-    ({**GOOD_AGENT, "goal": [0, 0]}, "scenario.agents[0].goal"),
-    ({**GOOD_AGENT, "id": 7}, "scenario.agents[0].id"),
-    ({**GOOD_AGENT, "id": ""}, "scenario.agents[0].id"),
-    ({**GOOD_AGENT, "role": "pedestrian"}, "scenario.agents[0].role"),
-    ({**GOOD_AGENT, "reward_kind": "speed"}, "scenario.agents[0].reward_kind"),
-    ({**GOOD_AGENT, "route": [[0, 0]]}, "scenario.agents[0].route"),
-    ({**GOOD_AGENT, "route": [[0, 0], [0, 0], [50, 0]]}, "scenario.agents[0].route"),
-    ({**GOOD_AGENT, "spwan": [0, 0]}, "scenario.agents[0].spwan"),
-]
-
-
-def _custom_agents_data(agents):
-    return {"scenario": {"preset": "custom", "map": GOOD_MAP, "agents": agents}}
-
-
-@pytest.mark.parametrize("agent, key", BAD_AGENTS)
-def test_bad_custom_agent_names_the_key(agent, key):
-    cfg = parse_config(_custom_agents_data([GOOD_AGENT, agent]))
-    with pytest.raises(ValidationError) as info:
-        build_scenario(cfg)
-    assert str(info.value).startswith(f"{key.replace('[0]', '[1]')}: "), str(info.value)
-
-
-def test_custom_agents_build_specs():
-    adv = {"id": "a", "role": "adversary", "reward_kind": "adv_offroad", "spawn": [10, 0],
-           "goal": [40, 0], "route": [[10, 0], [25, 2], [40, 0]]}
-    sc = build_scenario(parse_config(_custom_agents_data([GOOD_AGENT, adv])))
-    v, a = sc.agents
-    assert (v.agent_id, v.role, v.reward_kind, v.spawn, v.goal, v.seed_index) == (
-        "v", "victim", "victim", (0.0, 0.0), (50.0, 0.0), 0
-    )
-    assert v.route.length == pytest.approx(50.0)
-    assert (a.role, a.reward_kind, a.seed_index) == ("adversary", "adv_offroad", 1)
-    assert a.route.points.tolist() == [[10.0, 0.0], [25.0, 2.0], [40.0, 0.0]]
-
-
-@pytest.mark.parametrize("agent, key", [BAD_AGENTS[0], BAD_AGENTS[2], BAD_AGENTS[4]])
-def test_bad_custom_agent_exits_1_from_cli(agent, key, tmp_path, capsys):
-    config = tmp_path / "custom.yaml"
-    config.write_text(yaml.safe_dump({**MICRO_CONFIG, **_custom_agents_data([agent])}))
-    assert dispatch(["train-baseline", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert f"error_class=ValidationError {key}: " in capsys.readouterr().err
+    assert f"error_class=ValidationError {key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -314,10 +221,8 @@ def test_victim_checkpoint_as_adversary_rejected(lite21_ckpts, tmp_path):
             _cfg("lite21"), victims, lite21_ckpts["odd_adversary"], str(tmp_path / "r")
         )
     with pytest.raises(ConfigurationError, match="role 'adversary', expected 'victim'"):
-        pipeline.train_adversary(
-            _cfg("lite21"), {"victim1": lite21_ckpts["adversary"]}, "adv_collision",
-            str(tmp_path / "a"),
-        )
+        pipeline.train_adversary(_cfg("lite21"), {"victim1": lite21_ckpts["adversary"]},
+                                 str(tmp_path / "a"))
     assert not (tmp_path / "r").exists() and not (tmp_path / "a").exists()
 
 
@@ -356,7 +261,7 @@ WRONG_ROLE_CASES = [
 
 def _run_pipeline(command, cfg, victims, adversary, out):
     if command == "train-adversary":
-        return pipeline.train_adversary(cfg, victims, "adv_collision", out)
+        return pipeline.train_adversary(cfg, victims, out)
     if command == "retrain":
         return pipeline.retrain_victims(cfg, victims, adversary, out)
     return pipeline.evaluate_condition(cfg, "baseline", victims, adversary, out)
@@ -406,7 +311,7 @@ def test_scenario_without_adversary_rejected(command, lite21_ckpts, tmp_path):
 def test_unused_victim_checkpoint_is_a_manifest_warning(lite21_ckpts, tmp_path):
     # the default adversary.train_victims is [victim1]: victim2's checkpoint goes unused
     victims = {"victim1": lite21_ckpts["victim"], "victim2": lite21_ckpts["victim"]}
-    pipeline.train_adversary(_cfg("lite21"), victims, "adv_collision", str(tmp_path / "a"))
+    pipeline.train_adversary(_cfg("lite21"), victims, str(tmp_path / "a"))
     manifest = json.loads((tmp_path / "a" / "phase_manifest.json").read_text())
     assert manifest["agents"] == ["victim1", "adversary"]
     assert manifest["config"]["warnings"] == [

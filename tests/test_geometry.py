@@ -36,9 +36,9 @@ def test_polyline_length_and_projection():
     arc, dist = line.project((10, 4))
     assert arc == pytest.approx(14.0)
     assert dist == pytest.approx(0.0)
-    remaining, lateral = line.arc_remaining((3, -1))
-    assert remaining == pytest.approx(12.0)
-    assert lateral == pytest.approx(1.0)
+    arc, dist = line.project((3, -1))
+    assert line.length - arc == pytest.approx(12.0)
+    assert dist == pytest.approx(1.0)
 
 
 def test_polyline_projection_clamps_to_ends():

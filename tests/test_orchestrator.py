@@ -313,7 +313,8 @@ class TestTrainingPhase:
             )
         assert len(writers) == 1 and writers[0].closed
 
-    def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path):
+    def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "CHECKPOINT_EVERY", 1)
         sc = phase_scenario()
         victim = make_policy(sc.agents[0], frozen=True)
         adversary = make_policy(sc.agents[1])
@@ -334,7 +335,6 @@ class TestTrainingPhase:
                 step_cap=None,
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
-                checkpoint_every=1,
                 on_episode_end=poison,
             )
         last = err.value.last_checkpoints
@@ -444,6 +444,7 @@ class TestConcurrentUpdates:
             return update_policy(*args)
 
         monkeypatch.setattr(orchestrator, "update_policy", recorder)
+        monkeypatch.setattr(orchestrator, "CHECKPOINT_EVERY", 1)
 
         def poison(ep, policies):
             # NaN values leave the rollout alone and fail the next update's loss
@@ -466,7 +467,6 @@ class TestConcurrentUpdates:
                 step_cap=None,
                 seed_tree=SeedTree(5),
                 out_dir=str(out),
-                checkpoint_every=1,
                 on_episode_end=poison,
             )
         except PhaseAbortedError:

@@ -13,10 +13,9 @@ from advdrive.checkpoint import (
     params_checksum,
     save_checkpoint,
 )
+from advdrive.cli import _load_cfg, build_parser
 from advdrive.config import (
-    DEMO_BUDGETS,
     RunConfig,
-    build_scenario,
     config_echo,
     load_config,
     parse_config,
@@ -191,11 +190,16 @@ class TestConfigDefaults:
         assert cfg.eval.max_steps == 2000
 
     def test_demo_budgets(self):
-        assert DEMO_BUDGETS["baseline_episodes"] == 120
-        assert DEMO_BUDGETS["adversary_episodes"] == 40
-        assert DEMO_BUDGETS["retrain_episodes"] == 60
-        assert DEMO_BUDGETS["eval_episodes"] == 20
-        assert DEMO_BUDGETS["eval_max_steps"] == 400
+        cfg = _load_cfg(build_parser().parse_args(["demo"]))
+        assert cfg.obs_mode == "lite21"
+        assert cfg.phases.baseline_episodes == 120
+        assert cfg.phases.adversary_episodes == 40
+        assert cfg.phases.retrain_episodes == 60
+        assert (cfg.phases.baseline_step_cap, cfg.phases.adversary_step_cap,
+                cfg.phases.retrain_step_cap) == (None, None, None)
+        assert cfg.eval.episodes == 20
+        assert cfg.eval.max_steps == 400
+        assert cfg.scenario.max_steps == 300
 
     def test_gamma_out_of_range_names_key(self):
         with pytest.raises(ValidationError, match="ppo.gamma"):
@@ -240,25 +244,6 @@ class TestConfigDefaults:
         echo = config_echo(RunConfig())
         blob = json.dumps(echo, sort_keys=True)
         assert '"lr": 0.0006' in blob
-
-    def test_custom_scenario_from_config(self):
-        cfg = parse_config(
-            {
-                "scenario": {
-                    "preset": "custom",
-                    "map": {
-                        "drivable_rects": [[-5, -5, 60, 5]],
-                        "lane_width": 3.5,
-                    },
-                    "agents": [
-                        {"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}
-                    ],
-                }
-            }
-        )
-        sc = build_scenario(cfg)
-        assert sc.agent_ids() == ["v"]
-        assert sc.agent("v").route.length == pytest.approx(50.0)
 
     def test_bad_action_mode_rejected(self):
         with pytest.raises(ValidationError, match="eval.action_mode"):

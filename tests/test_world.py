@@ -12,8 +12,7 @@ from advdrive.world import (
     ActionCommand,
     init_world,
     initial_flags,
-    offroad_flags,
-    remaining_distance,
+    route_flags,
     step,
 )
 
@@ -229,47 +228,47 @@ class TestOffroadAndDistance:
     def test_on_centerline_no_flags(self):
         sc = straight_scenario()
         w = init_world(sc, 0)
-        assert offroad_flags(w, "victim1") == (False, False)
+        assert route_flags(w, "victim1")[:2] == (False, False)
 
     def test_lateral_offset_outside_lane(self):
         sc = straight_scenario()
         w = init_world(sc, 0)
         w.vehicles["victim1"].position = np.array([10.0, 2.0])
-        assert offroad_flags(w, "victim1") == (False, True)  # 2.0 > 3.5/2
+        assert route_flags(w, "victim1")[:2] == (False, True)  # 2.0 > 3.5/2
 
     def test_same_offset_inside_intersection(self):
         sc = straight_scenario(with_intersection=True)
         w = init_world(sc, 0)
         w.vehicles["victim1"].position = np.array([25.0, 2.0])
-        assert offroad_flags(w, "victim1") == (True, True)
+        assert route_flags(w, "victim1")[:2] == (True, True)
 
     def test_offset_within_lane_is_clean(self):
         sc = straight_scenario()
         w = init_world(sc, 0)
         w.vehicles["victim1"].position = np.array([10.0, 1.5])
-        assert offroad_flags(w, "victim1") == (False, False)
+        assert route_flags(w, "victim1")[:2] == (False, False)
 
     def test_remaining_distance_along_route(self):
         sc = straight_scenario(route_length=30.0)
         w = init_world(sc, 0)
-        assert remaining_distance(w, "victim1") == pytest.approx(30.0, abs=1e-6)
+        assert route_flags(w, "victim1")[2] == pytest.approx(30.0, abs=1e-6)
         w.vehicles["victim1"].position = np.array([5.0, 0.0])
-        assert remaining_distance(w, "victim1") == pytest.approx(25.0, abs=1e-6)
+        assert route_flags(w, "victim1")[2] == pytest.approx(25.0, abs=1e-6)
         w.vehicles["victim1"].position = np.array([30.0, 0.0])
-        assert remaining_distance(w, "victim1") == 0.0
+        assert route_flags(w, "victim1")[2] == 0.0
 
     def test_distance_zero_iff_within_goal_tolerance(self):
         sc = straight_scenario(route_length=30.0)
         w = init_world(sc, 0)
         w.vehicles["victim1"].position = np.array([29.2, 0.0])
-        assert remaining_distance(w, "victim1") == 0.0  # within 1 m
+        assert route_flags(w, "victim1")[2] == 0.0  # within 1 m
         w.vehicles["victim1"].position = np.array([28.9, 0.0])
-        assert remaining_distance(w, "victim1") > 0.0
+        assert route_flags(w, "victim1")[2] > 0.0
 
     def test_distance_non_increasing_driving_route(self):
         sc = straight_scenario(route_length=60.0, max_steps=400)
         w = init_world(sc, 0)
-        prev = remaining_distance(w, "victim1")
+        prev = route_flags(w, "victim1")[2]
         for _ in range(120):
             if w.terminated["victim1"]:
                 break
