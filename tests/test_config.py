@@ -139,6 +139,43 @@ def test_removed_keys_exit_1_from_cli(data, key, message, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# A whole config written for the removed `custom` preset, with a map and
+# agents, is refused at its first unknown key before any output is written,
+# whatever is wrong with its map or agents.
+GOOD_MAP = {"drivable_rects": [[-5, -5, 60, 5]], "intersection_rect": [20, -5, 30, 5],
+            "dividers": [[[-5, 0], [60, 0]]]}
+GOOD_AGENT = {"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}
+
+
+def _exits_1_naming_agents(data, tmp_path, capsys):
+    config = tmp_path / "custom.yaml"
+    config.write_text(yaml.safe_dump({**MICRO_CONFIG, "scenario": {"preset": "custom", **data}}))
+    assert dispatch(["train-baseline", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error_class=ValidationError scenario.agents: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("drivable_rects", [[0, 0, 5]]),
+    ("drivable_rects", [[5, 0, 0, 3]]),
+    ("drivable_rects", [[0, 0, "a", 3]]),
+    ("intersection_rect", [0, 0, 5]),
+    ("dividers", [[[0, 0]]]),
+])
+def test_bad_custom_map_exits_1_from_cli(key, value, tmp_path, capsys):
+    _exits_1_naming_agents({"map": {**GOOD_MAP, key: value}, "agents": [GOOD_AGENT]},
+                           tmp_path, capsys)
+
+
+@pytest.mark.parametrize("agent, field", [
+    (5, "scenario.agents[0]"),
+    ({"id": "v"}, "scenario.agents[0].role"),
+    ({**GOOD_AGENT, "spawn": [0]}, "scenario.agents[0].spawn"),
+])
+def test_bad_custom_agent_exits_1_from_cli(agent, field, tmp_path, capsys):
+    _exits_1_naming_agents({"map": GOOD_MAP, "agents": [agent]}, tmp_path, capsys)
+
+
 def test_float_keys_take_integers():
     cfg = parse_config({"ppo": {"lr": 1}, "reward": {"beta": 0}})
     assert cfg.ppo.lr == 1.0 and type(cfg.ppo.lr) is float

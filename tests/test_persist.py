@@ -245,6 +245,24 @@ class TestConfigDefaults:
         blob = json.dumps(echo, sort_keys=True)
         assert '"lr": 0.0006' in blob
 
+    def test_custom_scenario_from_config(self):
+        # the `custom` preset is gone: a config that used it no longer parses
+        data = {
+            "scenario": {
+                "preset": "custom",
+                "map": {"drivable_rects": [[-5, -5, 60, 5]], "lane_width": 3.5},
+                "agents": [{"id": "v", "role": "victim", "spawn": [0, 0], "goal": [50, 0]}],
+            }
+        }
+        with pytest.raises(ValidationError, match=r"^scenario\.agents: unknown key$"):
+            parse_config(data)
+        del data["scenario"]["agents"]
+        with pytest.raises(ValidationError, match=r"^scenario\.map: unknown key$"):
+            parse_config(data)
+        del data["scenario"]["map"]
+        with pytest.raises(ValidationError, match=r"^scenario\.preset: must be one of"):
+            parse_config(data)
+
     def test_bad_action_mode_rejected(self):
         with pytest.raises(ValidationError, match="eval.action_mode"):
             parse_config({"eval": {"action_mode": "random"}})
