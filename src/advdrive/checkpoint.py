@@ -36,16 +36,20 @@ from .net import AdamState, NetConfig, NetworkParams
 MAGIC = b"ADRVCKP1"
 FORMAT_VERSION = 1
 _DIGEST_SIZE = 32
+# What a policy has been trained on so far; a key a file lacks loads as 0.
+COUNTERS = ("episodes", "env_steps", "updates")
 
 
 @dataclass
 class Checkpoint:
+    """A policy, in memory as in its file: the phases train and freeze these."""
+
     role: str
     reward_kind: str
     params: NetworkParams
     adam: AdamState | None = None
     kl_coef: float = 0.3
-    counters: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
 
     @property
     def net_config(self) -> NetConfig:
@@ -202,5 +206,5 @@ def load_checkpoint(path) -> Checkpoint:
         params=params,
         adam=adam,
         kl_coef=float(header["kl_coef"]),
-        counters=dict(header.get("counters", {})),
+        counters={**dict.fromkeys(COUNTERS, 0), **header.get("counters", {})},
     )

@@ -13,7 +13,6 @@ relative output directories. Exit codes: 0 success, 1 runtime failure
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -226,8 +225,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _load_cfg(args)
-    with open(args.episode_log, "r", encoding="utf-8") as fh:
-        log = EpisodeLog.from_dict(json.load(fh))
+    log = EpisodeLog.load(args.episode_log)
     full = build_scenario(cfg)
     scenario = full.subset([a for a in log.agent_ids if a in full.agent_ids()])
     out = cfg.out_dir

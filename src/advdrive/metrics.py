@@ -3,9 +3,11 @@
 Per victim and episode: the fraction of its simulated ticks with a vehicle
 collision (cv_rate), an object collision (co_rate), or an out-of-lane flag
 (os_rate), plus time-to-first-collision in seconds (absent when the episode
-had no collision). Reports average over a fixed number of frozen-policy
-episodes and carry a scenario fingerprint so only like-for-like conditions
-can be compared. The fingerprint covers the victims' part of the scenario,
+had no collision). Each episode's metrics are a dict, the entry a report
+stores for it under ``per_episode``. Reports average over a fixed number of
+frozen-policy episodes and carry a scenario fingerprint so only like-for-like
+conditions can be compared. ``METRICS`` names the averages both text tables
+show, in their order. The fingerprint covers the victims' part of the scenario,
 the evaluation protocol and what the victims saw: the obs mode, taken from
 the names of the victims' nets (each victim is rendered at its own net's
 resolution), and the raster's fixed view extents.
@@ -17,42 +19,35 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
+from .checkpoint import Checkpoint
 from .errors import ContractViolationError
-from .orchestrator import AgentPolicy, EpisodeLog, run_episode
+from .orchestrator import EpisodeLog, load_json_record, run_episode
 from .raster import VIEW_AHEAD, VIEW_SIDE
 from .rewards import RewardParams
 from .scenario import ScenarioConfig
 from .seeding import SeedTree
 
-@dataclass
-class VictimEpisodeMetrics:
-    cv_rate: float
-    co_rate: float
-    os_rate: float
-    ttfc: float | None
-    ticks: int
-
-    def as_dict(self) -> dict:
-        return {
-            "cv_rate": self.cv_rate,
-            "co_rate": self.co_rate,
-            "os_rate": self.os_rate,
-            "ttfc": self.ttfc,
-            "ticks": self.ticks,
-        }
+# (report key, text-table title) of each per-victim average the tables show
+METRICS = (
+    ("mean_cv_rate", "collision with cars"),
+    ("mean_co_rate", "collision with objects"),
+    ("mean_os_rate", "offroad steering"),
+    ("mean_ttfc", "time to first collision"),
+)
 
 
-def episode_metrics(log: EpisodeLog, agent_id: str) -> VictimEpisodeMetrics:
-    """Error rates over the ticks this agent was actually simulated."""
+def episode_metrics(log: EpisodeLog, agent_id: str) -> dict:
+    """Error rates over the ticks this agent was actually simulated, as the
+    report's per-episode entry: cv_rate, co_rate, os_rate, ttfc, ticks."""
     flags = log.flags[agent_id]
     ticks = len(flags["cv"])
     if ticks == 0:
-        return VictimEpisodeMetrics(0.0, 0.0, 0.0, None, 0)
+        return {"cv_rate": 0.0, "co_rate": 0.0, "os_rate": 0.0, "ttfc": None, "ticks": 0}
     cv = np.asarray(flags["cv"], dtype=bool)
     co = np.asarray(flags["co"], dtype=bool)
     iol = np.asarray(flags["iol"], dtype=bool)
@@ -61,13 +56,13 @@ def episode_metrics(log: EpisodeLog, agent_id: str) -> VictimEpisodeMetrics:
     if collided.any():
         first = int(np.flatnonzero(collided)[0])
         ttfc = (first + 1) * log.dt
-    return VictimEpisodeMetrics(
-        cv_rate=float(cv.mean()),
-        co_rate=float(co.mean()),
-        os_rate=float(iol.mean()),
-        ttfc=ttfc,
-        ticks=ticks,
-    )
+    return {
+        "cv_rate": float(cv.mean()),
+        "co_rate": float(co.mean()),
+        "os_rate": float(iol.mean()),
+        "ttfc": ttfc,
+        "ticks": ticks,
+    }
 
 
 @dataclass
@@ -87,17 +82,7 @@ class MetricsReport:
         return v["mean_cv_rate"] + v["mean_co_rate"] + v["mean_os_rate"]
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "episodes": self.episodes,
-            "max_steps": self.max_steps,
-            "action_mode": self.action_mode,
-            "master_seed": self.master_seed,
-            "condition_key": self.condition_key,
-            "fingerprint": self.fingerprint,
-            "victims": self.victims,
-            "per_episode": self.per_episode,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_bytes(self) -> bytes:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1).encode()
@@ -110,30 +95,15 @@ class MetricsReport:
 
     @staticmethod
     def load(path) -> "MetricsReport":
-        with open(path, "rb") as fh:
-            d = json.loads(fh.read().decode())
-        return MetricsReport(
-            label=d["label"],
-            episodes=d["episodes"],
-            max_steps=d["max_steps"],
-            action_mode=d["action_mode"],
-            master_seed=d["master_seed"],
-            condition_key=d["condition_key"],
-            fingerprint=d["fingerprint"],
-            victims=d["victims"],
-            per_episode=d["per_episode"],
-        )
+        names = [f.name for f in fields(MetricsReport)]
+        d = load_json_record(path, "metrics report", names)
+        return MetricsReport(**{name: d[name] for name in names})
 
     def text_table(self) -> str:
         lines = [f"condition: {self.label}  (episodes={self.episodes}, mode={self.action_mode})"]
         header = f"{'metric':<28}" + "".join(f"{a:>14}" for a in sorted(self.victims))
         lines.append(header)
-        for metric, title in (
-            ("mean_cv_rate", "collision with cars"),
-            ("mean_co_rate", "collision with objects"),
-            ("mean_os_rate", "offroad steering"),
-            ("mean_ttfc", "time to first collision"),
-        ):
+        for metric, title in METRICS:
             row = f"{title:<28}"
             for a in sorted(self.victims):
                 v = self.victims[a][metric]
@@ -186,7 +156,7 @@ def _eval_in_worker(ep: int) -> EpisodeLog:
 
 def evaluate(
     scenario: ScenarioConfig,
-    policies: dict[str, AgentPolicy],
+    policies: dict[str, Checkpoint],
     *,
     label: str,
     episodes: int,
@@ -224,19 +194,20 @@ def evaluate(
         condition_key=condition_key,
         fingerprint=scenario_fingerprint(scenario, obs_mode, episodes, max_steps, action_mode),
         victims=victims,
-        per_episode={aid: [m.as_dict() for m in per_episode[aid]] for aid in victim_ids},
+        per_episode=per_episode,
     )
     return report, logs[:1]
 
 
 def aggregate_episode_metrics(metrics_list) -> dict:
-    """Averages over episodes; ttfc averages only episodes with a collision.
+    """Averages over a victim's per-episode entries; ttfc averages only
+    episodes with a collision.
 
     Uses exact summation so aggregation is bit-identical under any episode
     ordering (evaluation may run episodes in parallel).
     """
     n = len(metrics_list)
-    ttfcs = sorted(m.ttfc for m in metrics_list if m.ttfc is not None)
+    ttfcs = sorted(m["ttfc"] for m in metrics_list if m["ttfc"] is not None)
 
     def exact_mean(values):
         values = list(values)
@@ -244,9 +215,9 @@ def aggregate_episode_metrics(metrics_list) -> dict:
 
     return {
         "episodes": n,
-        "mean_cv_rate": exact_mean(m.cv_rate for m in metrics_list),
-        "mean_co_rate": exact_mean(m.co_rate for m in metrics_list),
-        "mean_os_rate": exact_mean(m.os_rate for m in metrics_list),
+        "mean_cv_rate": exact_mean(m["cv_rate"] for m in metrics_list),
+        "mean_co_rate": exact_mean(m["co_rate"] for m in metrics_list),
+        "mean_os_rate": exact_mean(m["os_rate"] for m in metrics_list),
         "mean_ttfc": exact_mean(ttfcs) if ttfcs else None,
         "episodes_with_collision": len(ttfcs),
     }
@@ -272,14 +243,7 @@ class ComparisonTable:
         width = max([16] + [len(c) + 2 for c in columns])
         lines = ["Victim driving error comparison (rows: metrics, columns: condition/victim)"]
         lines.append(f"{'metric':<26}" + "".join(f"{c:>{width}}" for c in columns))
-        rows = (
-            ("collision with cars", "mean_cv_rate"),
-            ("collision with objects", "mean_co_rate"),
-            ("offroad steering", "mean_os_rate"),
-            ("time to first collision", "mean_ttfc"),
-            ("composite error", "composite"),
-        )
-        for title, key in rows:
+        for key, title in METRICS + (("composite", "composite error"),):
             row = f"{title:<26}"
             for label in self.labels:
                 for v in self.victims:

@@ -6,11 +6,13 @@ network, only its rendered pixels. Each agent is rendered at its own net's
 core resolution (``NetConfig.core_res()``), so the net decides what the agent
 sees and a render the net cannot read cannot be built. That render, uint8
 palette codes, is the one observation format: the net reads it and the
-trajectory stores it as rendered. Training phases interleave episode
-collection with per-policy PPO updates (each policy updates once its own
-buffer holds at least one train batch of whole episodes), verify frozen
-policies by checksum after every episode, and write checkpoints plus a
-phase manifest sufficient to audit the freeze contracts.
+trajectory stores it as rendered. A policy is its ``Checkpoint``, and every
+function here takes the policies keyed by agent id. Training phases
+interleave episode collection with per-policy PPO updates (each policy
+updates once its own buffer holds at least one train batch of whole
+episodes), verify the policies the phase freezes by checksum after every
+episode, and write checkpoints plus a phase manifest sufficient to audit the
+freeze contracts.
 
 The updates of policies that fill their batches after the same episode
 (each building its rollout batch, then calling ``update_policy``) run
@@ -32,7 +34,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,11 +42,11 @@ from . import net
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
     PhaseAbortedError,
 )
-from .net import AdamState, NetworkParams
 from .ppo import PpoHyper, Trajectory, build_rollout_batch, update_policy
 from .raster import render
 from .rewards import RewardParams, reward_function
@@ -55,45 +57,6 @@ from .world import WorldState, init_world, initial_flags, step
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
-
-
-@dataclass
-class AgentPolicy:
-    agent_id: str
-    role: str
-    reward_kind: str
-    params: NetworkParams
-    adam: AdamState | None = None
-    frozen: bool = False
-    kl_coef: float = 0.3
-    counters: dict = field(default_factory=lambda: {"episodes": 0, "env_steps": 0, "updates": 0})
-
-    def to_checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            role=self.role,
-            reward_kind=self.reward_kind,
-            params=self.params,
-            adam=self.adam,
-            kl_coef=self.kl_coef,
-            counters=dict(self.counters),
-        )
-
-    @staticmethod
-    def from_checkpoint(ckpt: Checkpoint, agent_id: str, frozen: bool) -> "AgentPolicy":
-        counters = dict(ckpt.counters)
-        counters.setdefault("episodes", 0)
-        counters.setdefault("env_steps", 0)
-        counters.setdefault("updates", 0)
-        return AgentPolicy(
-            agent_id=agent_id,
-            role=ckpt.role,
-            reward_kind=ckpt.reward_kind,
-            params=ckpt.params,
-            adam=ckpt.adam,
-            frozen=frozen,
-            kl_coef=ckpt.kl_coef,
-            counters=counters,
-        )
 
 
 @dataclass
@@ -136,6 +99,26 @@ class EpisodeLog:
         log.termination = dict(d["termination"])
         return log
 
+    @staticmethod
+    def load(path) -> "EpisodeLog":
+        return EpisodeLog.from_dict(
+            load_json_record(path, "episode log", [f.name for f in fields(EpisodeLog)])
+        )
+
+
+def load_json_record(path, what: str, keys) -> dict:
+    """The JSON object in ``path``. Raises ``ContractViolationError`` naming
+    ``what`` and the path unless the file reads as JSON holding all ``keys``."""
+    try:
+        with open(path, "rb") as fh:
+            d = json.loads(fh.read().decode())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ContractViolationError(f"cannot read {what} '{path}': {exc}") from exc
+    missing = [k for k in keys if not isinstance(d, dict) or k not in d]
+    if missing:
+        raise ContractViolationError(f"{what} '{path}' lacks keys {missing}")
+    return d
+
 
 def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
                   key_prefix: tuple[int, ...]) -> WorldState:
@@ -145,7 +128,7 @@ def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
 
 def run_episode(
     scenario: ScenarioConfig,
-    policies: dict[str, AgentPolicy],
+    policies: dict[str, Checkpoint],
     reward_params: RewardParams,
     max_steps: int,
     seed_tree: SeedTree,
@@ -170,10 +153,7 @@ def run_episode(
     prev_flags = initial_flags(world)
     reward_fns = {aid: reward_function(policies[aid].reward_kind) for aid in ids}
 
-    trajectories = {
-        aid: Trajectory(agent_id=aid, episode_index=key_prefix[-1] if key_prefix else 0)
-        for aid in collect
-    }
+    trajectories = {aid: Trajectory(agent_id=aid) for aid in collect}
     log = EpisodeLog(agent_ids=ids, dt=scenario.dt, seed_key=list(key_prefix))
     log.flags = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
     positions = []
@@ -264,7 +244,7 @@ def _save_policy_checkpoints(policies, agent_ids, out_dir, suffix=""):
     checksums = {}
     for aid in agent_ids:
         path = os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
-        checksums[aid] = save_checkpoint(path, policies[aid].to_checkpoint())
+        checksums[aid] = save_checkpoint(path, policies[aid])
         paths[aid] = path
     return paths, checksums
 
@@ -286,7 +266,7 @@ def _blas_threads() -> int:
     return _usable_cpus()
 
 
-def _update_job(pol: AgentPolicy, trajectories: list[Trajectory], hyper: PpoHyper, rng):
+def _update_job(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):
     """Build one policy's rollout batch and update the policy; returns
     update_policy's result. `trajectories` is emptied once the batch holds
     their steps."""
@@ -302,18 +282,20 @@ def run_training_phase(
     phase_name: str,
     phase_key: int,
     scenario: ScenarioConfig,
-    policies: dict[str, AgentPolicy],
+    policies: dict[str, Checkpoint],
     hyper: PpoHyper,
     reward_params: RewardParams,
     episodes: int,
     step_cap: int | None,
     seed_tree: SeedTree,
     out_dir: str,
+    frozen: tuple[str, ...] = (),
     config_echo: dict | None = None,
     on_episode_end=None,
 ) -> PhaseResult:
-    """Collect-and-update loop for one phase. Frozen policies are checksum
-    verified after every episode; any mutation aborts the phase. Every
+    """Collect-and-update loop for one phase. The policies of the ``frozen``
+    ids are not trained, and are checksum verified after every episode; any
+    mutation aborts the phase. The others are trained in place. Every
     ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
     ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
     phase with those last good checkpoints preserved. Updates due after the
@@ -321,8 +303,8 @@ def run_training_phase(
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
-    trainable = [aid for aid in ids if not policies[aid].frozen]
-    frozen = [aid for aid in ids if policies[aid].frozen]
+    trainable = [aid for aid in ids if aid not in frozen]
+    frozen = [aid for aid in ids if aid not in trainable]
     if not trainable:
         raise ConfigurationError(f"phase '{phase_name}' has no trainable policy")
 

@@ -3,15 +3,17 @@ training against frozen victims (one per adversary reward variant), victim
 retraining against a frozen adversary, evaluation conditions, and the demo
 that chains them all and emits a comparison table.
 
-Every phase and evaluation is built from the same pieces. ``_load_policies``
-loads checkpoints as policies and raises ``ConfigurationError`` unless each
-id names a scenario agent of the role it is loaded as and holds the net of
-``cfg.obs_mode``; ``full.subset(policies)`` cuts the scenario down to the
-agents that have a policy; ``_train`` runs one training phase within its
-``cfg.phases`` budget and writes the run manifest. The obs mode reaches the
-rest of the run only through the nets: fresh policies get its net, loaded
-ones are checked to hold it, and every agent is rendered at its own net's
-core resolution.
+Every phase and evaluation is built from the same pieces. A policy is its
+``Checkpoint``. ``_load_policies`` loads checkpoints and raises
+``ConfigurationError`` unless each id names a scenario agent of the role it
+is loaded as and holds the net of ``cfg.obs_mode``; ``full.subset(policies)``
+cuts the scenario down to the agents that have a policy; ``_train`` runs one
+training phase within its ``cfg.phases`` budget, freezing the ids the phase
+names, and writes the run manifest. A phase or evaluation with an adversary
+checkpoint echoes that checkpoint's reward kind as ``adversary.reward`` in
+its manifests. The obs mode reaches the rest of the run only through the
+nets: fresh policies get its net, loaded ones are checked to hold it, and
+every agent is rendered at its own net's core resolution.
 """
 from __future__ import annotations
 
@@ -20,12 +22,12 @@ import os
 from dataclasses import replace
 
 from . import __version__
-from .checkpoint import load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps it here)
+from .checkpoint import Checkpoint, load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps params_checksum here)
 from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
-from .orchestrator import AgentPolicy, PhaseResult, episode_world, run_training_phase
+from .orchestrator import PhaseResult, episode_world, run_training_phase
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
 from .scenario import AgentSpec, ScenarioConfig
@@ -57,19 +59,21 @@ EVAL_CONDITION_KEYS = {
 }
 
 
-def fresh_policy(cfg: RunConfig, spec: AgentSpec) -> AgentPolicy:
-    """An untrained, trainable policy for ``spec``, seeded by its seed index."""
+def fresh_policy(cfg: RunConfig, spec: AgentSpec) -> Checkpoint:
+    """An untrained policy for ``spec``, seeded by its seed index."""
     params = init_params(net_config_for_mode(cfg.obs_mode),
                          SeedTree(cfg.seed).sequence(KEY_INIT, spec.seed_index))
-    return AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params, kl_coef=cfg.ppo.kl_coef_init)
+    return Checkpoint(spec.role, spec.reward_kind, params, kl_coef=cfg.ppo.kl_coef_init)
 
 
 def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
-                           obs_mode: str) -> tuple[AgentPolicy, list[str]]:
-    """Load a policy, checking its ``role`` (an adversary's reward kind must
-    also be one with an adversary phase), and that its net is the one
-    ``obs_mode`` trains. Raises ``ConfigurationError`` naming both values on
-    a mismatch."""
+                           obs_mode: str) -> tuple[Checkpoint, list[str]]:
+    """Load the policy for ``agent_id``, checking its ``role`` (an
+    adversary's reward kind must also be one with an adversary phase), and
+    that its net is the one ``obs_mode`` trains. Raises
+    ``ConfigurationError`` naming both values on a mismatch. Returns it with
+    the load warnings: one if a policy to be trained (not ``frozen``) has no
+    optimizer state."""
     ckpt = load_checkpoint(path)
     if ckpt.role != role:
         raise ConfigurationError(
@@ -89,7 +93,7 @@ def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
     warnings = []
     if not frozen and ckpt.adam is None:
         warnings.append(f"checkpoint for '{agent_id}' has no optimizer state; resuming with a fresh one")
-    return AgentPolicy.from_checkpoint(ckpt, agent_id=agent_id, frozen=frozen), warnings
+    return ckpt, warnings
 
 
 def write_run_manifest(out_dir, cfg: RunConfig, command: str, extras: dict | None = None):
@@ -120,15 +124,20 @@ def _check_roles(full: ScenarioConfig, agent_ids, role: str):
 
 
 def _load_policies(cfg: RunConfig, full: ScenarioConfig, ckpts: dict[str, str], role: str,
-                   frozen: bool, warnings: list[str]) -> dict[str, AgentPolicy]:
-    """The checkpoints of ``ckpts`` (agent id -> path) as policies of agents
-    that hold ``role`` in ``full``; load warnings are appended to ``warnings``."""
+                   frozen: bool, warnings: list[str]) -> dict[str, Checkpoint]:
+    """The policies of ``ckpts`` (agent id -> path), for agents that hold
+    ``role`` in ``full``; load warnings are appended to ``warnings``."""
     _check_roles(full, ckpts, role)
     policies = {}
     for aid, path in ckpts.items():
         policies[aid], w = policy_from_checkpoint(path, aid, frozen, role=role, obs_mode=cfg.obs_mode)
         warnings += w
     return policies
+
+
+def _with_reward(cfg: RunConfig, kind: str) -> RunConfig:
+    """``cfg`` with ``adversary.reward`` set to ``kind``."""
+    return replace(cfg, adversary=replace(cfg.adversary, reward=kind))
 
 
 def _adversary(full: ScenarioConfig) -> AgentSpec:
@@ -139,11 +148,12 @@ def _adversary(full: ScenarioConfig) -> AgentSpec:
 
 
 def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_key: int,
-           budget: str, full: ScenarioConfig, policies: dict[str, AgentPolicy],
-           warnings: list[str] | None = None) -> PhaseResult:
+           budget: str, full: ScenarioConfig, policies: dict[str, Checkpoint],
+           frozen: tuple[str, ...] = (), warnings: list[str] | None = None) -> PhaseResult:
     """One training phase of ``policies`` in their part of ``full``, within
-    ``cfg.phases.<budget>_episodes`` and ``<budget>_step_cap``; writes the run
-    manifest. ``warnings``, when given, joins the phase manifest's config echo."""
+    ``cfg.phases.<budget>_episodes`` and ``<budget>_step_cap``, with the
+    ``frozen`` ids held fixed; writes the run manifest. ``warnings``, when
+    given, joins the phase manifest's config echo."""
     echo = config_echo(cfg)
     if warnings is not None:
         echo["warnings"] = warnings
@@ -160,6 +170,7 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
         step_cap=getattr(cfg.phases, f"{budget}_step_cap"),
         seed_tree=SeedTree(cfg.seed),
         out_dir=out_dir,
+        frozen=frozen,
         config_echo=echo,
     )
     write_run_manifest(out_dir, cfg, command, {"checkpoints": result.checkpoint_checksums})
@@ -196,7 +207,8 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], out_dir: str) 
     policies = _load_policies(cfg, full, opponents, "victim", True, warnings)
     policies[adv.agent_id] = fresh_policy(cfg, replace(adv, reward_kind=reward_kind))
     return _train(cfg, out_dir, f"train-adversary --reward {reward_kind}", f"adversary_{reward_kind}",
-                  ADVERSARY_PHASE_KEYS[reward_kind], "adversary", full, policies, warnings)
+                  ADVERSARY_PHASE_KEYS[reward_kind], "adversary", full, policies, tuple(opponents),
+                  warnings)
 
 
 def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt: str,
@@ -208,8 +220,8 @@ def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt
     policies = _load_policies(cfg, full, {adv_id: adversary_ckpt}, "adversary", True, warnings)
     policies.update(_load_policies(cfg, full, victim_ckpts, "victim", False, warnings))
     kind = policies[adv_id].reward_kind
-    return _train(cfg, out_dir, "retrain", f"retrain_vs_{kind}", RETRAIN_PHASE_KEYS[kind],
-                  "retrain", full, policies, warnings)
+    return _train(_with_reward(cfg, kind), out_dir, "retrain", f"retrain_vs_{kind}",
+                  RETRAIN_PHASE_KEYS[kind], "retrain", full, policies, (adv_id,), warnings)
 
 
 def evaluate_condition(
@@ -225,8 +237,9 @@ def evaluate_condition(
     full = build_scenario(cfg)
     policies = _load_policies(cfg, full, victim_ckpts, "victim", True, [])
     if adversary_ckpt is not None:
-        policies.update(_load_policies(cfg, full, {_adversary(full).agent_id: adversary_ckpt},
-                                       "adversary", True, []))
+        adv_id = _adversary(full).agent_id
+        policies.update(_load_policies(cfg, full, {adv_id: adversary_ckpt}, "adversary", True, []))
+        cfg = _with_reward(cfg, policies[adv_id].reward_kind)
     scenario = full.subset(policies)
     seed_tree = SeedTree(cfg.seed)
     condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)
@@ -278,8 +291,8 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
 
     adv_ckpts, retrained = {}, {}
     for kind in ADVERSARY_PHASE_KEYS:
-        res = train_adversary(replace(cfg, adversary=replace(cfg.adversary, reward=kind)),
-                              victim_ckpts, os.path.join(out_dir, f"adversary_{kind}"))
+        res = train_adversary(_with_reward(cfg, kind), victim_ckpts,
+                              os.path.join(out_dir, f"adversary_{kind}"))
         adv_ckpts[kind] = next(iter(res.checkpoint_paths.values()))
         res = retrain_victims(cfg, victim_ckpts, adv_ckpts[kind], os.path.join(out_dir, f"retrain_{kind}"))
         retrained[kind] = res.checkpoint_paths

@@ -74,11 +74,9 @@ def emit_trajectory_plot(
 
     # planned routes as faint dotted guides under the driven paths
     for aid in log.agent_ids:
-        try:
-            route = scenario.agent(aid).route
-        except Exception:
+        if aid not in scenario.agent_ids():
             continue
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in route.points)
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in scenario.agent(aid).route.points)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color_by_agent[aid]}" '
             'stroke-width="1" stroke-dasharray="2 5" opacity="0.6"/>'

@@ -44,7 +44,6 @@ class Trajectory:
     """One agent's transitions for one episode, in order."""
 
     agent_id: str
-    episode_index: int
     obs: list = field(default_factory=list)  # each (R, R, 3) uint8 codes, R = net core resolution
     actions: list = field(default_factory=list)
     log_probs_old: list = field(default_factory=list)

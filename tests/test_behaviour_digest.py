@@ -108,7 +108,8 @@ def test_full84_update_matches_golden_digest():
     from conftest import straight_scenario
 
     from advdrive import net
-    from advdrive.orchestrator import AgentPolicy, run_episode
+    from advdrive.checkpoint import Checkpoint
+    from advdrive.orchestrator import run_episode
     from advdrive.ppo import PpoHyper, build_rollout_batch, update_policy
     from advdrive.rewards import RewardParams
     from advdrive.seeding import SeedTree
@@ -116,7 +117,7 @@ def test_full84_update_matches_golden_digest():
     sc = straight_scenario(route_length=40.0, max_steps=16)
     spec = sc.agents[0]
     params = net.init_params(net.full84_config(), 5)
-    pol = AgentPolicy(spec.agent_id, spec.role, spec.reward_kind, params)
+    pol = Checkpoint(spec.role, spec.reward_kind, params)
     trajs, _ = run_episode(sc, {spec.agent_id: pol}, RewardParams(), 16, SeedTree(3), (1, 0),
                            collect={spec.agent_id})
     batch = build_rollout_batch([trajs[spec.agent_id]], 0.99, 1.0)

@@ -147,10 +147,38 @@ def test_demo_micro(tmp_path, micro_config, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "demo"
     assert manifest["config"]["ppo"]["lr"] == 0.0006
+    # every manifest of a step with an adversary echoes the reward it ran with
     for kind in ("adv_collision", "adv_offroad"):
-        for name in ("run_manifest.json", "phase_manifest.json"):
-            echo = json.loads((out / f"adversary_{kind}" / name).read_text())["config"]
-            assert echo["adversary"]["reward"] == kind, (kind, name)
+        condition = kind.removeprefix("adv_")
+        for name in (
+            f"adversary_{kind}/run_manifest.json", f"adversary_{kind}/phase_manifest.json",
+            f"retrain_{kind}/run_manifest.json", f"retrain_{kind}/phase_manifest.json",
+            f"eval/attack_{condition}/run_manifest.json",
+            f"eval/retrained_{condition}/run_manifest.json",
+        ):
+            echo = json.loads((out / name).read_text())["config"]
+            assert echo["adversary"]["reward"] == kind, name
+
+
+@pytest.mark.parametrize("command", ["compare", "plot"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read {what} '{path}': "),
+    ("{not json", "cannot read {what} '{path}': "),
+    ('{"ticks": 3}', "{what} '{path}' lacks keys ['{first}', "),
+], ids=["missing", "not_json", "wrong_keys"])
+def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    inputs = [str(path)] * (2 if command == "compare" else 1)  # compare needs two reports
+    assert dispatch([command, *inputs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    what, first = ("metrics report", "label") if command == "compare" else ("episode log", "agent_ids")
+    assert err.startswith("error_class=ContractViolationError " + message.format(
+        what=what, path=path, first=first))
+    assert err.count("error_class=") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_out_root_env_var(tmp_path, micro_config, monkeypatch, capsys):

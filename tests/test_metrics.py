@@ -14,14 +14,14 @@ from advdrive import net
 from advdrive.errors import ContractViolationError
 from advdrive.metrics import (
     MetricsReport,
-    VictimEpisodeMetrics,
     aggregate_episode_metrics,
     compare,
     episode_metrics,
     evaluate,
     scenario_fingerprint,
 )
-from advdrive.orchestrator import AgentPolicy, EpisodeLog, run_episode
+from advdrive.checkpoint import Checkpoint
+from advdrive.orchestrator import EpisodeLog, run_episode
 from advdrive.plot import emit_trajectory_plot
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
@@ -46,30 +46,30 @@ class TestEpisodeMetrics:
         cv = [False] * 199 + [True]
         log = make_log({"v": {"cv": cv}})
         m = episode_metrics(log, "v")
-        assert m.ttfc == pytest.approx(10.0)  # tick 200 at dt 0.05
-        assert m.cv_rate == pytest.approx(1 / 200)
+        assert m["ttfc"] == pytest.approx(10.0)  # tick 200 at dt 0.05
+        assert m["cv_rate"] == pytest.approx(1 / 200)
 
     def test_early_termination_uses_simulated_ticks(self):
         log = make_log({"v": {"cv": [False, False, True]}})
         m = episode_metrics(log, "v")
-        assert m.ticks == 3
-        assert m.cv_rate == pytest.approx(1 / 3)
-        assert m.ttfc == pytest.approx(3 * 0.05)
+        assert m["ticks"] == 3
+        assert m["cv_rate"] == pytest.approx(1 / 3)
+        assert m["ttfc"] == pytest.approx(3 * 0.05)
 
     def test_clean_episode_has_absent_ttfc(self):
         log = make_log({"v": {"cv": [False] * 50}})
         m = episode_metrics(log, "v")
-        assert m.ttfc is None
-        assert (m.cv_rate, m.co_rate, m.os_rate) == (0.0, 0.0, 0.0)
+        assert m["ttfc"] is None
+        assert (m["cv_rate"], m["co_rate"], m["os_rate"]) == (0.0, 0.0, 0.0)
 
     def test_ttfc_uses_co_as_well(self):
         log = make_log({"v": {"cv": [False] * 10, "co": [False] * 4 + [True] + [False] * 5}})
         m = episode_metrics(log, "v")
-        assert m.ttfc == pytest.approx(5 * 0.05)
+        assert m["ttfc"] == pytest.approx(5 * 0.05)
 
     def test_os_rate_counts_out_of_lane_ticks(self):
         log = make_log({"v": {"cv": [False] * 10, "iol": [True] * 4 + [False] * 6}})
-        assert episode_metrics(log, "v").os_rate == pytest.approx(0.4)
+        assert episode_metrics(log, "v")["os_rate"] == pytest.approx(0.4)
 
     def test_rates_always_within_unit_interval(self):
         rng = random.Random(7)
@@ -79,14 +79,14 @@ class TestEpisodeMetrics:
                 k: [rng.random() < 0.3 for _ in range(n)] for k in ("cv", "co", "io", "iol")
             }
             m = episode_metrics(make_log({"v": streams}), "v")
-            for rate in (m.cv_rate, m.co_rate, m.os_rate):
+            for rate in (m["cv_rate"], m["co_rate"], m["os_rate"]):
                 assert 0.0 <= rate <= 1.0
 
     def test_ttfc_monotone_in_collision_tick(self):
         prev = -1.0
         for first in (3, 10, 50, 199):
             cv = [False] * first + [True]
-            t = episode_metrics(make_log({"v": {"cv": cv}}), "v").ttfc
+            t = episode_metrics(make_log({"v": {"cv": cv}}), "v")["ttfc"]
             assert t > prev
             prev = t
 
@@ -96,13 +96,13 @@ class TestAggregation:
         out = []
         for _ in range(31):
             out.append(
-                VictimEpisodeMetrics(
-                    cv_rate=rng.random() / 3,
-                    co_rate=rng.random() / 3,
-                    os_rate=rng.random(),
-                    ttfc=rng.random() * 20 if rng.random() < 0.5 else None,
-                    ticks=rng.randint(5, 200),
-                )
+                {
+                    "cv_rate": rng.random() / 3,
+                    "co_rate": rng.random() / 3,
+                    "os_rate": rng.random(),
+                    "ttfc": rng.random() * 20 if rng.random() < 0.5 else None,
+                    "ticks": rng.randint(5, 200),
+                }
             )
         return out
 
@@ -110,8 +110,8 @@ class TestAggregation:
         rng = random.Random(3)
         ms = self.metrics_list(rng)
         agg = aggregate_episode_metrics(ms)
-        assert agg["mean_cv_rate"] == pytest.approx(np.mean([m.cv_rate for m in ms]), abs=1e-12)
-        ttfcs = [m.ttfc for m in ms if m.ttfc is not None]
+        assert agg["mean_cv_rate"] == pytest.approx(np.mean([m["cv_rate"] for m in ms]), abs=1e-12)
+        ttfcs = [m["ttfc"] for m in ms if m["ttfc"] is not None]
         assert agg["mean_ttfc"] == pytest.approx(np.mean(ttfcs), abs=1e-12)
         assert agg["episodes_with_collision"] == len(ttfcs)
 
@@ -125,7 +125,8 @@ class TestAggregation:
             assert aggregate_episode_metrics(shuffled) == base
 
     def test_no_collisions_reports_absent_ttfc(self):
-        ms = [VictimEpisodeMetrics(0.0, 0.0, 0.1, None, 50) for _ in range(5)]
+        ms = [{"cv_rate": 0.0, "co_rate": 0.0, "os_rate": 0.1, "ttfc": None, "ticks": 50}
+              for _ in range(5)]
         assert aggregate_episode_metrics(ms)["mean_ttfc"] is None
 
 
@@ -135,9 +136,7 @@ class TestEvaluate:
             straight_scenario(route_length=30, max_steps=50), spawn_jitter=spawn_jitter
         )
         pols = {
-            "victim1": AgentPolicy(
-                "victim1", "victim", "victim", net.init_params(tiny_net_config(), 0), frozen=True
-            )
+            "victim1": Checkpoint("victim", "victim", net.init_params(tiny_net_config(), 0))
         }
         return evaluate(
             sc, pols,
@@ -268,9 +267,8 @@ class TestPlot:
     def run_and_plot(self, tmp_path):
         sc = t_intersection_scenario(max_steps=40)
         pols = {
-            s.agent_id: AgentPolicy(
-                s.agent_id, s.role, s.reward_kind,
-                net.init_params(tiny_net_config(), s.seed_index), frozen=True,
+            s.agent_id: Checkpoint(
+                s.role, s.reward_kind, net.init_params(tiny_net_config(), s.seed_index)
             )
             for s in sc.agents
         }

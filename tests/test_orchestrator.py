@@ -10,10 +10,9 @@ import pytest
 from conftest import straight_scenario, tiny_net_config
 
 from advdrive import net, orchestrator
-from advdrive.checkpoint import load_checkpoint, params_checksum
+from advdrive.checkpoint import Checkpoint, load_checkpoint, params_checksum
 from advdrive.errors import ContractViolationError, FreezeViolationError, PhaseAbortedError
 from advdrive.orchestrator import (
-    AgentPolicy,
     EpisodeLog,
     run_episode,
     run_training_phase,
@@ -26,13 +25,11 @@ from advdrive.seeding import SeedTree
 from advdrive.world import init_world
 
 
-def make_policy(spec, seed=None, reward_kind=None, frozen=False):
-    return AgentPolicy(
-        agent_id=spec.agent_id,
+def make_policy(spec, seed=None, reward_kind=None):
+    return Checkpoint(
         role=spec.role,
         reward_kind=reward_kind or spec.reward_kind,
         params=net.init_params(tiny_net_config(), spec.seed_index if seed is None else seed),
-        frozen=frozen,
     )
 
 
@@ -228,7 +225,7 @@ def phase_scenario():
 class TestTrainingPhase:
     def test_frozen_checksums_hold_and_trainable_move(self, tmp_path):
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0], frozen=True)
+        victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
         victim_before = params_checksum(victim.params)
         adversary_before = params_checksum(adversary.params)
@@ -243,6 +240,7 @@ class TestTrainingPhase:
             step_cap=None,
             seed_tree=SeedTree(1),
             out_dir=str(tmp_path / "phase"),
+            frozen=("victim1",),
         )
         assert params_checksum(victim.params) == victim_before
         assert params_checksum(adversary.params) != adversary_before
@@ -256,7 +254,7 @@ class TestTrainingPhase:
 
     def test_freeze_violation_aborts(self, tmp_path):
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0], frozen=True)
+        victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
 
         def corrupt(ep, policies):
@@ -274,12 +272,13 @@ class TestTrainingPhase:
                 step_cap=None,
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
+                frozen=("victim1",),
                 on_episode_end=corrupt,
             )
 
     def test_freeze_violation_closes_train_log(self, tmp_path, monkeypatch):
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0], frozen=True)
+        victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
         writers = []
 
@@ -309,6 +308,7 @@ class TestTrainingPhase:
                 step_cap=None,
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
+                frozen=("victim1",),
                 on_episode_end=corrupt,
             )
         assert len(writers) == 1 and writers[0].closed
@@ -316,7 +316,7 @@ class TestTrainingPhase:
     def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setattr(orchestrator, "CHECKPOINT_EVERY", 1)
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0], frozen=True)
+        victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
 
         def poison(ep, policies):
@@ -335,6 +335,7 @@ class TestTrainingPhase:
                 step_cap=None,
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
+                frozen=("victim1",),
                 on_episode_end=poison,
             )
         last = err.value.last_checkpoints
@@ -345,7 +346,7 @@ class TestTrainingPhase:
 
     def test_step_cap_stops_phase(self, tmp_path):
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0], frozen=True)
+        victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
         result = run_training_phase(
             phase_name="adv_test",
@@ -358,6 +359,7 @@ class TestTrainingPhase:
             step_cap=75,  # two 40-tick episodes reach 80 >= 75
             seed_tree=SeedTree(1),
             out_dir=str(tmp_path / "phase"),
+            frozen=("victim1",),
         )
         assert result.episodes_run == 2
 
@@ -366,7 +368,7 @@ class TestTrainingPhase:
         for run in range(2):
             sc = phase_scenario()
             policies = {
-                "victim1": make_policy(sc.agents[0], frozen=True),
+                "victim1": make_policy(sc.agents[0]),
                 "adversary": make_policy(sc.agents[1]),
             }
             out = tmp_path / f"run{run}"
@@ -381,6 +383,7 @@ class TestTrainingPhase:
                 step_cap=None,
                 seed_tree=SeedTree(7),
                 out_dir=str(out),
+                frozen=("victim1",),
             )
             with open(result.checkpoint_paths["adversary"], "rb") as fh:
                 blobs.append(fh.read())
@@ -389,7 +392,7 @@ class TestTrainingPhase:
     def test_training_log_records(self, tmp_path):
         sc = phase_scenario()
         policies = {
-            "victim1": make_policy(sc.agents[0], frozen=True),
+            "victim1": make_policy(sc.agents[0]),
             "adversary": make_policy(sc.agents[1]),
         }
         run_training_phase(
@@ -403,6 +406,7 @@ class TestTrainingPhase:
             step_cap=None,
             seed_tree=SeedTree(1),
             out_dir=str(tmp_path / "phase"),
+            frozen=("victim1",),
         )
         lines = (tmp_path / "phase" / "train_log.jsonl").read_text().strip().splitlines()
         records = [json.loads(line) for line in lines]

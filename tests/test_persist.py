@@ -5,8 +5,9 @@ import pytest
 import yaml
 
 from conftest import tiny_net_config, zero_params
+from test_cli import MICRO_CONFIG
 
-from advdrive import net
+from advdrive import net, pipeline
 from advdrive.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -165,6 +166,34 @@ class TestOptimizerStateFallback:
         _, frozen_warnings = policy_from_checkpoint(path, "victim1", frozen=True, role="victim",
                                                     obs_mode="lite21")
         assert frozen_warnings == []
+
+
+class TestCounterDefault:
+    def test_checkpoint_without_counters_loads_zeros_and_retrains(self, tmp_path):
+        # frozen agents may be saved with no counters at all
+        zeros = {"episodes": 0, "env_steps": 0, "updates": 0}
+        paths = {}
+        for i, (aid, role, kind) in enumerate(
+            (("victim1", "victim", "victim"), ("victim2", "victim", "victim"),
+             ("adversary", "adversary", "adv_offroad"))
+        ):
+            paths[aid] = str(tmp_path / f"{aid}.ckpt")
+            params = net.init_params(net.lite21_config(), i)
+            save_checkpoint(paths[aid], Checkpoint(role, kind, params, counters={}))
+            assert load_checkpoint(paths[aid]).counters == zeros
+        assert Checkpoint("victim", "victim", params).counters == zeros
+        result = pipeline.retrain_victims(
+            parse_config(MICRO_CONFIG), {aid: paths[aid] for aid in ("victim1", "victim2")},
+            paths["adversary"], str(tmp_path / "retrain"),
+        )
+        assert result.episodes_run == MICRO_CONFIG["phases"]["retrain_episodes"]
+        steps = 0
+        for aid in ("victim1", "victim2"):
+            counters = load_checkpoint(result.checkpoint_paths[aid]).counters
+            assert counters["episodes"] == result.episodes_run
+            assert counters["updates"] >= 1
+            steps += counters["env_steps"]
+        assert 0 < steps <= 2 * result.steps_run
 
 
 class TestConfigDefaults:

@@ -36,11 +36,11 @@ def margin_params(config, seed, bias_boost=0.07):
     return params
 
 
-def make_trajectory(params, n, rewards=None, values=None, rng_seed=5, episode_index=0):
+def make_trajectory(params, n, rewards=None, values=None, rng_seed=5):
     """Transitions whose log-probs come from `params` (on-policy by construction)."""
     rng = np.random.default_rng(rng_seed)
     obs = uniform_codes(rng, n, params.config.core_res())
-    traj = Trajectory(agent_id="victim1", episode_index=episode_index)
+    traj = Trajectory(agent_id="victim1")
     for t in range(n):
         logits, value = net.forward(params, obs[t])
         chosen = net.sample_action(logits, rng)
@@ -58,7 +58,7 @@ def make_trajectory(params, n, rewards=None, values=None, rng_seed=5, episode_in
 
 class TestAdvantages:
     def test_hand_evaluated_discounted_returns(self):
-        traj = Trajectory(agent_id="a", episode_index=0)
+        traj = Trajectory(agent_id="a")
         for t, r in enumerate([1.0, 1.0, 1.0]):
             traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, r, t == 2)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
@@ -67,14 +67,14 @@ class TestAdvantages:
         assert np.allclose(adv, expected, atol=1e-12)  # values are zero
 
     def test_zero_rewards_zero_values_zero_advantages(self):
-        traj = Trajectory(agent_id="a", episode_index=0)
+        traj = Trajectory(agent_id="a")
         for t in range(5):
             traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 0.0, t == 4)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
         assert np.all(adv == 0.0) and np.all(ret == 0.0)
 
     def test_gamma_zero_is_one_step(self, rng):
-        traj = Trajectory(agent_id="a", episode_index=0)
+        traj = Trajectory(agent_id="a")
         rewards = rng.normal(size=6)
         values = rng.normal(size=6)
         for t in range(6):
@@ -84,7 +84,7 @@ class TestAdvantages:
         assert np.allclose(ret, rewards, atol=1e-12)
 
     def test_lambda_one_returns_are_reward_to_go(self, rng):
-        traj = Trajectory(agent_id="a", episode_index=0)
+        traj = Trajectory(agent_id="a")
         rewards = rng.normal(size=8)
         values = rng.normal(size=8)
         for t in range(8):
@@ -99,10 +99,10 @@ class TestAdvantages:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(PpoError):
-            compute_advantages(Trajectory(agent_id="a", episode_index=0), 0.99, 1.0)
+            compute_advantages(Trajectory(agent_id="a"), 0.99, 1.0)
 
     def test_done_must_be_last_only(self):
-        traj = Trajectory(agent_id="a", episode_index=0)
+        traj = Trajectory(agent_id="a")
         traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 1.0, True)
         traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 1.0, True)
         with pytest.raises(PpoError):
@@ -112,7 +112,7 @@ class TestAdvantages:
 class TestRolloutBatch:
     def test_advantage_normalization(self):
         params = net.init_params(tiny_net_config(), 2)
-        trajs = [make_trajectory(params, 20, rng_seed=s, episode_index=s) for s in range(3)]
+        trajs = [make_trajectory(params, 20, rng_seed=s) for s in range(3)]
         batch = build_rollout_batch(trajs, 0.99, 1.0)
         assert abs(batch.advantages.mean()) < 1e-9
         assert abs(batch.advantages.std() - 1.0) < 1e-6
@@ -120,8 +120,8 @@ class TestRolloutBatch:
 
     def test_whole_episodes_only(self):
         params = net.init_params(tiny_net_config(), 2)
-        t1 = make_trajectory(params, 7, rng_seed=1, episode_index=0)
-        t2 = make_trajectory(params, 9, rng_seed=2, episode_index=1)
+        t1 = make_trajectory(params, 7, rng_seed=1)
+        t2 = make_trajectory(params, 9, rng_seed=2)
         batch = build_rollout_batch([t1, t2], 0.99, 1.0)
         assert batch.n_steps == 16
         assert batch.episode_rewards.shape == (2,)
