@@ -95,8 +95,18 @@ class MetricsReport:
 
     @staticmethod
     def load(path) -> "MetricsReport":
+        """The report in ``path``. Raises ``ContractViolationError`` unless it
+        holds every field, and every ``victims`` entry every ``METRICS`` key."""
         names = [f.name for f in fields(MetricsReport)]
         d = load_json_record(path, "metrics report", names)
+        if not isinstance(d["victims"], dict):
+            raise ContractViolationError(f"metrics report '{path}': 'victims' is not an object")
+        for aid, entry in d["victims"].items():
+            missing = [k for k, _ in METRICS if not isinstance(entry, dict) or k not in entry]
+            if missing:
+                raise ContractViolationError(
+                    f"metrics report '{path}': victim '{aid}' lacks keys {missing}"
+                )
         return MetricsReport(**{name: d[name] for name in names})
 
     def text_table(self) -> str:

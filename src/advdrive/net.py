@@ -12,8 +12,9 @@ driven by it is rendered; a run's obs mode names its net:
 
 Observations come in one format, the raster's: uint8 palette codes at core
 resolution, where code k stands for the channel value k/256. Conv1's im2col
-decodes them exactly, straight into its patch matrix; anything else is
-rejected.
+copies the codes into its patch matrix as they are, and conv1 scales its
+GEMM results (pre-activation and weight gradient) by the exact 2^-8 instead;
+anything else is rejected.
 
 Every forward pass runs in a ``Workspace``, the caller's or a fresh one, and
 no buffer in it outlives its last reader. One patch matrix is shared by every
@@ -42,6 +43,9 @@ from .world import ActionCommand
 
 INPUT_RES = 84
 INPUT_CHANNELS = 3
+# Scaling by a power of two is exact, so conv1's GEMM on the codes k, scaled
+# by this, has the bits of the same GEMM on the values k / 256.
+CODE_SCALE = 1.0 / OBS_CODE_SCALE
 OBS_MODES = ("full84", "lite21")  # the nets a run can train, by NetConfig.name
 N_ACTIONS = 9
 
@@ -110,6 +114,9 @@ class NetConfig:
         layout.append(("value/b", (1,)))
         return layout
 
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for _, shape in self.param_layout())
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -170,14 +177,17 @@ class NetworkParams:
 
 def _orthogonal(rng: np.random.Generator, fan_in: int, fan_out: int, gain: float) -> np.ndarray:
     rows, cols = max(fan_in, fan_out), min(fan_in, fan_out)
-    a = rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(a)
+    w = rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(w)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    q = q * signs[None, :]
-    if fan_in < fan_out:
-        q = q.T
-    return gain * q
+    # qr copies the draw, so the draw's buffer takes the result: the array
+    # kept is allocated before every temporary, and q is not copied. Under
+    # glibc malloc, the peak RSS of three full84 inits in a row then no longer
+    # jumps by one 12.8 MB dense/w with code layout. gain * signs is exactly
+    # +-gain, so the bits are those of gain * (q * signs).
+    np.multiply(q, gain * signs, out=w)
+    return w.T if fan_in < fan_out else w
 
 
 def init_params(config: NetConfig, seed) -> NetworkParams:
@@ -235,7 +245,8 @@ class Workspace:
 def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace) -> np.ndarray:
     """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) float64 patch matrix,
     written into the workspace's shared ``cols`` buffer. uint8 observation
-    codes are decoded on the way (exactly, as k / 256)."""
+    codes are copied as they are (k, not k / 256): conv1 scales its GEMM
+    results instead (see ``CODE_SCALE``)."""
     n, h, w, c = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sh, sw, sc = x.strides
@@ -245,16 +256,13 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace) -> np.ndarra
         writeable=False,
     )
     cols = ws.array("cols", (n * oh * ow, kernel * kernel * c))
-    if x.dtype == np.uint8:
-        np.multiply(windows, 1.0 / OBS_CODE_SCALE, out=cols.reshape(windows.shape))
-    else:
-        np.copyto(cols.reshape(windows.shape), windows)
+    np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
 
 def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
     """Forward pass on a batch of uint8 observation codes at core resolution,
-    which conv1's im2col decodes.
+    which conv1 decodes by scaling its GEMM results.
 
     Runs in ``workspace``, or in a fresh one when none is given. Returns
     (logits (N, 9), values (N,), cache for one ``backward``). The cache holds
@@ -282,6 +290,8 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
         pre = workspace.array(f"pre{i}", (n, out_size, out_size, spec.filters))
         pre_mat = pre.reshape(-1, spec.filters)
         np.matmul(cols, w, out=pre_mat)
+        if i == 0:
+            np.multiply(pre_mat, CODE_SCALE, out=pre_mat)
         np.add(pre_mat, b, out=pre_mat)
         act = np.maximum(pre, 0.0, out=pre)
         cache["convs"].append({"input": h, "act": act})
@@ -369,11 +379,11 @@ def backward(
         dpre = np.multiply(dpost, mask, out=dpost)
         dpre_mat = dpre.reshape(-1, spec.filters)
         cols = _im2col(h, spec.kernel, spec.stride, workspace)
-        grads[f"conv{i + 1}/w"] = (cols.T @ dpre_mat).reshape(
-            params.arrays[f"conv{i + 1}/w"].shape
-        )
+        grad_w = cols.T @ dpre_mat
+        grads[f"conv{i + 1}/w"] = grad_w.reshape(params.arrays[f"conv{i + 1}/w"].shape)
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
         if i == 0:
+            np.multiply(grad_w, CODE_SCALE, out=grad_w)
             break
         # h is layer i-1's activation; its input gradient overwrites it
         mask = np.greater(h, 0.0, out=workspace.array("mask", h.shape, np.bool_))

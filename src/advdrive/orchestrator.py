@@ -14,19 +14,27 @@ episodes), verify the policies the phase freezes by checksum after every
 episode, and write checkpoints plus a phase manifest sufficient to audit the
 freeze contracts.
 
-The updates of policies that fill their batches after the same episode
-(each building its rollout batch, then calling ``update_policy``) run
-concurrently: the first on the calling thread, the others on worker threads,
-as many at once as the usable CPUs divided by the threads of each BLAS call.
-That is one per CPU with a single BLAS thread, and one at a time with BLAS
-at its default of every CPU, where each update's large matrix products
-already use every core. Each update owns its params, Adam state, seed-tree
-RNG and scratch workspace, and numpy releases the GIL in its large array
-operations. Results are committed in agent order: every agent's episode
-record, then its update record or its error, exactly as a serial run writes
-and raises them, so outputs are the same for any CPU count. (After an abort,
-an update that ran alongside the failing one has still changed its policy in
-memory; no file records it.)
+One concurrency rule serves every per-policy job a phase runs side by side:
+as many at once as the usable CPUs divided by the threads of each BLAS call
+(``concurrency``), the first job on the calling thread and the others on
+helper threads. That is one per CPU with a single BLAS thread, and one at a
+time with BLAS at its default of every CPU, where each job's large matrix
+products already use every core. Each job owns what it writes, and numpy,
+LAPACK, hashlib and file writes release the GIL in their large operations.
+Results are committed in agent order, and the first error in agent order is
+raised, exactly as a serial run returns and raises them, so outputs are the
+same for any CPU count. The jobs are:
+
+* the updates of policies that fill their batches after the same episode
+  (each building its rollout batch, then calling ``update_policy``); every
+  agent's episode record is written, then its update record or its error.
+  (After an abort, an update that ran alongside the failing one has still
+  changed its policy in memory; no file records it.)
+* through ``side_by_side``, a phase's checkpoint writes (the phase-end and
+  the ``_latest`` ones) and, in ``pipeline``, the inits of fresh policies.
+  These are gated on the size of the net: below ``SIDE_BY_SIDE_MIN_PARAMS``
+  parameters (``lite21``) they run one after another and start no thread.
+  (After a failed write, a checkpoint written alongside it may exist.)
 """
 from __future__ import annotations
 
@@ -57,6 +65,12 @@ from .world import WorldState, init_world, initial_flags, step
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
+# Nets with at least this many parameters are initialised and saved side by
+# side. A full84 init (1,687,210 parameters) spends most of its 0.24 s in a
+# LAPACK QR that releases the GIL, and two ran in 0.25 s on two threads
+# against 0.47 s one after the other. A lite21 init (8,906) takes 0.8 ms,
+# mostly in Python, and two took 2.5 ms on two threads against 1.6 ms.
+SIDE_BY_SIDE_MIN_PARAMS = 100_000
 
 
 @dataclass
@@ -185,8 +199,7 @@ def run_episode(
                 reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
                 done = world.terminated[aid] or (t == max_steps - 1)
                 trajectories[aid].append(
-                    obs.pixels, chosen.index, chosen.log_prob, chosen.log_prob_vector,
-                    value, reward, done,
+                    obs.pixels, chosen.index, chosen.log_prob_vector, value, reward, done
                 )
             prev_flags[aid] = fl
             if world.terminated[aid] and aid not in log.termination:
@@ -240,13 +253,11 @@ class _StatsWriter:
 
 
 def _save_policy_checkpoints(policies, agent_ids, out_dir, suffix=""):
-    paths = {}
-    checksums = {}
-    for aid in agent_ids:
-        path = os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
-        checksums[aid] = save_checkpoint(path, policies[aid])
-        paths[aid] = path
-    return paths, checksums
+    paths = {aid: os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
+             for aid in agent_ids}
+    saves = [partial(save_checkpoint, paths[aid], policies[aid]) for aid in agent_ids]
+    smallest = min(policies[aid].net_config.param_count() for aid in agent_ids)
+    return paths, dict(zip(agent_ids, side_by_side(saves, smallest)))
 
 
 def _usable_cpus() -> int:
@@ -264,6 +275,37 @@ def _blas_threads() -> int:
         if value.isdigit() and int(value) > 0:
             return int(value)
     return _usable_cpus()
+
+
+def concurrency(jobs: int) -> int:
+    """How many of ``jobs`` independent per-policy jobs run at once: the
+    usable CPUs divided by the threads of each BLAS call, at least one and at
+    most ``jobs``."""
+    return min(jobs, max(1, _usable_cpus() // _blas_threads()))
+
+
+def side_by_side(calls: list, params: int) -> list:
+    """The results of ``calls`` (callables of no argument), in order.
+
+    ``params`` is the parameter count of the smallest net the calls work on.
+    From ``SIDE_BY_SIDE_MIN_PARAMS`` up, the calls run concurrently as
+    updates do: the first on the calling thread, the others on
+    ``concurrency(len(calls)) - 1`` helper threads. Below it, or with one job
+    at a time, they run one after another and no thread starts. Either way
+    the error of the first failing call in order is raised, as a serial run
+    raises it, once every started call has ended; calls not yet started are
+    dropped.
+    """
+    helpers = concurrency(len(calls)) - 1 if params >= SIDE_BY_SIDE_MIN_PARAMS else 0
+    if helpers < 1:
+        return [call() for call in calls]
+    pool = ThreadPoolExecutor(max_workers=helpers)
+    try:
+        futures = [pool.submit(call) for call in calls[1:]]
+        first = calls[0]()
+        return [first] + [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _update_job(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):
@@ -299,7 +341,8 @@ def run_training_phase(
     ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
     ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
     phase with those last good checkpoints preserved. Updates due after the
-    same episode run concurrently (see the module docstring).
+    same episode run concurrently, and so do the checkpoint writes of nets
+    from ``SIDE_BY_SIDE_MIN_PARAMS`` up (see the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
@@ -308,8 +351,8 @@ def run_training_phase(
     if not trainable:
         raise ConfigurationError(f"phase '{phase_name}' has no trainable policy")
 
-    frozen_checksums = {aid: params_checksum(policies[aid].params) for aid in frozen}
     checksums_in = {aid: params_checksum(policies[aid].params) for aid in ids}
+    frozen_checksums = {aid: checksums_in[aid] for aid in frozen}
     stats = _StatsWriter(os.path.join(out_dir, "train_log.jsonl"))
     buffers: dict[str, list[Trajectory]] = {aid: [] for aid in trainable}
 
@@ -322,7 +365,7 @@ def run_training_phase(
     # rollouts freed in this thread's malloc arena, which worker threads,
     # each with an arena of their own, cannot (peak RSS 60 MB higher on a
     # full84 phase with both updates on workers).
-    helpers = min(len(trainable), max(1, _usable_cpus() // _blas_threads())) - 1
+    helpers = concurrency(len(trainable)) - 1
     pool = ThreadPoolExecutor(max_workers=max(helpers, 1))
     try:
         for ep in range(episodes):

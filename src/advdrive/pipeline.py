@@ -14,12 +14,19 @@ checkpoint echoes that checkpoint's reward kind as ``adversary.reward`` in
 its manifests. The obs mode reaches the rest of the run only through the
 nets: fresh policies get its net, loaded ones are checked to hold it, and
 every agent is rendered at its own net's core resolution.
+
+The fresh victims of ``train_baseline`` are initialised side by side, by the
+orchestrator's one concurrency rule and size gate (``side_by_side``): for
+``full84`` nets the first on the calling thread and the others on helper
+threads, as many at once as the usable CPUs per BLAS thread; for ``lite21``
+nets one after another, with no thread. The policies are the same either way.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import replace
+from functools import partial
 
 from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps params_checksum here)
@@ -27,7 +34,7 @@ from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
-from .orchestrator import PhaseResult, episode_world, run_training_phase
+from .orchestrator import PhaseResult, episode_world, run_training_phase, side_by_side
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
 from .scenario import AgentSpec, ScenarioConfig
@@ -178,9 +185,13 @@ def _train(cfg: RunConfig, out_dir: str, command: str, phase_name: str, phase_ke
 
 
 def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
-    """Train every victim concurrently in a shared adversary-free world."""
+    """Train every victim concurrently in a shared adversary-free world,
+    starting from fresh policies initialised side by side."""
     full = build_scenario(cfg)
-    policies = {v.agent_id: fresh_policy(cfg, v) for v in full.victims()}
+    victims = full.victims()
+    fresh = side_by_side([partial(fresh_policy, cfg, v) for v in victims],
+                         net_config_for_mode(cfg.obs_mode).param_count())
+    policies = {v.agent_id: policy for v, policy in zip(victims, fresh)}
     return _train(cfg, out_dir, "train-baseline", "baseline", KEY_BASELINE, "baseline",
                   full, policies)
 

@@ -7,7 +7,7 @@ Rollouts store observations as the raster renders them: uint8 palette
 codes at the net's core resolution (code k is the channel value k/256), an
 eighth of float64. ``update_policy`` gathers each minibatch's codes and
 passes them to one ``net.Workspace`` that serves all of its forward and
-backward passes; conv1's patch matrix decodes them.
+backward passes; conv1 decodes them by scaling its GEMM results.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class Trajectory:
     agent_id: str
     obs: list = field(default_factory=list)  # each (R, R, 3) uint8 codes, R = net core resolution
     actions: list = field(default_factory=list)
-    log_probs_old: list = field(default_factory=list)
     log_prob_vecs_old: list = field(default_factory=list)  # each (9,)
     values_old: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
@@ -55,10 +54,9 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.rewards)
 
-    def append(self, obs, action, log_prob, log_prob_vec, value, reward, done):
+    def append(self, obs, action, log_prob_vec, value, reward, done):
         self.obs.append(obs)
         self.actions.append(int(action))
-        self.log_probs_old.append(float(log_prob))
         self.log_prob_vecs_old.append(np.asarray(log_prob_vec, dtype=np.float64))
         self.values_old.append(float(value))
         self.rewards.append(float(reward))
@@ -145,11 +143,14 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     mu = advantages.mean()
     sigma = advantages.std()
     normalized = (advantages - mu) / (sigma + ADV_NORM_EPS)
+    actions = np.array([a for t in trajs for a in t.actions], dtype=np.int64)
+    log_prob_vecs_old = np.stack([v for t in trajs for v in t.log_prob_vecs_old])
     return RolloutBatch(
         obs=np.stack([o for t in trajs for o in t.obs]),
-        actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
-        log_probs_old=np.array([lp for t in trajs for lp in t.log_probs_old]),
-        log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
+        actions=actions,
+        # the taken action's entry: the log-probability the rollout sampled it with
+        log_probs_old=log_prob_vecs_old[np.arange(actions.size), actions],
+        log_prob_vecs_old=log_prob_vecs_old,
         advantages=normalized,
         returns=np.concatenate(ret_parts),
         n_steps=int(advantages.size),

@@ -6,6 +6,7 @@ import yaml
 
 from advdrive.checkpoint import load_checkpoint
 from advdrive.cli import dispatch
+from advdrive.metrics import MetricsReport
 
 MICRO_CONFIG = {
     "obs_mode": "lite21",
@@ -177,6 +178,26 @@ def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, cont
     what, first = ("metrics report", "label") if command == "compare" else ("episode log", "agent_ids")
     assert err.startswith("error_class=ContractViolationError " + message.format(
         what=what, path=path, first=first))
+    assert err.count("error_class=") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_names_victim_entry_without_a_metric(tmp_path, capsys):
+    entry = {"episodes": 2, "mean_cv_rate": 0.0, "mean_co_rate": 0.0, "mean_os_rate": 0.0,
+             "mean_ttfc": None, "episodes_with_collision": 0}
+    report = MetricsReport(label="baseline", episodes=2, max_steps=40, action_mode="sample",
+                           master_seed=5, condition_key=0, fingerprint="f" * 64,
+                           victims={"victim1": dict(entry), "victim2": dict(entry)})
+    good = tmp_path / "good.json"
+    report.save(good)
+    del report.victims["victim1"]["mean_cv_rate"]
+    bad = tmp_path / "bad.json"
+    report.save(bad)
+    out = tmp_path / "out"
+    assert dispatch(["compare", str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error_class=ContractViolationError metrics report '{bad}': "
+                          "victim 'victim1' lacks keys ['mean_cv_rate']")
     assert err.count("error_class=") == 1 and "Traceback" not in err
     assert not out.exists()
 

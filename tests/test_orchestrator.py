@@ -9,8 +9,9 @@ import pytest
 
 from conftest import straight_scenario, tiny_net_config
 
-from advdrive import net, orchestrator
+from advdrive import net, orchestrator, pipeline
 from advdrive.checkpoint import Checkpoint, load_checkpoint, params_checksum
+from advdrive.config import build_scenario, parse_config
 from advdrive.errors import ContractViolationError, FreezeViolationError, PhaseAbortedError
 from advdrive.orchestrator import (
     EpisodeLog,
@@ -21,7 +22,7 @@ from advdrive.ppo import PpoHyper, update_policy
 from advdrive.raster import render
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
-from advdrive.seeding import SeedTree
+from advdrive.seeding import KEY_INIT, SeedTree
 from advdrive.world import init_world
 
 
@@ -511,6 +512,99 @@ class TestConcurrentUpdates:
         assert not aborted and len(threads) == 1
         serial, _, _ = self.run_phase(tmp_path, monkeypatch, 1)
         assert files == serial
+
+
+def baseline_config(obs_mode):
+    """One 20-tick baseline episode: no update is due, so the phase's only
+    per-policy jobs are the fresh inits and the checkpoint writes."""
+    return parse_config({
+        "obs_mode": obs_mode,
+        "seed": 3,
+        "scenario": {"preset": "t_intersection", "max_steps": 20},
+        "phases": {"baseline_episodes": 1, "baseline_step_cap": None},
+    })
+
+
+def pin_cpus(monkeypatch, cpus):
+    """``cpus`` usable CPUs with one thread per BLAS call."""
+    monkeypatch.setattr(orchestrator, "_usable_cpus", lambda: cpus)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+
+
+def record_threads(monkeypatch, module, name):
+    """The idents of the threads that call ``module.name`` from now on."""
+    threads = set()
+    original = getattr(module, name)
+
+    def recorder(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorder)
+    return threads
+
+
+class TestSideBySide:
+    """Fresh inits and checkpoint writes of full84 nets run side by side by
+    the update pool's CPU rule; lite21 nets' run serially on no thread. The
+    outputs and errors must not depend on it."""
+
+    def test_full84_baseline_identical_for_one_and_two_cpus(self, tmp_path, monkeypatch):
+        outputs = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                inits = record_threads(m, pipeline, "init_params")
+                saves = record_threads(m, orchestrator, "save_checkpoint")
+                out = tmp_path / str(cpus)
+                pipeline.train_baseline(baseline_config("full84"), str(out))
+            assert len(inits) == len(saves) == cpus
+            outputs[cpus] = {
+                name: (out / name).read_bytes()
+                for name in ("checkpoints/victim1.ckpt", "checkpoints/victim2.ckpt",
+                             "train_log.jsonl")
+            }
+        assert outputs[1] == outputs[2]
+
+    def test_lite21_baseline_starts_no_thread(self, tmp_path, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+
+        def refuse(thread):
+            raise AssertionError("a lite21 baseline started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = pipeline.train_baseline(baseline_config("lite21"), str(tmp_path / "out"))
+        assert sorted(result.checkpoint_paths) == ["victim1", "victim2"]
+
+    @pytest.mark.parametrize("failing", [("victim2",), ("victim1",), ("victim1", "victim2")])
+    def test_init_error_raised_as_a_serial_run_raises_it(self, tmp_path, monkeypatch, failing):
+        cfg = baseline_config("full84")
+        seed_keys = {(KEY_INIT, v.seed_index): v.agent_id for v in build_scenario(cfg).victims()}
+        errors = {}
+        for cpus in (1, 2):
+            threads = {}
+
+            def init(config, seed):
+                aid = seed_keys[seed.spawn_key]
+                threads[aid] = threading.get_ident()
+                if aid in failing:
+                    raise ContractViolationError(f"init of {aid} failed")
+                return net.init_params(tiny_net_config(), 0)
+
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                m.setattr(pipeline, "init_params", init)
+                out = tmp_path / str(cpus)
+                with pytest.raises(ContractViolationError) as info:
+                    pipeline.train_baseline(cfg, str(out))
+            errors[cpus] = str(info.value)
+            assert not out.exists()
+            assert threads["victim1"] == threading.get_ident()
+            if "victim2" in threads:  # it may have been dropped before it started
+                assert (threads["victim2"] == threading.get_ident()) == (cpus == 1)
+        assert errors[1] == errors[2] == f"init of {failing[0]} failed"
 
 
 class TestSeeding:

@@ -47,7 +47,6 @@ def make_trajectory(params, n, rewards=None, values=None, rng_seed=5):
         traj.append(
             obs[t],
             chosen.index,
-            chosen.log_prob,
             chosen.log_prob_vector,
             value if values is None else values[t],
             rng.normal() if rewards is None else rewards[t],
@@ -60,7 +59,7 @@ class TestAdvantages:
     def test_hand_evaluated_discounted_returns(self):
         traj = Trajectory(agent_id="a")
         for t, r in enumerate([1.0, 1.0, 1.0]):
-            traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, r, t == 2)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, r, t == 2)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
         expected = [1.0 + 0.99 + 0.99**2, 1.0 + 0.99, 1.0]
         assert np.allclose(ret, expected, atol=1e-12)
@@ -69,7 +68,7 @@ class TestAdvantages:
     def test_zero_rewards_zero_values_zero_advantages(self):
         traj = Trajectory(agent_id="a")
         for t in range(5):
-            traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 0.0, t == 4)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 0.0, t == 4)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
         assert np.all(adv == 0.0) and np.all(ret == 0.0)
 
@@ -78,7 +77,7 @@ class TestAdvantages:
         rewards = rng.normal(size=6)
         values = rng.normal(size=6)
         for t in range(6):
-            traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), values[t], rewards[t], t == 5)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t], t == 5)
         adv, ret = compute_advantages(traj, gamma=0.0, lam=1.0)
         assert np.array_equal(adv, rewards - values)
         assert np.allclose(ret, rewards, atol=1e-12)
@@ -88,7 +87,7 @@ class TestAdvantages:
         rewards = rng.normal(size=8)
         values = rng.normal(size=8)
         for t in range(8):
-            traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), values[t], rewards[t], t == 7)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t], t == 7)
         _, ret = compute_advantages(traj, gamma=0.9, lam=1.0)
         expected = np.zeros(8)
         acc = 0.0
@@ -103,8 +102,8 @@ class TestAdvantages:
 
     def test_done_must_be_last_only(self):
         traj = Trajectory(agent_id="a")
-        traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 1.0, True)
-        traj.append(np.zeros((84, 84, 3)), 0, 0.0, np.zeros(9), 0.0, 1.0, True)
+        traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 1.0, True)
+        traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 1.0, True)
         with pytest.raises(PpoError):
             traj.validate()
 
