@@ -26,7 +26,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ContractViolationError
-from .orchestrator import EpisodeLog, load_json_record, run_episode
+from .orchestrator import EpisodeLog, load_json_record, run_episode, share_cpus
 from .raster import VIEW_AHEAD, VIEW_SIDE
 from .rewards import RewardParams
 from .scenario import ScenarioConfig
@@ -155,8 +155,9 @@ def _eval_episode(scenario, policies, max_steps, seed_tree, condition_key,
 _worker_episode = None
 
 
-def _eval_worker_init(*context):
+def _eval_worker_init(workers: int, *context):
     global _worker_episode
+    share_cpus(workers)
     _worker_episode = partial(_eval_episode, *context)
 
 
@@ -180,13 +181,16 @@ def evaluate(
 
     Deterministic in (scenario, policies, master seed, condition_key)
     regardless of worker count; the first episode's log is returned (a
-    one-item list) for plotting.
+    one-item list) for plotting. With ``workers`` > 1 the episodes run in a
+    pool of that many processes, which share the usable CPUs: each episode's
+    forwards start helper threads only while processes × concurrent forwards
+    fit the CPUs (``share_cpus``).
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
     context = (scenario, policies, max_steps, seed_tree, condition_key, action_mode)
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_eval_worker_init, initargs=context
+            max_workers=workers, initializer=_eval_worker_init, initargs=(workers, *context)
         ) as pool:
             logs = list(pool.map(_eval_in_worker, range(episodes)))
     else:

@@ -488,7 +488,6 @@ def entropy_from_logp(logp: np.ndarray) -> np.ndarray:
 @dataclass
 class SampledAction:
     index: int
-    log_prob: float
     log_prob_vector: np.ndarray  # (9,)
 
 
@@ -501,18 +500,9 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> SampledAction
     u = rng.random()
     index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     index = min(index, N_ACTIONS - 1)
-    return SampledAction(
-        index=index,
-        log_prob=float(logp[index]),
-        log_prob_vector=logp,
-    )
+    return SampledAction(index=index, log_prob_vector=logp)
 
 
 def greedy_action(logits: np.ndarray) -> SampledAction:
     logp = log_softmax(np.asarray(logits, dtype=np.float64))
-    index = int(np.argmax(logits))
-    return SampledAction(
-        index=index,
-        log_prob=float(logp[index]),
-        log_prob_vector=logp,
-    )
+    return SampledAction(index=int(np.argmax(logits)), log_prob_vector=logp)

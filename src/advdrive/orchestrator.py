@@ -14,10 +14,10 @@ episodes), verify the policies the phase freezes by checksum after every
 episode, and write checkpoints plus a phase manifest sufficient to audit the
 freeze contracts.
 
-One concurrency rule serves every per-policy job a phase runs side by side:
-as many at once as the usable CPUs divided by the threads of each BLAS call
-(``concurrency``), the first job on the calling thread and the others on
-helper threads. That is one per CPU with a single BLAS thread, and one at a
+One concurrency rule serves every per-policy job a phase or an evaluation
+runs side by side: as many at once as the usable CPUs divided by the threads
+of each BLAS call (``concurrency``), one job on the calling thread and the
+others on helper threads. That is one per CPU with a single BLAS thread, and one at a
 time with BLAS at its default of every CPU, where each job's large matrix
 products already use every core. Each job owns what it writes, and numpy,
 LAPACK, hashlib and file writes release the GIL in their large operations.
@@ -30,17 +30,28 @@ same for any CPU count. The jobs are:
   agent's episode record is written, then its update record or its error.
   (After an abort, an update that ran alongside the failing one has still
   changed its policy in memory; no file records it.)
+* within each tick of ``run_episode``, every live agent's net forward on its
+  rendered observation: each but the last goes to a helper thread as soon as
+  the agent is rendered, while this thread renders the next agents and runs
+  the last forward itself. Sampling and the world step then follow in agent
+  order, each agent drawing from its own RNG.
 * through ``side_by_side``, a phase's checkpoint writes (the phase-end and
   the ``_latest`` ones) and, in ``pipeline``, the inits of fresh policies.
-  These are gated on the size of the net: below ``SIDE_BY_SIDE_MIN_PARAMS``
-  parameters (``lite21``) they run one after another and start no thread.
   (After a failed write, a checkpoint written alongside it may exist.)
+
+The forwards, inits and writes are gated on the size of the net
+(``helper_threads``): below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters
+(``lite21``) they run one after another and start no thread. A process pool
+(``metrics.evaluate`` with ``workers`` > 1) shares the usable CPUs among its
+processes (``share_cpus``), so a worker's jobs start helper threads only
+where processes × jobs at once fit the CPUs.
 """
 from __future__ import annotations
 
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass, field, fields
 
@@ -65,11 +76,12 @@ from .world import WorldState, init_world, initial_flags, step
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
-# Nets with at least this many parameters are initialised and saved side by
-# side. A full84 init (1,687,210 parameters) spends most of its 0.24 s in a
-# LAPACK QR that releases the GIL, and two ran in 0.25 s on two threads
-# against 0.47 s one after the other. A lite21 init (8,906) takes 0.8 ms,
-# mostly in Python, and two took 2.5 ms on two threads against 1.6 ms.
+# Nets with at least this many parameters are initialised, saved and run
+# forward side by side. A full84 init (1,687,210 parameters) spends most of
+# its 0.24 s in a LAPACK QR that releases the GIL, and two ran in 0.25 s on
+# two threads against 0.47 s one after the other. A lite21 init (8,906) takes
+# 0.8 ms, mostly in Python, and two took 2.5 ms on two threads against 1.6 ms;
+# a lite21 forward is likewise too short to hand to a thread.
 SIDE_BY_SIDE_MIN_PARAMS = 100_000
 
 
@@ -151,7 +163,21 @@ def run_episode(
     action_mode: str = "sample",
 ) -> tuple[dict[str, Trajectory], EpisodeLog]:
     """Run one episode; returns per-agent trajectories for `collect` agents
-    and the episode log. Deterministic in (scenario, policies, key_prefix)."""
+    and the episode log. Deterministic in (scenario, policies, key_prefix).
+
+    Each tick renders the live agents in agent order. For nets from
+    ``SIDE_BY_SIDE_MIN_PARAMS`` up, each but the last agent's forward goes to
+    one of the episode's ``helper_threads(len(agents), ...)`` helper threads
+    as soon as it is rendered, and the last runs on the calling thread (see
+    the module docstring); smaller nets, or one job at a time, run every
+    forward on the calling thread and start no thread. The forwards' results
+    are then taken in agent order, each followed by its agent's action (drawn
+    from its own RNG in ``sample`` mode), and the world steps once. So the
+    outputs do not depend on the thread count, and neither does the error: a
+    failing render, forward or draw raises the error of the first failing
+    agent in agent order, once every started forward has ended; forwards not
+    yet started are dropped.
+    """
     collect = set() if collect is None else set(collect)
     ids = scenario.agent_ids()
     for aid in ids:
@@ -172,53 +198,53 @@ def run_episode(
     log.flags = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
     positions = []
 
-    for t in range(max_steps):
-        live = world.live_agents()
-        if not live:
-            break
-        actions = {}
-        pending = {}
-        for aid in live:
-            obs = render(world, aid, res[aid])
-            logits, value = net.forward(policies[aid].params, obs.pixels)
-            chosen = net.greedy_action(logits) if greedy else net.sample_action(logits, rngs[aid])
-            actions[aid] = net.action_to_command(chosen.index)
-            pending[aid] = (obs, chosen, value)
+    helpers = helper_threads(len(ids), min(policies[aid].net_config.param_count() for aid in ids))
+    with _helper_pool(helpers) as pool:
+        for t in range(max_steps):
+            live = world.live_agents()
+            if not live:
+                break
+            actions = {}
+            pending = {}
+            for aid, obs, logits, value in _tick_forwards(world, live, policies, res, pool):
+                chosen = net.greedy_action(logits) if greedy else net.sample_action(logits, rngs[aid])
+                actions[aid] = net.action_to_command(chosen.index)
+                pending[aid] = (obs, chosen, value)
 
-        world, flags = step(world, actions)
+            world, flags = step(world, actions)
 
-        for aid in live:
-            fl = flags[aid]
-            for name in FLAG_NAMES:
-                value_flag = getattr(fl, name)
-                log.flags[aid][name].append(bool(value_flag))
-                if value_flag:
-                    log.events.append({"tick": world.tick, "agent_id": aid, "flag": name})
-            if aid in collect:
-                obs, chosen, value = pending[aid]
-                reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
-                done = world.terminated[aid] or (t == max_steps - 1)
-                trajectories[aid].append(
-                    obs.pixels, chosen.index, chosen.log_prob_vector, value, reward, done
-                )
-            prev_flags[aid] = fl
-            if world.terminated[aid] and aid not in log.termination:
-                log.termination[aid] = {
-                    "tick": world.tick,
-                    "reason": world.termination_reason[aid],
-                }
+            for aid in live:
+                fl = flags[aid]
+                for name in FLAG_NAMES:
+                    value_flag = getattr(fl, name)
+                    log.flags[aid][name].append(bool(value_flag))
+                    if value_flag:
+                        log.events.append({"tick": world.tick, "agent_id": aid, "flag": name})
+                if aid in collect:
+                    obs, chosen, value = pending[aid]
+                    reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
+                    done = world.terminated[aid] or (t == max_steps - 1)
+                    trajectories[aid].append(
+                        obs.pixels, chosen.index, chosen.log_prob_vector, value, reward, done
+                    )
+                prev_flags[aid] = fl
+                if world.terminated[aid] and aid not in log.termination:
+                    log.termination[aid] = {
+                        "tick": world.tick,
+                        "reason": world.termination_reason[aid],
+                    }
 
-        positions.append(
-            [
+            positions.append(
                 [
-                    world.vehicles[aid].position[0],
-                    world.vehicles[aid].position[1],
-                    world.vehicles[aid].heading,
-                    world.vehicles[aid].speed,
+                    [
+                        world.vehicles[aid].position[0],
+                        world.vehicles[aid].position[1],
+                        world.vehicles[aid].heading,
+                        world.vehicles[aid].speed,
+                    ]
+                    for aid in ids
                 ]
-                for aid in ids
-            ]
-        )
+            )
 
     log.ticks = len(positions)
     log.positions = (
@@ -228,6 +254,50 @@ def run_episode(
         if aid not in log.termination:
             log.termination[aid] = {"tick": None, "reason": None}
     return trajectories, log
+
+
+def _tick_forwards(world: WorldState, live: list[str], policies: dict[str, Checkpoint],
+                   res: dict[str, int], pool):
+    """Yields ``(agent id, observation, logits, value)`` per live agent, in
+    order. Without a ``pool`` each agent is rendered and run forward in its
+    turn. With one, each but the last agent's forward goes to the pool as
+    soon as the agent is rendered, and the last runs on this thread; a
+    failed render or last forward is raised after the agents before it are
+    yielded, as a serial run would have yielded them."""
+    if pool is None:
+        for aid in live:
+            obs = render(world, aid, res[aid])
+            yield (aid, obs) + net.forward(policies[aid].params, obs.pixels)
+        return
+    started = []
+    try:
+        for aid in live[:-1]:
+            obs = render(world, aid, res[aid])
+            started.append((aid, obs, pool.submit(net.forward, policies[aid].params, obs.pixels)))
+        aid = live[-1]
+        obs = render(world, aid, res[aid])
+        last = (aid, obs) + net.forward(policies[aid].params, obs.pixels)
+    except Exception:
+        for aid, obs, future in started:
+            yield (aid, obs) + future.result()
+        raise
+    for aid, obs, future in started:
+        yield (aid, obs) + future.result()
+    yield last
+
+
+@contextmanager
+def _helper_pool(helpers: int):
+    """A pool of ``helpers`` threads, or None when ``helpers`` < 1. On exit
+    it drops the calls not yet started and waits for the running ones."""
+    if helpers < 1:
+        yield None
+        return
+    pool = ThreadPoolExecutor(max_workers=helpers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -277,35 +347,50 @@ def _blas_threads() -> int:
     return _usable_cpus()
 
 
+# Processes that share the usable CPUs: 1, or in a process pool's worker the
+# size of the pool (``share_cpus``).
+_processes = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Count the usable CPUs as shared by ``processes`` processes running
+    side by side, this one among them; ``concurrency`` gives each its
+    share."""
+    global _processes
+    _processes = processes
+
+
 def concurrency(jobs: int) -> int:
-    """How many of ``jobs`` independent per-policy jobs run at once: the
-    usable CPUs divided by the threads of each BLAS call, at least one and at
-    most ``jobs``."""
-    return min(jobs, max(1, _usable_cpus() // _blas_threads()))
+    """How many of ``jobs`` independent per-policy jobs run at once: this
+    process's share of the usable CPUs divided by the threads of each BLAS
+    call, at least one and at most ``jobs``."""
+    return min(jobs, max(1, _usable_cpus() // (_blas_threads() * _processes)))
+
+
+def helper_threads(jobs: int, params: int) -> int:
+    """Helper threads for ``jobs`` per-policy jobs on nets of at least
+    ``params`` parameters: ``concurrency(jobs) - 1`` from
+    ``SIDE_BY_SIDE_MIN_PARAMS`` up, and none below it."""
+    return concurrency(jobs) - 1 if params >= SIDE_BY_SIDE_MIN_PARAMS else 0
 
 
 def side_by_side(calls: list, params: int) -> list:
     """The results of ``calls`` (callables of no argument), in order.
 
     ``params`` is the parameter count of the smallest net the calls work on.
-    From ``SIDE_BY_SIDE_MIN_PARAMS`` up, the calls run concurrently as
-    updates do: the first on the calling thread, the others on
-    ``concurrency(len(calls)) - 1`` helper threads. Below it, or with one job
-    at a time, they run one after another and no thread starts. Either way
-    the error of the first failing call in order is raised, as a serial run
-    raises it, once every started call has ended; calls not yet started are
-    dropped.
+    With ``helper_threads(len(calls), params)`` above zero, the calls run
+    concurrently as updates do: the first on the calling thread, the others
+    on the helpers. Otherwise they run one after another and no thread
+    starts. Either way the error of the first failing call in order is
+    raised, as a serial run raises it, once every started call has ended;
+    calls not yet started are dropped.
     """
-    helpers = concurrency(len(calls)) - 1 if params >= SIDE_BY_SIDE_MIN_PARAMS else 0
-    if helpers < 1:
-        return [call() for call in calls]
-    pool = ThreadPoolExecutor(max_workers=helpers)
-    try:
+    with _helper_pool(helper_threads(len(calls), params)) as pool:
+        if pool is None:
+            return [call() for call in calls]
         futures = [pool.submit(call) for call in calls[1:]]
         first = calls[0]()
         return [first] + [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _update_job(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):

@@ -244,8 +244,16 @@ def evaluate_condition(
     dump_obs: bool = False,
 ) -> MetricsReport:
     """Evaluate one policy set; writes report JSON/text, one episode log,
-    and a trajectory plot under out_dir."""
+    and a trajectory plot under out_dir. The run manifest's ``warnings``
+    name an ``eval.max_steps`` other than ``scenario.max_steps``, the length
+    of training episodes."""
     full = build_scenario(cfg)
+    warnings = []
+    if cfg.eval.max_steps != full.max_steps:
+        warnings.append(
+            f"eval.max_steps {cfg.eval.max_steps} differs from scenario.max_steps "
+            f"{full.max_steps}, the length of training episodes"
+        )
     policies = _load_policies(cfg, full, victim_ckpts, "victim", True, [])
     if adversary_ckpt is not None:
         adv_id = _adversary(full).agent_id
@@ -285,7 +293,8 @@ def evaluate_condition(
         for aid in scenario.agent_ids():
             obs = render(world, aid, policies[aid].params.config.core_res())
             write_ppm(obs.pixels, os.path.join(out_dir, f"obs_{aid}.ppm"))
-    write_run_manifest(out_dir, cfg, f"evaluate --label {label}", {"fingerprint": report.fingerprint})
+    write_run_manifest(out_dir, cfg, f"evaluate --label {label}",
+                       {"fingerprint": report.fingerprint, "warnings": warnings})
     return report
 
 

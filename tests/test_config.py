@@ -356,6 +356,17 @@ def test_unused_victim_checkpoint_is_a_manifest_warning(lite21_ckpts, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("eval_steps", [40, 60])
+def test_eval_horizon_other_than_training_is_a_manifest_warning(lite21_ckpts, tmp_path, eval_steps):
+    cfg = parse_config({**MICRO_CONFIG, "eval": {"episodes": 1, "max_steps": eval_steps}})
+    pipeline.evaluate_condition(cfg, "baseline", {"victim1": lite21_ckpts["victim"]}, None,
+                                str(tmp_path / "e"))
+    manifest = json.loads((tmp_path / "e" / "run_manifest.json").read_text())
+    assert manifest["warnings"] == ([] if eval_steps == 40 else [
+        "eval.max_steps 60 differs from scenario.max_steps 40, the length of training episodes"
+    ])
+
+
 def test_dumped_observation_is_episode0_first_observation(tmp_path):
     # with spawn jitter the first observation depends on the episode's world
     # seed; at full84 episodes 0 and 1 of this seed see different pixels

@@ -302,7 +302,7 @@ class TestSampling:
         logits = rng.normal(size=9)
         s = net.sample_action(logits, rng)
         logp = net.log_softmax(logits)
-        assert s.log_prob == pytest.approx(logp[s.index])
+        assert s.log_prob_vector[s.index] == pytest.approx(logp[s.index])
 
     def test_greedy_picks_argmax(self):
         logits = np.array([0.0, 2.0, -1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])

@@ -9,10 +9,15 @@ import pytest
 
 from conftest import straight_scenario, tiny_net_config
 
-from advdrive import net, orchestrator, pipeline
-from advdrive.checkpoint import Checkpoint, load_checkpoint, params_checksum
+from advdrive import metrics, net, orchestrator, pipeline
+from advdrive.checkpoint import Checkpoint, load_checkpoint, params_checksum, save_checkpoint
 from advdrive.config import build_scenario, parse_config
-from advdrive.errors import ContractViolationError, FreezeViolationError, PhaseAbortedError
+from advdrive.errors import (
+    ContractViolationError,
+    FreezeViolationError,
+    NonFiniteError,
+    PhaseAbortedError,
+)
 from advdrive.orchestrator import (
     EpisodeLog,
     run_episode,
@@ -546,6 +551,14 @@ def record_threads(monkeypatch, module, name):
     return threads
 
 
+def refuse_threads(monkeypatch, what):
+    """Fail the test when a thread starts."""
+    def refuse(thread):
+        raise AssertionError(f"{what} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
 class TestSideBySide:
     """Fresh inits and checkpoint writes of full84 nets run side by side by
     the update pool's CPU rule; lite21 nets' run serially on no thread. The
@@ -558,9 +571,10 @@ class TestSideBySide:
                 pin_cpus(m, cpus)
                 inits = record_threads(m, pipeline, "init_params")
                 saves = record_threads(m, orchestrator, "save_checkpoint")
+                forwards = record_threads(m, net, "forward")
                 out = tmp_path / str(cpus)
                 pipeline.train_baseline(baseline_config("full84"), str(out))
-            assert len(inits) == len(saves) == cpus
+            assert len(inits) == len(saves) == len(forwards) == cpus
             outputs[cpus] = {
                 name: (out / name).read_bytes()
                 for name in ("checkpoints/victim1.ckpt", "checkpoints/victim2.ckpt",
@@ -570,11 +584,7 @@ class TestSideBySide:
 
     def test_lite21_baseline_starts_no_thread(self, tmp_path, monkeypatch):
         pin_cpus(monkeypatch, 2)
-
-        def refuse(thread):
-            raise AssertionError("a lite21 baseline started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        refuse_threads(monkeypatch, "a lite21 baseline")
         result = pipeline.train_baseline(baseline_config("lite21"), str(tmp_path / "out"))
         assert sorted(result.checkpoint_paths) == ["victim1", "victim2"]
 
@@ -605,6 +615,136 @@ class TestSideBySide:
             if "victim2" in threads:  # it may have been dropped before it started
                 assert (threads["victim2"] == threading.get_ident()) == (cpus == 1)
         assert errors[1] == errors[2] == f"init of {failing[0]} failed"
+
+
+def eval_config(obs_mode, workers=1):
+    """Two 20-tick evaluation episodes of the T-intersection's three agents."""
+    return parse_config({
+        "obs_mode": obs_mode,
+        "seed": 3,
+        "workers": workers,
+        "scenario": {"preset": "t_intersection", "max_steps": 20},
+        "eval": {"episodes": 2, "max_steps": 20},
+    })
+
+
+@pytest.fixture(scope="module")
+def fresh_checkpoints(tmp_path_factory):
+    """Per obs mode, agent id -> checkpoint path of a fresh net for each agent
+    of ``eval_config``'s scenario."""
+    paths = {}
+    for obs_mode in ("lite21", "full84"):
+        cfg = eval_config(obs_mode)
+        out = tmp_path_factory.mktemp(obs_mode)
+        paths[obs_mode] = {}
+        for spec in build_scenario(cfg).agents:
+            paths[obs_mode][spec.agent_id] = str(out / f"{spec.agent_id}.ckpt")
+            save_checkpoint(paths[obs_mode][spec.agent_id], pipeline.fresh_policy(cfg, spec))
+    return paths
+
+
+def evaluate_attack(cfg, ckpts, out) -> dict:
+    """Evaluate the agents of ``ckpts`` as the attack condition; returns the
+    bytes of the report and of the episode log."""
+    victims = {aid: path for aid, path in ckpts.items() if aid != "adversary"}
+    pipeline.evaluate_condition(cfg, "attack_collision", victims, ckpts["adversary"], str(out))
+    return {name: (out / name).read_bytes() for name in ("report.json", "episode0.json")}
+
+
+class TestForwardsSideBySide:
+    """Within each tick, full84 forwards run on helper threads by the CPU rule
+    of the other per-policy jobs; lite21 forwards run on the calling thread.
+    The outputs and errors must not depend on it."""
+
+    def test_full84_evaluation_identical_for_one_and_two_cpus(
+        self, tmp_path, monkeypatch, fresh_checkpoints
+    ):
+        outputs = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                forwards = record_threads(m, net, "forward")
+                outputs[cpus] = evaluate_attack(eval_config("full84"), fresh_checkpoints["full84"],
+                                                tmp_path / str(cpus))
+            assert len(forwards) == cpus
+        assert outputs[1] == outputs[2]
+
+    # per CPU count: the helpers of a 3-agent full84 episode in this process,
+    # and in each worker of a 2-process pool
+    @pytest.mark.parametrize("cpus, helpers, worker_helpers", [(2, 1, 0), (4, 2, 1)])
+    def test_pool_workers_share_the_cpus(
+        self, tmp_path, monkeypatch, fresh_checkpoints, cpus, helpers, worker_helpers
+    ):
+        def recorder(*args, **kwargs):
+            big = orchestrator.SIDE_BY_SIDE_MIN_PARAMS
+            (tmp_path / f"helpers_{os.getpid()}").write_text(
+                str(orchestrator.helper_threads(3, big))
+            )
+            return orchestrator.run_episode(*args, **kwargs)
+
+        outputs = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                m.setattr(metrics, "run_episode", recorder)
+                outputs[workers] = evaluate_attack(eval_config("full84", workers),
+                                                   fresh_checkpoints["full84"],
+                                                   tmp_path / str(workers))
+        assert outputs[1] == outputs[2]
+        found = {p.name: p.read_text() for p in tmp_path.glob("helpers_*")}
+        assert found.pop(f"helpers_{os.getpid()}") == str(helpers)
+        assert found and set(found.values()) == {str(worker_helpers)}
+
+    @pytest.mark.parametrize("failing", [
+        {"victim1": "forward"},
+        {"victim2": "forward"},
+        {"adversary": "forward"},
+        {"victim1": "forward", "victim2": "forward"},
+        {"victim2": "forward", "adversary": "forward"},
+        {"victim1": "forward", "victim2": "render"},
+        {"victim2": "render", "adversary": "forward"},
+    ], ids=lambda failing: "-".join(f"{aid}_{stage}" for aid, stage in failing.items()))
+    def test_error_raised_as_a_serial_run_raises_it(self, monkeypatch, fresh_checkpoints, failing):
+        scenario = build_scenario(eval_config("full84"))
+        policies = {aid: load_checkpoint(p) for aid, p in fresh_checkpoints["full84"].items()}
+        owners = {id(pol.params): aid for aid, pol in policies.items()}
+        forward, draw = net.forward, orchestrator.render
+        errors = {}
+        for cpus in (1, 2):
+            threads = {}
+
+            def failing_forward(params, obs):
+                aid = owners[id(params)]
+                threads[aid] = threading.get_ident()
+                if failing.get(aid) == "forward":
+                    raise NonFiniteError(f"forward of {aid} failed")
+                return forward(params, obs)
+
+            def failing_render(world, aid, res):
+                if failing.get(aid) == "render":
+                    raise ContractViolationError(f"render of {aid} failed")
+                return draw(world, aid, res)
+
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                m.setattr(net, "forward", failing_forward)
+                m.setattr(orchestrator, "render", failing_render)
+                running = threading.active_count()
+                with pytest.raises((NonFiniteError, ContractViolationError)) as info:
+                    run_episode(scenario, policies, RewardParams(), 20, SeedTree(3), (1, 0))
+                assert threading.active_count() == running  # every helper has ended
+            errors[cpus] = str(info.value)
+            assert threads["victim1"] != threading.get_ident() or cpus == 1
+            if "adversary" in threads:
+                assert threads["adversary"] == threading.get_ident()
+        first = next(aid for aid in scenario.agent_ids() if aid in failing)
+        assert errors[1] == errors[2] == f"{failing[first]} of {first} failed"
+
+    def test_lite21_evaluation_starts_no_thread(self, tmp_path, monkeypatch, fresh_checkpoints):
+        pin_cpus(monkeypatch, 2)
+        refuse_threads(monkeypatch, "a lite21 evaluation")
+        outputs = evaluate_attack(eval_config("lite21"), fresh_checkpoints["lite21"], tmp_path)
+        assert json.loads(outputs["report.json"])["episodes"] == 2
 
 
 class TestSeeding:
