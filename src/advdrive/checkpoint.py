@@ -173,12 +173,18 @@ def _read_verified(fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint in the file ``path``. Every ``CheckpointError`` it
+    raises names the file, so a failing load among several tells which."""
     try:
         with open(path, "rb") as fh:
-            header, loaded = _read_verified(fh, os.fstat(fh.fileno()).st_size)
+            return _checkpoint_from(*_read_verified(fh, os.fstat(fh.fileno()).st_size))
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") from exc
+    except CheckpointError as exc:
+        raise type(exc)(f"checkpoint '{path}': {exc}") from exc
 
+
+def _checkpoint_from(header: dict, loaded: dict[str, np.ndarray]) -> Checkpoint:
     config = NetConfig.from_dict(header["net_config"])
     expected_layout = dict(config.param_layout())
     params_arrays = {}

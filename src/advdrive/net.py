@@ -22,12 +22,14 @@ conv layer. Each conv pre-activation is a workspace buffer and its ReLU runs
 in place over it, so the forward cache keeps each conv layer's input and
 activation but no pre-activation and no patch matrix. ``backward`` takes each
 ReLU mask as ``activation > 0`` (equal to ``pre-activation > 0``, NaN
-included) before that buffer is overwritten, refills the patch buffer from
-the cached input for the weight gradient, writes the dense input gradient
-over the dense input and each conv layer's input gradient over that layer's
-input, and uses the dead patch buffer as its tap buffer: one GEMM per kernel
-tap, added in (a, b) tap order onto zeros. A cache is therefore good for one
-backward pass.
+included) before that buffer is overwritten. For the last conv layer's weight
+gradient it reads the patch matrix the forward pass left in the patch buffer,
+and for each earlier layer it refills that buffer from the cached input. It
+writes the dense input gradient over the dense input and each conv layer's
+input gradient over that layer's input, and uses the dead patch buffer as its
+tap buffer: one GEMM per kernel tap, added in (a, b) tap order onto zeros. A
+cache is therefore good for one backward pass, with no other use of its
+workspace in between.
 """
 from __future__ import annotations
 
@@ -378,7 +380,10 @@ def backward(
         h = convs[i]["input"]
         dpre = np.multiply(dpost, mask, out=dpost)
         dpre_mat = dpre.reshape(-1, spec.filters)
-        cols = _im2col(h, spec.kernel, spec.stride, workspace)
+        if i == len(cfg.convs) - 1:  # the forward pass's last patch matrix, still in place
+            cols = workspace.array("cols", (len(dpre_mat), spec.kernel**2 * h.shape[-1]))
+        else:
+            cols = _im2col(h, spec.kernel, spec.stride, workspace)
         grad_w = cols.T @ dpre_mat
         grads[f"conv{i + 1}/w"] = grad_w.reshape(params.arrays[f"conv{i + 1}/w"].shape)
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)

@@ -35,11 +35,12 @@ same for any CPU count. The jobs are:
   the agent is rendered, while this thread renders the next agents and runs
   the last forward itself. Sampling and the world step then follow in agent
   order, each agent drawing from its own RNG.
-* through ``side_by_side``, a phase's checkpoint writes (the phase-end and
-  the ``_latest`` ones) and, in ``pipeline``, the inits of fresh policies.
+* through ``side_by_side``, a phase's ``checksums_in`` hashes and
+  checkpoint writes (the phase-end and the ``_latest`` ones) and, in
+  ``pipeline``, each command's checkpoint loads and inits of fresh policies.
   (After a failed write, a checkpoint written alongside it may exist.)
 
-The forwards, inits and writes are gated on the size of the net
+The forwards, hashes, loads, inits and writes are gated on the size of the net
 (``helper_threads``): below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters
 (``lite21``) they run one after another and start no thread. A process pool
 (``metrics.evaluate`` with ``workers`` > 1) shares the usable CPUs among its
@@ -76,12 +77,13 @@ from .world import WorldState, init_world, initial_flags, step
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
-# Nets with at least this many parameters are initialised, saved and run
-# forward side by side. A full84 init (1,687,210 parameters) spends most of
-# its 0.24 s in a LAPACK QR that releases the GIL, and two ran in 0.25 s on
-# two threads against 0.47 s one after the other. A lite21 init (8,906) takes
-# 0.8 ms, mostly in Python, and two took 2.5 ms on two threads against 1.6 ms;
-# a lite21 forward is likewise too short to hand to a thread.
+# Nets with at least this many parameters are initialised, loaded, hashed,
+# saved and run forward side by side. A full84 init (1,687,210 parameters)
+# spends most of its 0.24 s in a LAPACK QR that releases the GIL, and two ran
+# in 0.25 s on two threads against 0.47 s one after the other. A lite21 init
+# (8,906) takes 0.8 ms, mostly in Python, and two took 2.5 ms on two threads
+# against 1.6 ms; a lite21 load, hash or forward is likewise too short to
+# hand to a thread.
 SIDE_BY_SIDE_MIN_PARAMS = 100_000
 
 
@@ -198,7 +200,7 @@ def run_episode(
     log.flags = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
     positions = []
 
-    helpers = helper_threads(len(ids), min(policies[aid].net_config.param_count() for aid in ids))
+    helpers = helper_threads(len(ids), _smallest_net(policies, ids))
     with _helper_pool(helpers) as pool:
         for t in range(max_steps):
             live = world.live_agents()
@@ -326,8 +328,12 @@ def _save_policy_checkpoints(policies, agent_ids, out_dir, suffix=""):
     paths = {aid: os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
              for aid in agent_ids}
     saves = [partial(save_checkpoint, paths[aid], policies[aid]) for aid in agent_ids]
-    smallest = min(policies[aid].net_config.param_count() for aid in agent_ids)
-    return paths, dict(zip(agent_ids, side_by_side(saves, smallest)))
+    return paths, dict(zip(agent_ids, side_by_side(saves, _smallest_net(policies, agent_ids))))
+
+
+def _smallest_net(policies: dict[str, Checkpoint], agent_ids) -> int:
+    """The parameter count of the smallest net among ``agent_ids``' policies."""
+    return min(policies[aid].net_config.param_count() for aid in agent_ids)
 
 
 def _usable_cpus() -> int:
@@ -426,8 +432,9 @@ def run_training_phase(
     ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
     ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
     phase with those last good checkpoints preserved. Updates due after the
-    same episode run concurrently, and so do the checkpoint writes of nets
-    from ``SIDE_BY_SIDE_MIN_PARAMS`` up (see the module docstring).
+    same episode run concurrently, and so do the ``checksums_in`` hashes and
+    the checkpoint writes of nets from ``SIDE_BY_SIDE_MIN_PARAMS`` up (see
+    the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
@@ -436,7 +443,8 @@ def run_training_phase(
     if not trainable:
         raise ConfigurationError(f"phase '{phase_name}' has no trainable policy")
 
-    checksums_in = {aid: params_checksum(policies[aid].params) for aid in ids}
+    hashes = [partial(params_checksum, policies[aid].params) for aid in ids]
+    checksums_in = dict(zip(ids, side_by_side(hashes, _smallest_net(policies, ids))))
     frozen_checksums = {aid: checksums_in[aid] for aid in frozen}
     stats = _StatsWriter(os.path.join(out_dir, "train_log.jsonl"))
     buffers: dict[str, list[Trajectory]] = {aid: [] for aid in trainable}

@@ -4,22 +4,28 @@ retraining against a frozen adversary, evaluation conditions, and the demo
 that chains them all and emits a comparison table.
 
 Every phase and evaluation is built from the same pieces. A policy is its
-``Checkpoint``. ``_load_policies`` loads checkpoints and raises
-``ConfigurationError`` unless each id names a scenario agent of the role it
-is loaded as and holds the net of ``cfg.obs_mode``; ``full.subset(policies)``
-cuts the scenario down to the agents that have a policy; ``_train`` runs one
-training phase within its ``cfg.phases`` budget, freezing the ids the phase
-names, and writes the run manifest. A phase or evaluation with an adversary
-checkpoint echoes that checkpoint's reward kind as ``adversary.reward`` in
-its manifests. The obs mode reaches the rest of the run only through the
-nets: fresh policies get its net, loaded ones are checked to hold it, and
-every agent is rendered at its own net's core resolution.
+``Checkpoint``. ``_build_policies`` builds every policy a command needs,
+loaded or fresh, and raises ``ConfigurationError`` unless each checkpoint id
+names a scenario agent of the role it is loaded as and holds the net of
+``cfg.obs_mode``; ``full.subset(policies)`` cuts the scenario down to the
+agents that have a policy; ``_train`` runs one training phase within its
+``cfg.phases`` budget, freezing the ids the phase names, and writes the run
+manifest. A phase or evaluation with an adversary checkpoint echoes that
+checkpoint's reward kind as ``adversary.reward`` in its manifests. The obs
+mode reaches the rest of the run only through the nets: fresh policies get
+its net, loaded ones are checked to hold it, and every agent is rendered at
+its own net's core resolution.
 
-The fresh victims of ``train_baseline`` are initialised side by side, by the
-orchestrator's one concurrency rule and size gate (``side_by_side``): for
-``full84`` nets the first on the calling thread and the others on helper
-threads, as many at once as the usable CPUs per BLAS thread; for ``lite21``
-nets one after another, with no thread. The policies are the same either way.
+A command's checkpoint loads and fresh inits (``train_baseline``'s victims,
+``train_adversary``'s opponents and adversary, and the victims and adversary
+of ``retrain_victims`` and ``evaluate_condition``) run in one
+``side_by_side`` call, by the orchestrator's one concurrency rule and size
+gate: for ``full84`` nets the first on the calling thread and the others on
+helper threads, as many at once as the usable CPUs per BLAS thread; for
+``lite21`` nets one after another, with no thread. The role and scenario
+checks run before any file is read, and a failing load or init raises as a
+serial run raises it: the first failing one in agent order, once every
+started job has ended. The policies and warnings are the same either way.
 """
 from __future__ import annotations
 
@@ -130,16 +136,33 @@ def _check_roles(full: ScenarioConfig, agent_ids, role: str):
             )
 
 
-def _load_policies(cfg: RunConfig, full: ScenarioConfig, ckpts: dict[str, str], role: str,
-                   frozen: bool, warnings: list[str]) -> dict[str, Checkpoint]:
-    """The policies of ``ckpts`` (agent id -> path), for agents that hold
-    ``role`` in ``full``; load warnings are appended to ``warnings``."""
-    _check_roles(full, ckpts, role)
-    policies = {}
-    for aid, path in ckpts.items():
-        policies[aid], w = policy_from_checkpoint(path, aid, frozen, role=role, obs_mode=cfg.obs_mode)
-        warnings += w
-    return policies
+def _build_policies(cfg: RunConfig, full: ScenarioConfig,
+                    ckpts: dict[str, dict[str, str]] | None = None,
+                    frozen_roles: tuple[str, ...] = (), fresh: tuple[AgentSpec, ...] = ()
+                    ) -> tuple[dict[str, Checkpoint], list[str]]:
+    """Every policy a command needs, built side by side (``side_by_side``):
+    the checkpoints of ``ckpts`` (role -> agent id -> path), loaded for
+    agents that hold that role in ``full`` and as frozen for the
+    ``frozen_roles``, and fresh policies for the ``fresh`` specs. Returns
+    the policies by agent id and the load warnings, both in ``full``'s agent
+    order. The role checks run before any file is read."""
+    jobs = {}
+    for role, paths in (ckpts or {}).items():
+        _check_roles(full, paths, role)
+        for aid, path in paths.items():
+            jobs[aid] = partial(policy_from_checkpoint, path, aid, role in frozen_roles, role=role,
+                                obs_mode=cfg.obs_mode)
+    for spec in fresh:
+        jobs[spec.agent_id] = partial(_fresh_job, cfg, spec)
+    ids = [aid for aid in full.agent_ids() if aid in jobs]
+    built = side_by_side([jobs[aid] for aid in ids],
+                         net_config_for_mode(cfg.obs_mode).param_count())
+    return ({aid: policy for aid, (policy, _) in zip(ids, built)},
+            [w for _, load_warnings in built for w in load_warnings])
+
+
+def _fresh_job(cfg: RunConfig, spec: AgentSpec) -> tuple[Checkpoint, list[str]]:
+    return fresh_policy(cfg, spec), []
 
 
 def _with_reward(cfg: RunConfig, kind: str) -> RunConfig:
@@ -188,10 +211,7 @@ def train_baseline(cfg: RunConfig, out_dir: str) -> PhaseResult:
     """Train every victim concurrently in a shared adversary-free world,
     starting from fresh policies initialised side by side."""
     full = build_scenario(cfg)
-    victims = full.victims()
-    fresh = side_by_side([partial(fresh_policy, cfg, v) for v in victims],
-                         net_config_for_mode(cfg.obs_mode).param_count())
-    policies = {v.agent_id: policy for v, policy in zip(victims, fresh)}
+    policies, _ = _build_policies(cfg, full, fresh=tuple(full.victims()))
     return _train(cfg, out_dir, "train-baseline", "baseline", KEY_BASELINE, "baseline",
                   full, policies)
 
@@ -215,11 +235,11 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], out_dir: str) 
         f"{cfg.adversary.train_victims}"
         for aid in victim_ckpts if aid not in opponents
     ]
-    policies = _load_policies(cfg, full, opponents, "victim", True, warnings)
-    policies[adv.agent_id] = fresh_policy(cfg, replace(adv, reward_kind=reward_kind))
+    policies, load_warnings = _build_policies(cfg, full, {"victim": opponents}, ("victim",),
+                                              (replace(adv, reward_kind=reward_kind),))
     return _train(cfg, out_dir, f"train-adversary --reward {reward_kind}", f"adversary_{reward_kind}",
                   ADVERSARY_PHASE_KEYS[reward_kind], "adversary", full, policies, tuple(opponents),
-                  warnings)
+                  warnings + load_warnings)
 
 
 def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt: str,
@@ -227,9 +247,9 @@ def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt
     """Continue victim training with the frozen adversary in the world."""
     full = build_scenario(cfg)
     adv_id = _adversary(full).agent_id
-    warnings = []
-    policies = _load_policies(cfg, full, {adv_id: adversary_ckpt}, "adversary", True, warnings)
-    policies.update(_load_policies(cfg, full, victim_ckpts, "victim", False, warnings))
+    policies, warnings = _build_policies(
+        cfg, full, {"victim": victim_ckpts, "adversary": {adv_id: adversary_ckpt}}, ("adversary",)
+    )
     kind = policies[adv_id].reward_kind
     return _train(_with_reward(cfg, kind), out_dir, "retrain", f"retrain_vs_{kind}",
                   RETRAIN_PHASE_KEYS[kind], "retrain", full, policies, (adv_id,), warnings)
@@ -254,10 +274,12 @@ def evaluate_condition(
             f"eval.max_steps {cfg.eval.max_steps} differs from scenario.max_steps "
             f"{full.max_steps}, the length of training episodes"
         )
-    policies = _load_policies(cfg, full, victim_ckpts, "victim", True, [])
+    ckpts = {"victim": victim_ckpts}
     if adversary_ckpt is not None:
         adv_id = _adversary(full).agent_id
-        policies.update(_load_policies(cfg, full, {adv_id: adversary_ckpt}, "adversary", True, []))
+        ckpts["adversary"] = {adv_id: adversary_ckpt}
+    policies, _ = _build_policies(cfg, full, ckpts, ("victim", "adversary"))
+    if adversary_ckpt is not None:
         cfg = _with_reward(cfg, policies[adv_id].reward_kind)
     scenario = full.subset(policies)
     seed_tree = SeedTree(cfg.seed)

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from advdrive import metrics, net, orchestrator, pipeline
 from advdrive.checkpoint import Checkpoint, load_checkpoint, params_checksum, save_checkpoint
 from advdrive.config import build_scenario, parse_config
 from advdrive.errors import (
+    ChecksumMismatchError,
+    ConfigurationError,
     ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
@@ -551,6 +554,29 @@ def record_threads(monkeypatch, module, name):
     return threads
 
 
+def record_forwards(monkeypatch):
+    """Per episode run by ``metrics.evaluate`` from now on, the list of its
+    ``net.forward`` calls: None for one on the calling thread, else the ident
+    of its helper thread. An episode's helpers live until its end, so within
+    one episode distinct idents are distinct helpers."""
+    episodes = []
+    caller = threading.get_ident()
+    episode, forward = metrics.run_episode, net.forward
+
+    def run(*args, **kwargs):
+        episodes.append([])
+        return episode(*args, **kwargs)
+
+    def recorder(*args, **kwargs):
+        ident = threading.get_ident()
+        episodes[-1].append(None if ident == caller else ident)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_episode", run)
+    monkeypatch.setattr(net, "forward", recorder)
+    return episodes
+
+
 def refuse_threads(monkeypatch, what):
     """Fail the test when a thread starts."""
     def refuse(thread):
@@ -663,10 +689,15 @@ class TestForwardsSideBySide:
         for cpus in (1, 2):
             with monkeypatch.context() as m:
                 pin_cpus(m, cpus)
-                forwards = record_threads(m, net, "forward")
+                episodes = record_forwards(m)
                 outputs[cpus] = evaluate_attack(eval_config("full84"), fresh_checkpoints["full84"],
                                                 tmp_path / str(cpus))
-            assert len(forwards) == cpus
+            assert len(episodes) == 2
+            for helpers in episodes:  # per episode, the thread of each forward
+                if cpus == 1:
+                    assert set(helpers) == {None}
+                else:  # the calling thread and the episode pool's one helper
+                    assert None in helpers and len(set(helpers) - {None}) == 1
         assert outputs[1] == outputs[2]
 
     # per CPU count: the helpers of a 3-agent full84 episode in this process,
@@ -745,6 +776,139 @@ class TestForwardsSideBySide:
         refuse_threads(monkeypatch, "a lite21 evaluation")
         outputs = evaluate_attack(eval_config("lite21"), fresh_checkpoints["lite21"], tmp_path)
         assert json.loads(outputs["report.json"])["episodes"] == 2
+
+
+def command_config(obs_mode):
+    """``eval_config`` with one 20-tick episode per training phase, too few
+    steps for an update to be due."""
+    return parse_config({
+        "obs_mode": obs_mode,
+        "seed": 3,
+        "scenario": {"preset": "t_intersection", "max_steps": 20},
+        "eval": {"episodes": 2, "max_steps": 20},
+        "phases": {"adversary_episodes": 1, "adversary_step_cap": None,
+                   "retrain_episodes": 1, "retrain_step_cap": None},
+    })
+
+
+def run_command(command, cfg, ckpts, out):
+    """Run ``command`` on the checkpoints ``ckpts`` (agent id -> path) into
+    ``out``; returns every file it wrote, by path under ``out``, with ``out``
+    itself written as ``OUT``."""
+    victims = {aid: path for aid, path in ckpts.items() if aid != "adversary"}
+    if command == "evaluate":
+        pipeline.evaluate_condition(cfg, "attack_collision", victims, ckpts["adversary"], str(out))
+    elif command == "retrain":
+        pipeline.retrain_victims(cfg, victims, ckpts["adversary"], str(out))
+    else:
+        pipeline.train_adversary(cfg, victims, str(out))
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"OUT")
+        for p in out.rglob("*") if p.is_file()
+    }
+
+
+def with_flipped_byte(ckpts, tmp_path, ids):
+    """A copy of ``ckpts`` with one payload byte flipped in the files of ``ids``."""
+    copies = {aid: tmp_path / f"{aid}.ckpt" for aid in ckpts}
+    for aid, path in ckpts.items():
+        raw = bytearray(Path(path).read_bytes())
+        if aid in ids:
+            raw[len(raw) // 2] ^= 0xFF
+        copies[aid].write_bytes(raw)
+    return {aid: str(path) for aid, path in copies.items()}
+
+
+class TestLoadsSideBySide:
+    """A command's checkpoint loads and fresh inits run in one side-by-side
+    call, and a phase hashes its ``checksums_in`` side by side, by the CPU
+    rule of the other per-policy jobs; lite21 nets' run serially on no
+    thread. The outputs and errors must not depend on it."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "retrain"])
+    def test_full84_outputs_identical_for_one_and_two_cpus(
+        self, tmp_path, monkeypatch, fresh_checkpoints, command
+    ):
+        ckpts = fresh_checkpoints["full84"]
+        agents = {path: aid for aid, path in ckpts.items()}
+        caller = threading.get_ident()
+        outputs = {}
+        for cpus in (1, 2):
+            loads = {}  # agent id -> whether its load ran on the calling thread
+            hashes = []  # per params_checksum call, whether on the calling thread
+            load, checksum = pipeline.load_checkpoint, orchestrator.params_checksum
+
+            def load_recorder(path):
+                loads[agents[path]] = threading.get_ident() == caller
+                return load(path)
+
+            def checksum_recorder(params):
+                hashes.append(threading.get_ident() == caller)
+                return checksum(params)
+
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                m.setattr(pipeline, "load_checkpoint", load_recorder)
+                m.setattr(orchestrator, "params_checksum", checksum_recorder)
+                outputs[cpus] = run_command(command, command_config("full84"), ckpts,
+                                            tmp_path / str(cpus))
+            # the first agent's load on the calling thread, the others on the helper
+            assert loads == {"victim1": True, "victim2": cpus == 1, "adversary": cpus == 1}
+            if command == "retrain":
+                assert set(hashes) == ({True} if cpus == 1 else {True, False})
+        assert outputs[1] == outputs[2]
+        if command == "retrain":
+            manifest = json.loads(outputs[1]["phase_manifest.json"])
+            assert sorted(manifest["checksums_in"]) == ["adversary", "victim1", "victim2"]
+            assert manifest["config"]["warnings"] == [
+                f"checkpoint for '{aid}' has no optimizer state; resuming with a fresh one"
+                for aid in ("victim1", "victim2")
+            ]
+
+    @pytest.mark.parametrize("command", ["retrain", "train-adversary"])
+    def test_lite21_commands_start_no_thread(self, tmp_path, monkeypatch, fresh_checkpoints,
+                                             command):
+        pin_cpus(monkeypatch, 2)
+        refuse_threads(monkeypatch, f"a lite21 {command}")
+        outputs = run_command(command, command_config("lite21"), fresh_checkpoints["lite21"],
+                              tmp_path)
+        assert "phase_manifest.json" in outputs
+
+    @pytest.mark.parametrize("command", ["evaluate", "retrain", "train-adversary"])
+    def test_wrong_role_id_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, fresh_checkpoints, command
+    ):
+        def refuse(path):
+            raise AssertionError(f"read '{path}'")
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pipeline, "load_checkpoint", refuse)
+        ckpts = dict(fresh_checkpoints["full84"])
+        ckpts["victim3"] = ckpts["victim2"]
+        with pytest.raises(ConfigurationError, match="checkpoint id 'victim3' is not a victim"):
+            run_command(command, command_config("full84"), ckpts, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "retrain"])
+    @pytest.mark.parametrize("failing", [("victim2",), ("victim1", "victim2"),
+                                         ("victim2", "adversary")],
+                             ids=lambda failing: "-".join(failing))
+    def test_failing_load_raised_as_a_serial_run_raises_it(
+        self, tmp_path, monkeypatch, fresh_checkpoints, command, failing
+    ):
+        ckpts = with_flipped_byte(fresh_checkpoints["full84"], tmp_path, failing)
+        errors = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                pin_cpus(m, cpus)
+                running = threading.active_count()
+                with pytest.raises(ChecksumMismatchError) as info:
+                    run_command(command, command_config("full84"), ckpts, tmp_path / str(cpus))
+                assert threading.active_count() == running  # every helper has ended
+            errors[cpus] = str(info.value)
+            assert not (tmp_path / str(cpus)).exists()
+        assert errors[1] == errors[2]
+        assert errors[1].startswith(f"checkpoint '{ckpts[failing[0]]}': ")
 
 
 class TestSeeding:
