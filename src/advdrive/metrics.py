@@ -182,15 +182,17 @@ def evaluate(
     Deterministic in (scenario, policies, master seed, condition_key)
     regardless of worker count; the first episode's log is returned (a
     one-item list) for plotting. With ``workers`` > 1 the episodes run in a
-    pool of that many processes, which share the usable CPUs: each episode's
-    forwards start helper threads only while processes × concurrent forwards
-    fit the CPUs (``share_cpus``).
+    pool of that many processes, at most one per episode, which share the
+    usable CPUs: each episode's forwards start helper threads only while
+    processes × concurrent forwards fit the CPUs (``share_cpus``).
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
     context = (scenario, policies, max_steps, seed_tree, condition_key, action_mode)
-    if workers > 1:
+    # the pool starts all its processes at the first task, so none may idle
+    processes = min(workers, episodes)
+    if processes > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_eval_worker_init, initargs=(workers, *context)
+            max_workers=processes, initializer=_eval_worker_init, initargs=(processes, *context)
         ) as pool:
             logs = list(pool.map(_eval_in_worker, range(episodes)))
     else:

@@ -14,38 +14,40 @@ episodes), verify the policies the phase freezes by checksum after every
 episode, and write checkpoints plus a phase manifest sufficient to audit the
 freeze contracts.
 
-One concurrency rule serves every per-policy job a phase or an evaluation
-runs side by side: as many at once as the usable CPUs divided by the threads
-of each BLAS call (``concurrency``), one job on the calling thread and the
-others on helper threads. That is one per CPU with a single BLAS thread, and one at a
-time with BLAS at its default of every CPU, where each job's large matrix
-products already use every core. Each job owns what it writes, and numpy,
-LAPACK, hashlib and file writes release the GIL in their large operations.
-Results are committed in agent order, and the first error in agent order is
-raised, exactly as a serial run returns and raises them, so outputs are the
-same for any CPU count. The jobs are:
+One primitive runs every per-policy job side by side:
+``side_by_side(items, job, pool)``. For each item in turn, ``job(item)`` runs
+on the calling thread and returns a call; each call but the last goes to a
+helper thread of ``pool`` as soon as it is made, and the calling thread makes
+the last call itself. Results are yielded in item order, and the first error
+in item order is raised after the results before it, exactly as a serial run
+yields and raises them, so outputs are the same for any CPU count. The pool
+comes from ``helper_pool(helpers)``, which the caller holds for as long as it
+runs jobs: ``None`` runs every call on the calling thread and starts no
+thread, and leaving the block drops the calls not yet started and waits for
+the running ones. One concurrency rule sizes it (``concurrency``): as many
+jobs at once as the usable CPUs divided by the threads of each BLAS call,
+which is one per CPU with a single BLAS thread and one at a time with BLAS at
+its default of every CPU, where each job's large matrix products already use
+every core. Each job owns what it writes, and numpy, LAPACK, hashlib and file
+writes release the GIL in their large operations. The jobs are the updates of
+the policies due after the same episode, on a pool per phase (the job takes
+the buffer and the update's RNG, the call builds the batch and updates; every
+agent's episode record is written, then its update record or its error);
+within each tick of ``run_episode``, every live agent's forward, on a pool
+per episode (the job renders the agent, so each forward overlaps the next
+agents' renders, and sampling and the world step then follow in agent order,
+each agent drawing from its own RNG); and a phase's ``checksums_in`` and
+frozen-policy hashes and checkpoint writes and, in ``pipeline``, each
+command's checkpoint loads and fresh inits, on a pool per call. (After an
+abort, an update or a write that ran alongside the failing one has still
+taken effect; no file records the update.)
 
-* the updates of policies that fill their batches after the same episode
-  (each building its rollout batch, then calling ``update_policy``); every
-  agent's episode record is written, then its update record or its error.
-  (After an abort, an update that ran alongside the failing one has still
-  changed its policy in memory; no file records it.)
-* within each tick of ``run_episode``, every live agent's net forward on its
-  rendered observation: each but the last goes to a helper thread as soon as
-  the agent is rendered, while this thread renders the next agents and runs
-  the last forward itself. Sampling and the world step then follow in agent
-  order, each agent drawing from its own RNG.
-* through ``side_by_side``, a phase's ``checksums_in`` hashes and
-  checkpoint writes (the phase-end and the ``_latest`` ones) and, in
-  ``pipeline``, each command's checkpoint loads and inits of fresh policies.
-  (After a failed write, a checkpoint written alongside it may exist.)
-
-The forwards, hashes, loads, inits and writes are gated on the size of the net
-(``helper_threads``): below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters
-(``lite21``) they run one after another and start no thread. A process pool
-(``metrics.evaluate`` with ``workers`` > 1) shares the usable CPUs among its
-processes (``share_cpus``), so a worker's jobs start helper threads only
-where processes × jobs at once fit the CPUs.
+All but the updates are gated on the size of the net (``helper_threads``):
+below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters (``lite21``) they run one after
+another and start no thread. A process pool (``metrics.evaluate`` with
+``workers`` > 1) shares the usable CPUs among its processes (``share_cpus``),
+so a worker's jobs start helper threads only where processes × jobs at once
+fit the CPUs.
 """
 from __future__ import annotations
 
@@ -167,18 +169,17 @@ def run_episode(
     """Run one episode; returns per-agent trajectories for `collect` agents
     and the episode log. Deterministic in (scenario, policies, key_prefix).
 
-    Each tick renders the live agents in agent order. For nets from
-    ``SIDE_BY_SIDE_MIN_PARAMS`` up, each but the last agent's forward goes to
-    one of the episode's ``helper_threads(len(agents), ...)`` helper threads
-    as soon as it is rendered, and the last runs on the calling thread (see
-    the module docstring); smaller nets, or one job at a time, run every
-    forward on the calling thread and start no thread. The forwards' results
-    are then taken in agent order, each followed by its agent's action (drawn
-    from its own RNG in ``sample`` mode), and the world steps once. So the
-    outputs do not depend on the thread count, and neither does the error: a
-    failing render, forward or draw raises the error of the first failing
-    agent in agent order, once every started forward has ended; forwards not
-    yet started are dropped.
+    Each tick renders the live agents in agent order and runs their forwards
+    through ``side_by_side`` on a pool held for the episode, sized by
+    ``helper_threads(len(agents), ...)`` (see the module docstring), so for
+    nets from ``SIDE_BY_SIDE_MIN_PARAMS`` up each but the last forward
+    overlaps the next agents' renders, and smaller nets start no thread. The
+    forwards' results are then taken in agent order, each followed by its
+    agent's action (drawn from its own RNG in ``sample`` mode), and the world
+    steps once. So the outputs do not depend on the thread count, and neither
+    does the error: a failing render, forward or draw raises the error of the
+    first failing agent in agent order, once every started forward has ended;
+    forwards not yet started are dropped.
     """
     collect = set() if collect is None else set(collect)
     ids = scenario.agent_ids()
@@ -200,15 +201,15 @@ def run_episode(
     log.flags = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
     positions = []
 
-    helpers = helper_threads(len(ids), _smallest_net(policies, ids))
-    with _helper_pool(helpers) as pool:
+    with helper_pool(helper_threads(len(ids), _smallest_net(policies, ids))) as pool:
         for t in range(max_steps):
             live = world.live_agents()
             if not live:
                 break
             actions = {}
             pending = {}
-            for aid, obs, logits, value in _tick_forwards(world, live, policies, res, pool):
+            forwards = side_by_side(live, partial(_render_forward, world, policies, res), pool)
+            for aid, (obs, logits, value) in zip(live, forwards):
                 chosen = net.greedy_action(logits) if greedy else net.sample_action(logits, rngs[aid])
                 actions[aid] = net.action_to_command(chosen.index)
                 pending[aid] = (obs, chosen, value)
@@ -258,48 +259,12 @@ def run_episode(
     return trajectories, log
 
 
-def _tick_forwards(world: WorldState, live: list[str], policies: dict[str, Checkpoint],
-                   res: dict[str, int], pool):
-    """Yields ``(agent id, observation, logits, value)`` per live agent, in
-    order. Without a ``pool`` each agent is rendered and run forward in its
-    turn. With one, each but the last agent's forward goes to the pool as
-    soon as the agent is rendered, and the last runs on this thread; a
-    failed render or last forward is raised after the agents before it are
-    yielded, as a serial run would have yielded them."""
-    if pool is None:
-        for aid in live:
-            obs = render(world, aid, res[aid])
-            yield (aid, obs) + net.forward(policies[aid].params, obs.pixels)
-        return
-    started = []
-    try:
-        for aid in live[:-1]:
-            obs = render(world, aid, res[aid])
-            started.append((aid, obs, pool.submit(net.forward, policies[aid].params, obs.pixels)))
-        aid = live[-1]
-        obs = render(world, aid, res[aid])
-        last = (aid, obs) + net.forward(policies[aid].params, obs.pixels)
-    except Exception:
-        for aid, obs, future in started:
-            yield (aid, obs) + future.result()
-        raise
-    for aid, obs, future in started:
-        yield (aid, obs) + future.result()
-    yield last
-
-
-@contextmanager
-def _helper_pool(helpers: int):
-    """A pool of ``helpers`` threads, or None when ``helpers`` < 1. On exit
-    it drops the calls not yet started and waits for the running ones."""
-    if helpers < 1:
-        yield None
-        return
-    pool = ThreadPoolExecutor(max_workers=helpers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _render_forward(world: WorldState, policies: dict[str, Checkpoint], res: dict[str, int],
+                    aid: str):
+    """Renders ``aid``; returns the call giving its observation and its
+    net's forward on it."""
+    obs = render(world, aid, res[aid])
+    return lambda: (obs,) + net.forward(policies[aid].params, obs.pixels)
 
 
 @dataclass
@@ -327,13 +292,36 @@ class _StatsWriter:
 def _save_policy_checkpoints(policies, agent_ids, out_dir, suffix=""):
     paths = {aid: os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
              for aid in agent_ids}
-    saves = [partial(save_checkpoint, paths[aid], policies[aid]) for aid in agent_ids]
-    return paths, dict(zip(agent_ids, side_by_side(saves, _smallest_net(policies, agent_ids))))
+    return paths, _per_policy(policies, agent_ids,
+                              lambda aid: partial(save_checkpoint, paths[aid], policies[aid]))
+
+
+def _checksums(policies: dict[str, Checkpoint], agent_ids) -> dict[str, str]:
+    """``params_checksum`` of each of ``agent_ids``' policies, by id."""
+    return _per_policy(policies, agent_ids,
+                       lambda aid: partial(params_checksum, policies[aid].params))
+
+
+def _check_frozen(policies: dict[str, Checkpoint], frozen_checksums: dict[str, str],
+                  phase_name: str) -> None:
+    """Raises ``FreezeViolationError`` naming the first frozen policy, in
+    agent order, whose checksum differs from ``frozen_checksums``."""
+    for aid, checksum in _checksums(policies, list(frozen_checksums)).items():
+        if checksum != frozen_checksums[aid]:
+            raise FreezeViolationError(f"frozen policy '{aid}' changed during phase '{phase_name}'")
+
+
+def _per_policy(policies: dict[str, Checkpoint], agent_ids, job) -> dict:
+    """The results of the calls ``job(aid)`` returns, by id, run side by side
+    on a pool of their own sized for the smallest of the policies' nets."""
+    with helper_pool(helper_threads(len(agent_ids), _smallest_net(policies, agent_ids))) as pool:
+        return dict(zip(agent_ids, side_by_side(agent_ids, job, pool)))
 
 
 def _smallest_net(policies: dict[str, Checkpoint], agent_ids) -> int:
-    """The parameter count of the smallest net among ``agent_ids``' policies."""
-    return min(policies[aid].net_config.param_count() for aid in agent_ids)
+    """The parameter count of the smallest net among ``agent_ids``' policies
+    (0 for none)."""
+    return min((policies[aid].net_config.param_count() for aid in agent_ids), default=0)
 
 
 def _usable_cpus() -> int:
@@ -380,26 +368,52 @@ def helper_threads(jobs: int, params: int) -> int:
     return concurrency(jobs) - 1 if params >= SIDE_BY_SIDE_MIN_PARAMS else 0
 
 
-def side_by_side(calls: list, params: int) -> list:
-    """The results of ``calls`` (callables of no argument), in order.
+@contextmanager
+def helper_pool(helpers: int):
+    """A pool of ``helpers`` threads for ``side_by_side``, or None, which
+    starts no thread, when ``helpers`` < 1. Leaving the block drops the calls
+    not yet started and waits for the running ones."""
+    if helpers < 1:
+        yield None
+        return
+    pool = ThreadPoolExecutor(max_workers=helpers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    ``params`` is the parameter count of the smallest net the calls work on.
-    With ``helper_threads(len(calls), params)`` above zero, the calls run
-    concurrently as updates do: the first on the calling thread, the others
-    on the helpers. Otherwise they run one after another and no thread
-    starts. Either way the error of the first failing call in order is
-    raised, as a serial run raises it, once every started call has ended;
-    calls not yet started are dropped.
+
+def side_by_side(items, job, pool):
+    """Yields, in item order, the result of the call that ``job(item)``
+    returns for each of the sequence ``items``.
+
+    Each ``job(item)`` runs on the calling thread, in item order. With a
+    ``pool`` (``helper_pool``), each call but the last goes to it as soon as
+    it is made, and the calling thread makes the last call itself; with None,
+    every call runs on the calling thread in its turn. Either way a failing
+    job or call raises after the results before it are yielded, as a serial
+    run raises it; once the error leaves the pool's block, every started call
+    has ended and the calls not yet started are dropped.
     """
-    with _helper_pool(helper_threads(len(calls), params)) as pool:
-        if pool is None:
-            return [call() for call in calls]
-        futures = [pool.submit(call) for call in calls[1:]]
-        first = calls[0]()
-        return [first] + [future.result() for future in futures]
+    if pool is None or len(items) < 2:
+        for item in items:
+            yield job(item)()
+        return
+    futures = []
+    try:
+        for item in items[:-1]:
+            futures.append(pool.submit(job(item)))
+        last = job(items[-1])()
+    except Exception:
+        for future in futures:
+            yield future.result()
+        raise
+    for future in futures:
+        yield future.result()
+    yield last
 
 
-def _update_job(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):
+def _update(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):
     """Build one policy's rollout batch and update the policy; returns
     update_policy's result. `trajectories` is emptied once the batch holds
     their steps."""
@@ -432,9 +446,9 @@ def run_training_phase(
     ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
     ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
     phase with those last good checkpoints preserved. Updates due after the
-    same episode run concurrently, and so do the ``checksums_in`` hashes and
-    the checkpoint writes of nets from ``SIDE_BY_SIDE_MIN_PARAMS`` up (see
-    the module docstring).
+    same episode run side by side, and so do the ``checksums_in`` hashes, the
+    frozen checks and the checkpoint writes of nets from
+    ``SIDE_BY_SIDE_MIN_PARAMS`` up (see the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
@@ -443,8 +457,7 @@ def run_training_phase(
     if not trainable:
         raise ConfigurationError(f"phase '{phase_name}' has no trainable policy")
 
-    hashes = [partial(params_checksum, policies[aid].params) for aid in ids]
-    checksums_in = dict(zip(ids, side_by_side(hashes, _smallest_net(policies, ids))))
+    checksums_in = _checksums(policies, ids)
     frozen_checksums = {aid: checksums_in[aid] for aid in frozen}
     stats = _StatsWriter(os.path.join(out_dir, "train_log.jsonl"))
     buffers: dict[str, list[Trajectory]] = {aid: [] for aid in trainable}
@@ -454,73 +467,68 @@ def run_training_phase(
     last_paths: dict[str, str] = {}
     status = "completed"
     abort_message = None
-    # This thread runs one update itself: it reuses the memory that the
-    # rollouts freed in this thread's malloc arena, which worker threads,
-    # each with an arena of their own, cannot (peak RSS 60 MB higher on a
-    # full84 phase with both updates on workers).
-    helpers = concurrency(len(trainable)) - 1
-    pool = ThreadPoolExecutor(max_workers=max(helpers, 1))
+
+    def update_job(aid):
+        """Takes ``aid``'s buffer and its update's RNG; returns the update."""
+        pol = policies[aid]
+        rng = seed_tree.rng(phase_key, KEY_UPDATE_BASE + pol.counters["updates"],
+                            scenario.agent(aid).seed_index)
+        trajectories, buffers[aid] = buffers[aid], []
+        return partial(_update, pol, trajectories, hyper, rng)
+
     try:
-        for ep in range(episodes):
-            if step_cap is not None and steps_run >= step_cap:
-                break
-            trajs, log = run_episode(
-                scenario,
-                policies,
-                reward_params,
-                max_steps=scenario.max_steps,
-                seed_tree=seed_tree,
-                key_prefix=(phase_key, ep),
-                collect=set(trainable),
-            )
-            episodes_run += 1
-            steps_run += log.ticks
-            updates = {}  # agent -> call returning its update's result
-            for aid in trainable:
-                buffers[aid].append(trajs[aid])
-                if sum(len(t) for t in buffers[aid]) >= hyper.train_batch:
-                    pol = policies[aid]
-                    rng = seed_tree.rng(
-                        phase_key,
-                        KEY_UPDATE_BASE + pol.counters["updates"],
-                        scenario.agent(aid).seed_index,
-                    )
-                    job = partial(_update_job, pol, buffers[aid], hyper, rng)
-                    # the first due update runs on this thread, in its turn below
-                    updates[aid] = pool.submit(job).result if helpers and updates else job
-                    buffers[aid] = []
-
-            for aid in trainable:
-                pol = policies[aid]
-                pol.counters["episodes"] += 1
-                pol.counters["env_steps"] += len(trajs[aid])
-                ep_reward = float(np.sum(trajs[aid].rewards))
-                stats.write(
-                    {"type": "episode", "phase": phase_name, "agent_id": aid,
-                     "episode": ep, "reward": ep_reward, "length": len(trajs[aid])}
+        # The last due update runs on this thread: it reuses the memory that
+        # the rollouts freed in this thread's malloc arena, which helper
+        # threads, each with an arena of their own, cannot (peak RSS 60 MB
+        # higher on a full84 phase with both updates on helpers).
+        with helper_pool(concurrency(len(trainable)) - 1) as pool:
+            for ep in range(episodes):
+                if step_cap is not None and steps_run >= step_cap:
+                    break
+                trajs, log = run_episode(
+                    scenario,
+                    policies,
+                    reward_params,
+                    max_steps=scenario.max_steps,
+                    seed_tree=seed_tree,
+                    key_prefix=(phase_key, ep),
+                    collect=set(trainable),
                 )
-                if aid in updates:
-                    pol.params, pol.adam, pol.kl_coef, upd = updates[aid]()
-                    pol.counters["updates"] += 1
-                    record = {"type": "update", "phase": phase_name, "agent_id": aid, "episode": ep}
-                    record.update(upd)
-                    stats.write(record)
+                episodes_run += 1
+                steps_run += log.ticks
+                for aid in trainable:
+                    buffers[aid].append(trajs[aid])
+                due = [aid for aid in trainable
+                       if sum(len(t) for t in buffers[aid]) >= hyper.train_batch]
+                updates = side_by_side(due, update_job, pool)
 
-            for aid in frozen:
-                if params_checksum(policies[aid].params) != frozen_checksums[aid]:
-                    raise FreezeViolationError(
-                        f"frozen policy '{aid}' changed during phase '{phase_name}'"
+                for aid in trainable:
+                    pol = policies[aid]
+                    pol.counters["episodes"] += 1
+                    pol.counters["env_steps"] += len(trajs[aid])
+                    ep_reward = float(np.sum(trajs[aid].rewards))
+                    stats.write(
+                        {"type": "episode", "phase": phase_name, "agent_id": aid,
+                         "episode": ep, "reward": ep_reward, "length": len(trajs[aid])}
                     )
-            if on_episode_end is not None:
-                on_episode_end(ep, policies)
-            if (ep + 1) % CHECKPOINT_EVERY == 0:
-                last_paths, _ = _save_policy_checkpoints(policies, trainable, out_dir, "_latest")
+                    if aid in due:
+                        pol.params, pol.adam, pol.kl_coef, upd = next(updates)
+                        pol.counters["updates"] += 1
+                        record = {"type": "update", "phase": phase_name, "agent_id": aid,
+                                  "episode": ep}
+                        record.update(upd)
+                        stats.write(record)
+
+                _check_frozen(policies, frozen_checksums, phase_name)
+                if on_episode_end is not None:
+                    on_episode_end(ep, policies)
+                if (ep + 1) % CHECKPOINT_EVERY == 0:
+                    last_paths, _ = _save_policy_checkpoints(policies, trainable, out_dir,
+                                                             "_latest")
     except NonFiniteError as exc:
         status = "aborted"
         abort_message = str(exc)
     finally:
-        # after an error, updates not yet started are dropped and running ones end first
-        pool.shutdown(cancel_futures=True)
         stats.close()
 
     if status == "completed":
@@ -528,11 +536,7 @@ def run_training_phase(
     else:
         paths, checksums = dict(last_paths), {}
 
-    for aid in frozen:
-        if params_checksum(policies[aid].params) != frozen_checksums[aid]:
-            raise FreezeViolationError(
-                f"frozen policy '{aid}' changed during phase '{phase_name}'"
-            )
+    _check_frozen(policies, frozen_checksums, phase_name)
 
     manifest = {
         "phase": phase_name,

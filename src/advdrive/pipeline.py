@@ -16,16 +16,10 @@ mode reaches the rest of the run only through the nets: fresh policies get
 its net, loaded ones are checked to hold it, and every agent is rendered at
 its own net's core resolution.
 
-A command's checkpoint loads and fresh inits (``train_baseline``'s victims,
-``train_adversary``'s opponents and adversary, and the victims and adversary
-of ``retrain_victims`` and ``evaluate_condition``) run in one
-``side_by_side`` call, by the orchestrator's one concurrency rule and size
-gate: for ``full84`` nets the first on the calling thread and the others on
-helper threads, as many at once as the usable CPUs per BLAS thread; for
-``lite21`` nets one after another, with no thread. The role and scenario
-checks run before any file is read, and a failing load or init raises as a
-serial run raises it: the first failing one in agent order, once every
-started job has ended. The policies and warnings are the same either way.
+A command's checkpoint loads and fresh inits run side by side in one
+``orchestrator.side_by_side`` call (see the ``orchestrator`` docstring), after
+every role and scenario check, so the policies, warnings and errors are a
+serial run's.
 """
 from __future__ import annotations
 
@@ -40,7 +34,8 @@ from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
 from .metrics import MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
-from .orchestrator import PhaseResult, episode_world, run_training_phase, side_by_side
+from .orchestrator import (PhaseResult, episode_world, helper_pool, helper_threads,
+                           run_training_phase, side_by_side)
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
 from .scenario import AgentSpec, ScenarioConfig
@@ -146,22 +141,23 @@ def _build_policies(cfg: RunConfig, full: ScenarioConfig,
     ``frozen_roles``, and fresh policies for the ``fresh`` specs. Returns
     the policies by agent id and the load warnings, both in ``full``'s agent
     order. The role checks run before any file is read."""
-    jobs = {}
+    calls = {}
     for role, paths in (ckpts or {}).items():
         _check_roles(full, paths, role)
         for aid, path in paths.items():
-            jobs[aid] = partial(policy_from_checkpoint, path, aid, role in frozen_roles, role=role,
-                                obs_mode=cfg.obs_mode)
+            calls[aid] = partial(policy_from_checkpoint, path, aid, role in frozen_roles, role=role,
+                                 obs_mode=cfg.obs_mode)
     for spec in fresh:
-        jobs[spec.agent_id] = partial(_fresh_job, cfg, spec)
-    ids = [aid for aid in full.agent_ids() if aid in jobs]
-    built = side_by_side([jobs[aid] for aid in ids],
-                         net_config_for_mode(cfg.obs_mode).param_count())
+        calls[spec.agent_id] = partial(_fresh_call, cfg, spec)
+    ids = [aid for aid in full.agent_ids() if aid in calls]
+    params = net_config_for_mode(cfg.obs_mode).param_count()
+    with helper_pool(helper_threads(len(ids), params)) as pool:
+        built = list(side_by_side(ids, calls.__getitem__, pool))
     return ({aid: policy for aid, (policy, _) in zip(ids, built)},
             [w for _, load_warnings in built for w in load_warnings])
 
 
-def _fresh_job(cfg: RunConfig, spec: AgentSpec) -> tuple[Checkpoint, list[str]]:
+def _fresh_call(cfg: RunConfig, spec: AgentSpec) -> tuple[Checkpoint, list[str]]:
     return fresh_policy(cfg, spec), []
 
 

@@ -41,19 +41,27 @@ def _reference_env() -> dict:
 REFERENCE_BLAS_CORE = "SkylakeX"
 
 
-def _blas_core() -> str | None:
-    """The core whose kernels numpy's bundled OpenBLAS runs (it honours
-    ``OPENBLAS_CORETYPE``), or None when there is no such library."""
+def _openblas(symbol: str):
+    """The function ``symbol`` of numpy's bundled OpenBLAS, or None when
+    there is no such library."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+            return getattr(ctypes.CDLL(path), symbol)
         except (OSError, AttributeError):
             continue
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
     return None
+
+
+def _blas_core() -> str | None:
+    """The core whose kernels numpy's bundled OpenBLAS runs (it honours
+    ``OPENBLAS_CORETYPE``), or None when there is no such library."""
+    corename = _openblas("scipy_openblas_get_corename64_")
+    if corename is None:
+        return None
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def skip_unless_reference_build():
@@ -95,14 +103,18 @@ def test_eval_full84_matches_reference_digest():
     _run_workload_once("eval_full84")
 
 
-# SHA-256 of the parameters and Adam state after the update below, recorded
-# before update_policy gained its scratch workspace and rollouts their uint8
-# observation codes; both must leave every bit of it unchanged.
+# SHA-256 of the parameters and Adam state after the update of
+# ``full84_update_digest``, with two BLAS threads per call, recorded before
+# update_policy gained its scratch workspace and rollouts their uint8
+# observation codes; both must leave every bit of it unchanged. With one BLAS
+# thread the bits differ (4df04b88...), so the update runs in a process of its
+# own pinned to two.
 FULL84_UPDATE_SHA256 = "a0bf3f0f697f5e0b879db4d30872a00105cadc2c642f8cf8e964bbec0095ad68"
 
 
-def test_full84_update_matches_golden_digest():
-    skip_unless_reference_build()
+def full84_update_digest() -> str:
+    """SHA-256 of a fresh full84 policy's parameters and Adam state after one
+    PPO update on a 16-step rollout."""
     import hashlib
 
     from conftest import straight_scenario
@@ -133,4 +145,25 @@ def test_full84_update_matches_golden_digest():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr))
     h.update(repr((adam.step, kl_coef, stats["loss"], stats["mean_kl"])).encode())
-    assert h.hexdigest() == FULL84_UPDATE_SHA256
+    return h.hexdigest()
+
+
+def test_full84_update_matches_golden_digest():
+    skip_unless_reference_build()
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")])
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == FULL84_UPDATE_SHA256
+
+
+if __name__ == "__main__":
+    # Set through OpenBLAS itself: it caps OPENBLAS_NUM_THREADS at the usable
+    # CPUs, so on one usable CPU the variable alone gives one thread.
+    set_num_threads = _openblas("scipy_openblas_set_num_threads64_")
+    set_num_threads.argtypes = [ctypes.c_int]
+    set_num_threads.restype = None
+    set_num_threads(2)
+    print(full84_update_digest())

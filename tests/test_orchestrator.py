@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 import threading
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -585,6 +587,102 @@ def refuse_threads(monkeypatch, what):
     monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
+class TestSideBySidePrimitive:
+    """``side_by_side`` yields a serial run's results and raises its first
+    error, for any pool; leaving ``helper_pool``'s block drops the calls not
+    yet started and waits for the running ones."""
+
+    @staticmethod
+    def run(job, helpers, items=range(5)):
+        """The results yielded, and the message of the error raised after
+        them (None if none was)."""
+        results = []
+        try:
+            with orchestrator.helper_pool(helpers) as pool:
+                for result in orchestrator.side_by_side(items, job, pool):
+                    results.append(result)
+        except ValueError as exc:
+            return results, str(exc)
+        return results, None
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    def test_results_in_item_order_last_call_on_the_calling_thread(self, helpers):
+        threads = {}
+        jobs = []  # the items whose job ran, in the order they ran
+
+        def job(i):
+            jobs.append(i)
+            assert threading.get_ident() == caller
+
+            def call():
+                threads[i] = threading.get_ident()
+                time.sleep(0.01 * (4 - i))  # the earlier, the later it ends
+                return i * i
+
+            return call
+
+        caller = threading.get_ident()
+        assert self.run(job, helpers) == ([0, 1, 4, 9, 16], None)
+        assert jobs == [0, 1, 2, 3, 4]
+        assert threads[4] == caller
+        assert {threads[i] == caller for i in range(4)} == {helpers == 0}
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    @pytest.mark.parametrize("failing", [
+        {1: "call", 3: "call"},
+        {1: "job", 3: "job"},
+        {1: "call", 3: "job"},
+        {4: "call"},
+        {4: "job"},
+        {0: "call", 4: "job"},
+    ], ids=lambda failing: "-".join(f"{stage}{i}" for i, stage in failing.items()))
+    def test_first_error_in_item_order_raised_after_the_results_before_it(self, helpers,
+                                                                          failing):
+        def job(i):  # "job" fails on the calling thread, as a render does
+            if failing.get(i) == "job":
+                raise ValueError(f"job {i}")
+
+            def call():
+                if failing.get(i) == "call":
+                    raise ValueError(f"call {i}")
+                return i
+
+            return call
+
+        first = min(failing)
+        assert self.run(job, helpers) == (list(range(first)), f"{failing[first]} {first}")
+
+    def test_calls_not_started_dropped_and_started_ones_ended(self):
+        started, ended = set(), set()
+        failed = threading.Event()
+
+        def job(i):
+            def call():
+                started.add(i)
+                if i == 0:
+                    failed.set()
+                    raise ValueError("call 0")
+                if i == 4:  # the last, on the calling thread
+                    assert failed.wait(10)
+                else:  # keeps the one helper busy while the error surfaces
+                    time.sleep(0.5)
+                ended.add(i)
+                return i
+
+            return call
+
+        running = threading.active_count()
+        assert self.run(job, 1) == ([], "call 0")
+        assert threading.active_count() == running
+        # at most the call the helper took as call 0 failed has run
+        assert {0, 4} <= started and len(started - {0, 4}) <= 1
+        assert ended == started - {0}
+
+    def test_no_pool_starts_no_thread(self, monkeypatch):
+        refuse_threads(monkeypatch, "side_by_side without a pool")
+        assert self.run(lambda i: lambda: i, 0) == ([0, 1, 2, 3, 4], None)
+
+
 class TestSideBySide:
     """Fresh inits and checkpoint writes of full84 nets run side by side by
     the update pool's CPU rule; lite21 nets' run serially on no thread. The
@@ -637,9 +735,10 @@ class TestSideBySide:
                     pipeline.train_baseline(cfg, str(out))
             errors[cpus] = str(info.value)
             assert not out.exists()
-            assert threads["victim1"] == threading.get_ident()
-            if "victim2" in threads:  # it may have been dropped before it started
-                assert (threads["victim2"] == threading.get_ident()) == (cpus == 1)
+            # the first init on the helper, the last on the calling thread
+            assert (threads["victim1"] == threading.get_ident()) == (cpus == 1)
+            if "victim2" in threads:  # a serial run stops at a failing victim1
+                assert threads["victim2"] == threading.get_ident()
         assert errors[1] == errors[2] == f"init of {failing[0]} failed"
 
 
@@ -700,11 +799,13 @@ class TestForwardsSideBySide:
                     assert None in helpers and len(set(helpers) - {None}) == 1
         assert outputs[1] == outputs[2]
 
-    # per CPU count: the helpers of a 3-agent full84 episode in this process,
-    # and in each worker of a 2-process pool
-    @pytest.mark.parametrize("cpus, helpers, worker_helpers", [(2, 1, 0), (4, 2, 1)])
+    # per CPU and worker count: the helpers of a 3-agent full84 episode in this
+    # process, and in each worker of the pool, which for 2 episodes holds at
+    # most 2 processes
+    @pytest.mark.parametrize("cpus, workers, helpers, worker_helpers",
+                             [(2, 2, 1, 0), (4, 2, 2, 1), (4, 3, 2, 1)])
     def test_pool_workers_share_the_cpus(
-        self, tmp_path, monkeypatch, fresh_checkpoints, cpus, helpers, worker_helpers
+        self, tmp_path, monkeypatch, fresh_checkpoints, cpus, workers, helpers, worker_helpers
     ):
         def recorder(*args, **kwargs):
             big = orchestrator.SIDE_BY_SIDE_MIN_PARAMS
@@ -713,15 +814,21 @@ class TestForwardsSideBySide:
             )
             return orchestrator.run_episode(*args, **kwargs)
 
+        def init_recorder(*args):
+            (tmp_path / f"worker_{os.getpid()}").touch()
+            return worker_init(*args)
+
+        worker_init = metrics._eval_worker_init
         outputs = {}
-        for workers in (1, 2):
+        for n in (1, workers):
             with monkeypatch.context() as m:
                 pin_cpus(m, cpus)
                 m.setattr(metrics, "run_episode", recorder)
-                outputs[workers] = evaluate_attack(eval_config("full84", workers),
-                                                   fresh_checkpoints["full84"],
-                                                   tmp_path / str(workers))
-        assert outputs[1] == outputs[2]
+                m.setattr(metrics, "_eval_worker_init", init_recorder)
+                outputs[n] = evaluate_attack(eval_config("full84", n), fresh_checkpoints["full84"],
+                                             tmp_path / str(n))
+        assert outputs[1] == outputs[workers]
+        assert len(list(tmp_path.glob("worker_*"))) == 2
         found = {p.name: p.read_text() for p in tmp_path.glob("helpers_*")}
         assert found.pop(f"helpers_{os.getpid()}") == str(helpers)
         assert found and set(found.values()) == {str(worker_helpers)}
@@ -852,8 +959,8 @@ class TestLoadsSideBySide:
                 m.setattr(orchestrator, "params_checksum", checksum_recorder)
                 outputs[cpus] = run_command(command, command_config("full84"), ckpts,
                                             tmp_path / str(cpus))
-            # the first agent's load on the calling thread, the others on the helper
-            assert loads == {"victim1": True, "victim2": cpus == 1, "adversary": cpus == 1}
+            # the last agent's load on the calling thread, the others on the helper
+            assert loads == {"victim1": cpus == 1, "victim2": cpus == 1, "adversary": True}
             if command == "retrain":
                 assert set(hashes) == ({True} if cpus == 1 else {True, False})
         assert outputs[1] == outputs[2]
@@ -909,6 +1016,59 @@ class TestLoadsSideBySide:
             assert not (tmp_path / str(cpus)).exists()
         assert errors[1] == errors[2]
         assert errors[1].startswith(f"checkpoint '{ckpts[failing[0]]}': ")
+
+
+class TestFrozenChecksSideBySide:
+    """A phase hashes its frozen policies after every episode and at its end
+    side by side, by the CPU rule of the other per-policy jobs, and a changed
+    one still aborts the phase."""
+
+    @pytest.mark.parametrize("mutated", [None, "victim1", "victim2"])
+    def test_full84_adversary_phase_hashes_frozen_victims_on_two_threads(
+        self, tmp_path, monkeypatch, fresh_checkpoints, mutated
+    ):
+        policies = {aid: load_checkpoint(p) for aid, p in fresh_checkpoints["full84"].items()}
+        owners = {id(pol.params): aid for aid, pol in policies.items()}
+        caller = threading.get_ident()
+        hashes = []  # per params_checksum call, its agent and whether on the calling thread
+        checksum = orchestrator.params_checksum
+
+        def recorder(params):
+            hashes.append((owners[id(params)], threading.get_ident() == caller))
+            return checksum(params)
+
+        def mutate(ep, policies):
+            if ep == 0 and mutated is not None:
+                policies[mutated].params.arrays["dense/w"][0, 0] += 1.0
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(orchestrator, "params_checksum", recorder)
+        phase = partial(
+            run_training_phase,
+            phase_name="adv_test",
+            phase_key=2,
+            scenario=build_scenario(command_config("full84")),
+            policies=policies,
+            hyper=PpoHyper(train_batch=1000),  # no update is due
+            reward_params=RewardParams(),
+            episodes=2,
+            step_cap=None,
+            seed_tree=SeedTree(1),
+            out_dir=str(tmp_path / "phase"),
+            frozen=("victim1", "victim2"),
+            on_episode_end=mutate,
+        )
+        if mutated is None:
+            phase()
+        else:
+            with pytest.raises(FreezeViolationError,
+                               match=f"frozen policy '{mutated}' changed during phase 'adv_test'"):
+                phase()
+        assert sorted(aid for aid, _ in hashes[:3]) == ["adversary", "victim1", "victim2"]
+        # after each episode (and at the end of a completed phase): victim1 on
+        # the helper, victim2 on the calling thread
+        checks = 3 if mutated is None else 2
+        assert sorted(hashes[3:]) == sorted([("victim1", False), ("victim2", True)] * checks)
 
 
 class TestSeeding:
