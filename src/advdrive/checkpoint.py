@@ -174,7 +174,8 @@ def _read_verified(fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint in the file ``path``. Every ``CheckpointError`` it
-    raises names the file, so a failing load among several tells which."""
+    raises names the file, so a failing load among several tells which; a
+    header that lacks or mistypes an entry raises one too."""
     try:
         with open(path, "rb") as fh:
             return _checkpoint_from(*_read_verified(fh, os.fstat(fh.fileno()).st_size))
@@ -182,6 +183,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") from exc
     except CheckpointError as exc:
         raise type(exc)(f"checkpoint '{path}': {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a header entry missing or mistyped
+        raise CheckpointError(f"checkpoint '{path}': malformed header: {exc!r}") from exc
 
 
 def _checkpoint_from(header: dict, loaded: dict[str, np.ndarray]) -> Checkpoint:

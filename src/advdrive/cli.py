@@ -147,12 +147,15 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _victim_ckpts(paths, cfg) -> dict[str, str]:
-    """Accepts id=path pairs, or bare paths assigned to victims in scenario order."""
+    """Accepts id=path pairs, each id once, or bare paths assigned to victims
+    in scenario order."""
     out = {}
     bare = []
     for item in paths:
         if "=" in item:
             aid, path = item.split("=", 1)
+            if aid in out:
+                raise ConfigurationError(f"victim id '{aid}' is given more than one checkpoint")
             out[aid] = path
         else:
             bare.append(item)

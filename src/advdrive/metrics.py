@@ -3,11 +3,15 @@
 Per victim and episode: the fraction of its simulated ticks with a vehicle
 collision (cv_rate), an object collision (co_rate), or an out-of-lane flag
 (os_rate), plus time-to-first-collision in seconds (absent when the episode
-had no collision). Each episode's metrics are a dict, the entry a report
-stores for it under ``per_episode``. Reports average over a fixed number of
-frozen-policy episodes and carry a scenario fingerprint so only like-for-like
-conditions can be compared. ``METRICS`` names the averages both text tables
-show, in their order. The fingerprint covers the victims' part of the scenario,
+had no collision). ``report.json`` is a ``MetricsReport``: each episode's
+metrics are an ``EpisodeMetrics`` under ``per_episode``, and each victim's
+averages a ``VictimMetrics`` under ``victims``. It is written and read back
+through ``schema.write_record`` and ``schema.read_record``, so a missing,
+unknown or mistyped key at any depth fails by its dotted name. Reports average
+over a fixed number of frozen-policy episodes and carry a scenario fingerprint
+so only like-for-like conditions can be compared. ``METRICS`` names the
+averages both text tables show, in their order: the ``VictimMetrics`` fields
+that carry a title. The fingerprint covers the victims' part of the scenario,
 the evaluation protocol and what the victims saw: the obs mode, taken from
 the names of the victims' nets (each victim is rendered at its own net's
 resolution), and the raster's fixed view extents.
@@ -17,37 +21,56 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ContractViolationError
-from .orchestrator import EpisodeLog, load_json_record, run_episode, share_cpus
+from .orchestrator import EpisodeLog, run_episode, share_cpus
 from .raster import VIEW_AHEAD, VIEW_SIDE
 from .rewards import RewardParams
 from .scenario import ScenarioConfig
+from .schema import read_record, write_record
 from .seeding import SeedTree
 
-# (report key, text-table title) of each per-victim average the tables show
-METRICS = (
-    ("mean_cv_rate", "collision with cars"),
-    ("mean_co_rate", "collision with objects"),
-    ("mean_os_rate", "offroad steering"),
-    ("mean_ttfc", "time to first collision"),
-)
+
+@dataclass
+class EpisodeMetrics:
+    """One victim's metrics over one episode: a report's ``per_episode`` entry."""
+
+    cv_rate: float
+    co_rate: float
+    os_rate: float
+    ttfc: float | None
+    ticks: int
 
 
-def episode_metrics(log: EpisodeLog, agent_id: str) -> dict:
-    """Error rates over the ticks this agent was actually simulated, as the
-    report's per-episode entry: cv_rate, co_rate, os_rate, ttfc, ticks."""
+@dataclass
+class VictimMetrics:
+    """One victim's averages over the episodes: a report's ``victims`` entry.
+    The text tables show the fields with a title, in field order."""
+
+    episodes: int
+    mean_cv_rate: float = field(metadata={"title": "collision with cars"})
+    mean_co_rate: float = field(metadata={"title": "collision with objects"})
+    mean_os_rate: float = field(metadata={"title": "offroad steering"})
+    mean_ttfc: float | None = field(metadata={"title": "time to first collision"})
+    episodes_with_collision: int
+
+
+# (field, text-table title) of each per-victim average the tables show
+METRICS = tuple((f.name, f.metadata["title"]) for f in fields(VictimMetrics) if f.metadata)
+
+
+def episode_metrics(log: EpisodeLog, agent_id: str) -> EpisodeMetrics:
+    """Error rates over the ticks this agent was actually simulated."""
     flags = log.flags[agent_id]
     ticks = len(flags["cv"])
     if ticks == 0:
-        return {"cv_rate": 0.0, "co_rate": 0.0, "os_rate": 0.0, "ttfc": None, "ticks": 0}
+        return EpisodeMetrics(0.0, 0.0, 0.0, None, 0)
     cv = np.asarray(flags["cv"], dtype=bool)
     co = np.asarray(flags["co"], dtype=bool)
     iol = np.asarray(flags["iol"], dtype=bool)
@@ -56,17 +79,13 @@ def episode_metrics(log: EpisodeLog, agent_id: str) -> dict:
     if collided.any():
         first = int(np.flatnonzero(collided)[0])
         ttfc = (first + 1) * log.dt
-    return {
-        "cv_rate": float(cv.mean()),
-        "co_rate": float(co.mean()),
-        "os_rate": float(iol.mean()),
-        "ttfc": ttfc,
-        "ticks": ticks,
-    }
+    return EpisodeMetrics(float(cv.mean()), float(co.mean()), float(iol.mean()), ttfc, ticks)
 
 
 @dataclass
 class MetricsReport:
+    """One condition's evaluation: the record ``report.json`` holds."""
+
     label: str
     episodes: int
     max_steps: int
@@ -74,40 +93,19 @@ class MetricsReport:
     master_seed: int
     condition_key: int
     fingerprint: str
-    victims: dict = field(default_factory=dict)  # agent -> aggregate dict
-    per_episode: dict = field(default_factory=dict)  # agent -> list of episode dicts
+    victims: dict[str, VictimMetrics]
+    per_episode: dict[str, list[EpisodeMetrics]]
 
     def composite(self, agent_id: str) -> float:
         v = self.victims[agent_id]
-        return v["mean_cv_rate"] + v["mean_co_rate"] + v["mean_os_rate"]
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1).encode()
+        return v.mean_cv_rate + v.mean_co_rate + v.mean_os_rate
 
     def save(self, path) -> None:
-        path = os.fspath(path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+        write_record(path, self, indent=1)
 
     @staticmethod
     def load(path) -> "MetricsReport":
-        """The report in ``path``. Raises ``ContractViolationError`` unless it
-        holds every field, and every ``victims`` entry every ``METRICS`` key."""
-        names = [f.name for f in fields(MetricsReport)]
-        d = load_json_record(path, "metrics report", names)
-        if not isinstance(d["victims"], dict):
-            raise ContractViolationError(f"metrics report '{path}': 'victims' is not an object")
-        for aid, entry in d["victims"].items():
-            missing = [k for k, _ in METRICS if not isinstance(entry, dict) or k not in entry]
-            if missing:
-                raise ContractViolationError(
-                    f"metrics report '{path}': victim '{aid}' lacks keys {missing}"
-                )
-        return MetricsReport(**{name: d[name] for name in names})
+        return read_record(MetricsReport, path, "metrics report")
 
     def text_table(self) -> str:
         lines = [f"condition: {self.label}  (episodes={self.episodes}, mode={self.action_mode})"]
@@ -116,7 +114,7 @@ class MetricsReport:
         for metric, title in METRICS:
             row = f"{title:<28}"
             for a in sorted(self.victims):
-                v = self.victims[a][metric]
+                v = getattr(self.victims[a], metric)
                 row += f"{'-':>14}" if v is None else f"{v:>14.4f}"
             lines.append(row)
         return "\n".join(lines)
@@ -215,35 +213,34 @@ def evaluate(
     return report, logs[:1]
 
 
-def aggregate_episode_metrics(metrics_list) -> dict:
+def aggregate_episode_metrics(metrics_list: list[EpisodeMetrics]) -> VictimMetrics:
     """Averages over a victim's per-episode entries; ttfc averages only
     episodes with a collision.
 
     Uses exact summation so aggregation is bit-identical under any episode
     ordering (evaluation may run episodes in parallel).
     """
-    n = len(metrics_list)
-    ttfcs = sorted(m["ttfc"] for m in metrics_list if m["ttfc"] is not None)
+    ttfcs = sorted(m.ttfc for m in metrics_list if m.ttfc is not None)
 
     def exact_mean(values):
         values = list(values)
         return math.fsum(values) / len(values) if values else 0.0
 
-    return {
-        "episodes": n,
-        "mean_cv_rate": exact_mean(m["cv_rate"] for m in metrics_list),
-        "mean_co_rate": exact_mean(m["co_rate"] for m in metrics_list),
-        "mean_os_rate": exact_mean(m["os_rate"] for m in metrics_list),
-        "mean_ttfc": exact_mean(ttfcs) if ttfcs else None,
-        "episodes_with_collision": len(ttfcs),
-    }
+    return VictimMetrics(
+        episodes=len(metrics_list),
+        mean_cv_rate=exact_mean(m.cv_rate for m in metrics_list),
+        mean_co_rate=exact_mean(m.co_rate for m in metrics_list),
+        mean_os_rate=exact_mean(m.os_rate for m in metrics_list),
+        mean_ttfc=exact_mean(ttfcs) if ttfcs else None,
+        episodes_with_collision=len(ttfcs),
+    )
 
 
 @dataclass
 class ComparisonTable:
     labels: list[str]
     victims: list[str]
-    cells: dict  # (label, victim) -> metric dict
+    cells: dict  # (label, victim) -> the victim's VictimMetrics as a dict, plus "composite"
     deltas: dict  # (label, victim) -> composite delta vs first label
 
     def to_dict(self) -> dict:
@@ -284,25 +281,27 @@ class ComparisonTable:
 
 
 def compare(reports: list[MetricsReport]) -> ComparisonTable:
-    """Side-by-side report comparison; all reports must share a fingerprint."""
+    """Side-by-side report comparison; all reports must share a fingerprint
+    and their victims."""
     if len(reports) < 2:
         raise ContractViolationError("compare needs at least two reports")
     base = reports[0]
+    victims = sorted(base.victims)
     for r in reports[1:]:
         if r.fingerprint != base.fingerprint:
             raise ContractViolationError(
                 f"report '{r.label}' has fingerprint {r.fingerprint[:12]}..., "
                 f"expected {base.fingerprint[:12]}... (different scenario or eval protocol)"
             )
-    victims = sorted(base.victims)
+        if sorted(r.victims) != victims:
+            raise ContractViolationError(
+                f"report '{r.label}' has victims {sorted(r.victims)}, expected {victims}")
     labels = [r.label for r in reports]
     cells = {}
     deltas = {}
     for r in reports:
         for v in victims:
-            m = dict(r.victims[v])
-            m["composite"] = r.composite(v)
-            cells[(r.label, v)] = m
+            cells[(r.label, v)] = {**asdict(r.victims[v]), "composite": r.composite(v)}
             deltas[(r.label, v)] = (
                 None if r is base else r.composite(v) - base.composite(v)
             )

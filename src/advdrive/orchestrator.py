@@ -14,6 +14,12 @@ episodes), verify the policies the phase freezes by checksum after every
 episode, and write checkpoints plus a phase manifest sufficient to audit the
 freeze contracts.
 
+An episode leaves an ``EpisodeLog``, the record ``episode0.json`` holds: each
+agent's positions and flags per tick, the flags raised (``Event``) and how
+each agent's episode ended (``Termination``). It is written and read back
+through ``schema.write_record`` and ``schema.read_record``, which checks
+every key at every depth.
+
 One primitive runs every per-policy job side by side:
 ``side_by_side(items, job, pool)``. For each item in turn, ``job(item)`` runs
 on the calling thread and returns a call; each call but the last goes to a
@@ -56,7 +62,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +70,6 @@ from . import net
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
     PhaseAbortedError,
@@ -73,6 +78,7 @@ from .ppo import PpoHyper, Trajectory, build_rollout_batch, update_policy
 from .raster import render
 from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
+from .schema import error, read_record
 from .seeding import KEY_UPDATE_BASE, SeedTree
 from .world import WorldState, init_world, initial_flags, step
 
@@ -90,64 +96,51 @@ SIDE_BY_SIDE_MIN_PARAMS = 100_000
 
 
 @dataclass
+class Event:
+    """A flag an agent raised at a tick."""
+
+    tick: int
+    agent_id: str
+    flag: str
+
+
+@dataclass
+class Termination:
+    """The tick an agent's episode ended at and why; both None if it ran out of time."""
+
+    tick: int | None
+    reason: str | None
+
+
+@dataclass
 class EpisodeLog:
-    """Everything an episode leaves behind for metrics and plots."""
+    """Everything an episode leaves behind for metrics and plots: the record
+    ``episode0.json`` holds, written and read through ``schema.write_record``
+    and ``schema.read_record``."""
 
     agent_ids: list[str]
     dt: float
     seed_key: list[int]
-    ticks: int = 0
-    positions: np.ndarray | None = None  # (ticks, n_agents, 4): x, y, heading, speed
-    flags: dict = field(default_factory=dict)  # agent -> flag -> list[bool], live ticks only
-    events: list = field(default_factory=list)  # {tick, agent_id, flag}
-    termination: dict = field(default_factory=dict)  # agent -> {tick, reason}
+    ticks: int
+    positions: np.ndarray  # (ticks, agents, 4): x, y, heading, speed
+    flags: dict[str, dict[str, list[bool]]]  # agent -> flag -> one per live tick
+    events: list[Event]
+    termination: dict[str, Termination]
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_ids": self.agent_ids,
-            "dt": self.dt,
-            "seed_key": list(self.seed_key),
-            "ticks": self.ticks,
-            "positions": [] if self.positions is None else self.positions.tolist(),
-            "flags": {a: {k: [bool(b) for b in v] for k, v in per.items()} for a, per in self.flags.items()},
-            "events": self.events,
-            "termination": self.termination,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EpisodeLog":
-        log = EpisodeLog(
-            agent_ids=list(d["agent_ids"]),
-            dt=float(d["dt"]),
-            seed_key=list(d["seed_key"]),
-            ticks=int(d["ticks"]),
-        )
-        pos = d.get("positions") or []
-        log.positions = np.asarray(pos, dtype=np.float64) if pos else None
-        log.flags = {a: {k: list(v) for k, v in per.items()} for a, per in d["flags"].items()}
-        log.events = list(d["events"])
-        log.termination = dict(d["termination"])
-        return log
+    def __post_init__(self):
+        shape = (self.ticks, len(self.agent_ids), 4)
+        if self.positions.size == 0 and 0 in shape:  # a log without ticks holds [] in its file
+            self.positions = self.positions.reshape(shape)
+        if self.positions.shape != shape:
+            error("positions", f"expected shape {shape} (ticks, agents, 4), "
+                  f"got {self.positions.shape}")
+        for i, event in enumerate(self.events):
+            if event.agent_id not in self.agent_ids:
+                error(f"events[{i}].agent_id", f"'{event.agent_id}' is not in agent_ids")
 
     @staticmethod
     def load(path) -> "EpisodeLog":
-        return EpisodeLog.from_dict(
-            load_json_record(path, "episode log", [f.name for f in fields(EpisodeLog)])
-        )
-
-
-def load_json_record(path, what: str, keys) -> dict:
-    """The JSON object in ``path``. Raises ``ContractViolationError`` naming
-    ``what`` and the path unless the file reads as JSON holding all ``keys``."""
-    try:
-        with open(path, "rb") as fh:
-            d = json.loads(fh.read().decode())
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise ContractViolationError(f"cannot read {what} '{path}': {exc}") from exc
-    missing = [k for k in keys if not isinstance(d, dict) or k not in d]
-    if missing:
-        raise ContractViolationError(f"{what} '{path}' lacks keys {missing}")
-    return d
+        return read_record(EpisodeLog, path, "episode log")
 
 
 def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
@@ -197,9 +190,8 @@ def run_episode(
     reward_fns = {aid: reward_function(policies[aid].reward_kind) for aid in ids}
 
     trajectories = {aid: Trajectory(agent_id=aid) for aid in collect}
-    log = EpisodeLog(agent_ids=ids, dt=scenario.dt, seed_key=list(key_prefix))
-    log.flags = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
-    positions = []
+    flag_log = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
+    events, termination, positions = [], {}, []
 
     with helper_pool(helper_threads(len(ids), _smallest_net(policies, ids))) as pool:
         for t in range(max_steps):
@@ -220,9 +212,9 @@ def run_episode(
                 fl = flags[aid]
                 for name in FLAG_NAMES:
                     value_flag = getattr(fl, name)
-                    log.flags[aid][name].append(bool(value_flag))
+                    flag_log[aid][name].append(bool(value_flag))
                     if value_flag:
-                        log.events.append({"tick": world.tick, "agent_id": aid, "flag": name})
+                        events.append(Event(world.tick, aid, name))
                 if aid in collect:
                     obs, chosen, value = pending[aid]
                     reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
@@ -231,31 +223,17 @@ def run_episode(
                         obs.pixels, chosen.index, chosen.log_prob_vector, value, reward, done
                     )
                 prev_flags[aid] = fl
-                if world.terminated[aid] and aid not in log.termination:
-                    log.termination[aid] = {
-                        "tick": world.tick,
-                        "reason": world.termination_reason[aid],
-                    }
+                if world.terminated[aid] and aid not in termination:
+                    termination[aid] = Termination(world.tick, world.termination_reason[aid])
 
-            positions.append(
-                [
-                    [
-                        world.vehicles[aid].position[0],
-                        world.vehicles[aid].position[1],
-                        world.vehicles[aid].heading,
-                        world.vehicles[aid].speed,
-                    ]
-                    for aid in ids
-                ]
-            )
+            vehicles = [world.vehicles[aid] for aid in ids]
+            positions.append([(*v.position[:2], v.heading, v.speed) for v in vehicles])
 
-    log.ticks = len(positions)
-    log.positions = (
-        np.asarray(positions, dtype=np.float64) if positions else np.zeros((0, len(ids), 4))
+    log = EpisodeLog(
+        agent_ids=ids, dt=scenario.dt, seed_key=list(key_prefix), ticks=len(positions),
+        positions=np.asarray(positions, dtype=np.float64), flags=flag_log, events=events,
+        termination={aid: termination.get(aid, Termination(None, None)) for aid in ids},
     )
-    for aid in ids:
-        if aid not in log.termination:
-            log.termination[aid] = {"tick": None, "reason": None}
     return trajectories, log
 
 

@@ -39,6 +39,7 @@ from .orchestrator import (PhaseResult, episode_world, helper_pool, helper_threa
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
 from .scenario import AgentSpec, ScenarioConfig
+from .schema import write_record
 from .seeding import (
     KEY_ADVERSARY_COLLISION,
     KEY_ADVERSARY_OFFROAD,
@@ -297,8 +298,7 @@ def evaluate_condition(
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.text_table() + "\n")
     if logs:
-        with open(os.path.join(out_dir, "episode0.json"), "w", encoding="utf-8") as fh:
-            json.dump(logs[0].to_dict(), fh, sort_keys=True)
+        write_record(os.path.join(out_dir, "episode0.json"), logs[0])
         emit_trajectory_plot(
             logs[0],
             scenario,

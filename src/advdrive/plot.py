@@ -82,7 +82,7 @@ def emit_trajectory_plot(
             'stroke-width="1" stroke-dasharray="2 5" opacity="0.6"/>'
         )
 
-    if log.positions is not None and log.ticks > 0:
+    if log.ticks > 0:
         for i, aid in enumerate(log.agent_ids):
             xy = log.positions[:, i, :2]
             pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in xy)
@@ -97,15 +97,13 @@ def emit_trajectory_plot(
 
     agent_index = {aid: i for i, aid in enumerate(log.agent_ids)}
     for ev in log.events:
-        if log.positions is None or log.ticks == 0:
-            break
-        t = ev["tick"] - 1
+        t = ev.tick - 1
         if not 0 <= t < log.ticks:
             continue
-        x, y = log.positions[t, agent_index[ev["agent_id"]], :2]
-        if ev["flag"] in ("cv", "co"):
+        x, y = log.positions[t, agent_index[ev.agent_id], :2]
+        if ev.flag in ("cv", "co"):
             parts.append(_svg_star(sx(x), sy(y), 9, "#e01616"))
-        elif ev["flag"] == "io":
+        elif ev.flag == "io":
             parts.append(
                 f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#e07b16" opacity="0.7"/>'
             )
@@ -130,16 +128,15 @@ def emit_trajectory_plot(
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "agent_id", "x", "y", "heading", "speed", "cv", "co", "io", "iol"])
-        if log.positions is not None:
-            for t in range(log.ticks):
-                for i, aid in enumerate(log.agent_ids):
-                    x, y, heading, speed = log.positions[t, i]
-                    flags = log.flags.get(aid, {})
-                    row_flags = [
-                        int(flags[k][t]) if k in flags and t < len(flags[k]) else 0
-                        for k in ("cv", "co", "io", "iol")
-                    ]
-                    writer.writerow(
-                        [t + 1, aid, f"{x:.6f}", f"{y:.6f}", f"{heading:.6f}", f"{speed:.6f}"]
-                        + row_flags
-                    )
+        for t in range(log.ticks):
+            for i, aid in enumerate(log.agent_ids):
+                x, y, heading, speed = log.positions[t, i]
+                flags = log.flags.get(aid, {})
+                row_flags = [
+                    int(flags[k][t]) if k in flags and t < len(flags[k]) else 0
+                    for k in ("cv", "co", "io", "iol")
+                ]
+                writer.writerow(
+                    [t + 1, aid, f"{x:.6f}", f"{y:.6f}", f"{heading:.6f}", f"{speed:.6f}"]
+                    + row_flags
+                )

@@ -6,7 +6,7 @@ import yaml
 
 from advdrive.checkpoint import load_checkpoint
 from advdrive.cli import dispatch
-from advdrive.metrics import MetricsReport
+from advdrive.metrics import MetricsReport, VictimMetrics
 
 MICRO_CONFIG = {
     "obs_mode": "lite21",
@@ -165,7 +165,7 @@ def test_demo_micro(tmp_path, micro_config, capsys):
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read {what} '{path}': "),
     ("{not json", "cannot read {what} '{path}': "),
-    ('{"ticks": 3}', "{what} '{path}' lacks keys ['{first}', "),
+    ('{"ticks": 3}', "{what} '{path}': {first}"),
 ], ids=["missing", "not_json", "wrong_keys"])
 def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.json"
@@ -175,7 +175,8 @@ def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, cont
     inputs = [str(path)] * (2 if command == "compare" else 1)  # compare needs two reports
     assert dispatch([command, *inputs, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    what, first = ("metrics report", "label") if command == "compare" else ("episode log", "agent_ids")
+    what, first = (("metrics report", "ticks: unknown key") if command == "compare"
+                   else ("episode log", "agent_ids: missing key"))
     assert err.startswith("error_class=ContractViolationError " + message.format(
         what=what, path=path, first=first))
     assert err.count("error_class=") == 1 and "Traceback" not in err
@@ -183,21 +184,22 @@ def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, cont
 
 
 def test_compare_names_victim_entry_without_a_metric(tmp_path, capsys):
-    entry = {"episodes": 2, "mean_cv_rate": 0.0, "mean_co_rate": 0.0, "mean_os_rate": 0.0,
-             "mean_ttfc": None, "episodes_with_collision": 0}
+    entry = VictimMetrics(episodes=2, mean_cv_rate=0.0, mean_co_rate=0.0, mean_os_rate=0.0,
+                          mean_ttfc=None, episodes_with_collision=0)
     report = MetricsReport(label="baseline", episodes=2, max_steps=40, action_mode="sample",
                            master_seed=5, condition_key=0, fingerprint="f" * 64,
-                           victims={"victim1": dict(entry), "victim2": dict(entry)})
+                           victims={"victim1": entry, "victim2": entry}, per_episode={})
     good = tmp_path / "good.json"
     report.save(good)
-    del report.victims["victim1"]["mean_cv_rate"]
+    data = json.loads(good.read_text())
+    del data["victims"]["victim1"]["mean_cv_rate"]
     bad = tmp_path / "bad.json"
-    report.save(bad)
+    bad.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert dispatch(["compare", str(good), str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error_class=ContractViolationError metrics report '{bad}': "
-                          "victim 'victim1' lacks keys ['mean_cv_rate']")
+                          "victims.victim1.mean_cv_rate: missing key")
     assert err.count("error_class=") == 1 and "Traceback" not in err
     assert not out.exists()
 

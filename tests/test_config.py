@@ -231,6 +231,18 @@ def test_extra_bare_victim_paths_rejected():
         _victim_ckpts(["victim1=q", "p1", "p2"], cfg)
 
 
+def test_repeated_victim_id_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match=r"^victim id 'victim1' is given more than one"):
+        _victim_ckpts(["victim1=a.ckpt", "victim1=b.ckpt"], RunConfig())
+    out = tmp_path / "out"
+    assert dispatch(["evaluate", "--victims", "victim1=a.ckpt", "victim1=b.ckpt",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error_class=ConfigurationError victim id 'victim1' ")
+    assert err.count("error_class=") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def lite21_ckpts(tmp_path):
     """A lite21 victim and adversary, plus an adversary with a victim reward."""

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import json
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -13,7 +12,9 @@ from conftest import straight_scenario, tiny_net_config
 from advdrive import net
 from advdrive.errors import ContractViolationError
 from advdrive.metrics import (
+    EpisodeMetrics,
     MetricsReport,
+    VictimMetrics,
     aggregate_episode_metrics,
     compare,
     episode_metrics,
@@ -21,7 +22,7 @@ from advdrive.metrics import (
     scenario_fingerprint,
 )
 from advdrive.checkpoint import Checkpoint
-from advdrive.orchestrator import EpisodeLog, run_episode
+from advdrive.orchestrator import EpisodeLog, Event, Termination, run_episode
 from advdrive.plot import emit_trajectory_plot
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
@@ -31,14 +32,13 @@ from advdrive.seeding import SeedTree
 def make_log(flag_streams, dt=0.05, agent_ids=None):
     agent_ids = agent_ids or sorted(flag_streams)
     ticks = max(len(v["cv"]) for v in flag_streams.values())
-    log = EpisodeLog(agent_ids=agent_ids, dt=dt, seed_key=[0, 0], ticks=ticks)
-    log.flags = {
+    flags = {
         aid: {k: list(streams.get(k, [False] * len(streams["cv"]))) for k in ("cv", "co", "io", "iol")}
         for aid, streams in flag_streams.items()
     }
-    log.positions = np.zeros((ticks, len(agent_ids), 4))
-    log.termination = {aid: {"tick": None, "reason": None} for aid in agent_ids}
-    return log
+    return EpisodeLog(agent_ids=agent_ids, dt=dt, seed_key=[0, 0], ticks=ticks,
+                      positions=np.zeros((ticks, len(agent_ids), 4)), flags=flags, events=[],
+                      termination={aid: Termination(None, None) for aid in agent_ids})
 
 
 class TestEpisodeMetrics:
@@ -46,30 +46,30 @@ class TestEpisodeMetrics:
         cv = [False] * 199 + [True]
         log = make_log({"v": {"cv": cv}})
         m = episode_metrics(log, "v")
-        assert m["ttfc"] == pytest.approx(10.0)  # tick 200 at dt 0.05
-        assert m["cv_rate"] == pytest.approx(1 / 200)
+        assert m.ttfc == pytest.approx(10.0)  # tick 200 at dt 0.05
+        assert m.cv_rate == pytest.approx(1 / 200)
 
     def test_early_termination_uses_simulated_ticks(self):
         log = make_log({"v": {"cv": [False, False, True]}})
         m = episode_metrics(log, "v")
-        assert m["ticks"] == 3
-        assert m["cv_rate"] == pytest.approx(1 / 3)
-        assert m["ttfc"] == pytest.approx(3 * 0.05)
+        assert m.ticks == 3
+        assert m.cv_rate == pytest.approx(1 / 3)
+        assert m.ttfc == pytest.approx(3 * 0.05)
 
     def test_clean_episode_has_absent_ttfc(self):
         log = make_log({"v": {"cv": [False] * 50}})
         m = episode_metrics(log, "v")
-        assert m["ttfc"] is None
-        assert (m["cv_rate"], m["co_rate"], m["os_rate"]) == (0.0, 0.0, 0.0)
+        assert m.ttfc is None
+        assert (m.cv_rate, m.co_rate, m.os_rate) == (0.0, 0.0, 0.0)
 
     def test_ttfc_uses_co_as_well(self):
         log = make_log({"v": {"cv": [False] * 10, "co": [False] * 4 + [True] + [False] * 5}})
         m = episode_metrics(log, "v")
-        assert m["ttfc"] == pytest.approx(5 * 0.05)
+        assert m.ttfc == pytest.approx(5 * 0.05)
 
     def test_os_rate_counts_out_of_lane_ticks(self):
         log = make_log({"v": {"cv": [False] * 10, "iol": [True] * 4 + [False] * 6}})
-        assert episode_metrics(log, "v")["os_rate"] == pytest.approx(0.4)
+        assert episode_metrics(log, "v").os_rate == pytest.approx(0.4)
 
     def test_rates_always_within_unit_interval(self):
         rng = random.Random(7)
@@ -79,14 +79,14 @@ class TestEpisodeMetrics:
                 k: [rng.random() < 0.3 for _ in range(n)] for k in ("cv", "co", "io", "iol")
             }
             m = episode_metrics(make_log({"v": streams}), "v")
-            for rate in (m["cv_rate"], m["co_rate"], m["os_rate"]):
+            for rate in (m.cv_rate, m.co_rate, m.os_rate):
                 assert 0.0 <= rate <= 1.0
 
     def test_ttfc_monotone_in_collision_tick(self):
         prev = -1.0
         for first in (3, 10, 50, 199):
             cv = [False] * first + [True]
-            t = episode_metrics(make_log({"v": {"cv": cv}}), "v")["ttfc"]
+            t = episode_metrics(make_log({"v": {"cv": cv}}), "v").ttfc
             assert t > prev
             prev = t
 
@@ -96,13 +96,13 @@ class TestAggregation:
         out = []
         for _ in range(31):
             out.append(
-                {
-                    "cv_rate": rng.random() / 3,
-                    "co_rate": rng.random() / 3,
-                    "os_rate": rng.random(),
-                    "ttfc": rng.random() * 20 if rng.random() < 0.5 else None,
-                    "ticks": rng.randint(5, 200),
-                }
+                EpisodeMetrics(
+                    cv_rate=rng.random() / 3,
+                    co_rate=rng.random() / 3,
+                    os_rate=rng.random(),
+                    ttfc=rng.random() * 20 if rng.random() < 0.5 else None,
+                    ticks=rng.randint(5, 200),
+                )
             )
         return out
 
@@ -110,10 +110,10 @@ class TestAggregation:
         rng = random.Random(3)
         ms = self.metrics_list(rng)
         agg = aggregate_episode_metrics(ms)
-        assert agg["mean_cv_rate"] == pytest.approx(np.mean([m["cv_rate"] for m in ms]), abs=1e-12)
-        ttfcs = [m["ttfc"] for m in ms if m["ttfc"] is not None]
-        assert agg["mean_ttfc"] == pytest.approx(np.mean(ttfcs), abs=1e-12)
-        assert agg["episodes_with_collision"] == len(ttfcs)
+        assert agg.mean_cv_rate == pytest.approx(np.mean([m.cv_rate for m in ms]), abs=1e-12)
+        ttfcs = [m.ttfc for m in ms if m.ttfc is not None]
+        assert agg.mean_ttfc == pytest.approx(np.mean(ttfcs), abs=1e-12)
+        assert agg.episodes_with_collision == len(ttfcs)
 
     def test_permutation_invariant_exactly(self):
         rng = random.Random(11)
@@ -125,9 +125,14 @@ class TestAggregation:
             assert aggregate_episode_metrics(shuffled) == base
 
     def test_no_collisions_reports_absent_ttfc(self):
-        ms = [{"cv_rate": 0.0, "co_rate": 0.0, "os_rate": 0.1, "ttfc": None, "ticks": 50}
+        ms = [EpisodeMetrics(cv_rate=0.0, co_rate=0.0, os_rate=0.1, ttfc=None, ticks=50)
               for _ in range(5)]
-        assert aggregate_episode_metrics(ms)["mean_ttfc"] is None
+        assert aggregate_episode_metrics(ms).mean_ttfc is None
+
+
+def saved_bytes(report, path) -> bytes:
+    report.save(path)
+    return path.read_bytes()
 
 
 class TestEvaluate:
@@ -144,20 +149,20 @@ class TestEvaluate:
             seed_tree=SeedTree(seed), condition_key=100, workers=workers,
         )
 
-    def test_bit_identical_across_runs(self):
+    def test_bit_identical_across_runs(self, tmp_path):
         r1, _ = self.eval_once()
         r2, _ = self.eval_once()
-        assert r1.to_json_bytes() == r2.to_json_bytes()
+        assert saved_bytes(r1, tmp_path / "1.json") == saved_bytes(r2, tmp_path / "2.json")
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         # jittered spawns start some episodes beyond the lateral limit, so
         # episodes differ and a report in another episode order would too
         r1, _ = self.eval_once(workers=1, spawn_jitter=3.0)
         r2, _ = self.eval_once(workers=2, spawn_jitter=3.0)
         per = r1.per_episode["victim1"]
-        assert len({json.dumps(m, sort_keys=True) for m in per}) > 1
+        assert len({repr(m) for m in per}) > 1
         assert per != per[::-1]
-        assert r1.to_json_bytes() == r2.to_json_bytes()
+        assert saved_bytes(r1, tmp_path / "1.json") == saved_bytes(r2, tmp_path / "2.json")
 
     def test_serial_run_binds_no_worker_state(self):
         from advdrive import metrics
@@ -169,33 +174,32 @@ class TestEvaluate:
         r1, _ = self.eval_once()
         p = tmp_path / "report.json"
         r1.save(p)
-        r2 = MetricsReport.load(p)
-        assert r2.to_json_bytes() == r1.to_json_bytes()
+        assert saved_bytes(MetricsReport.load(p), tmp_path / "again.json") == p.read_bytes()
 
     def test_mean_equals_mean_of_per_episode(self):
         report, _ = self.eval_once(episodes=6)
         per = report.per_episode["victim1"]
-        assert report.victims["victim1"]["mean_os_rate"] == pytest.approx(
-            np.mean([m["os_rate"] for m in per]), abs=1e-12
+        assert report.victims["victim1"].mean_os_rate == pytest.approx(
+            np.mean([m.os_rate for m in per]), abs=1e-12
         )
 
     def test_text_table_renders_dash_for_absent_ttfc(self):
         report, _ = self.eval_once()
-        if report.victims["victim1"]["mean_ttfc"] is None:
+        if report.victims["victim1"].mean_ttfc is None:
             assert "-" in report.text_table()
 
 
 def synthetic_report(label, cv, co, os_rate, ttfc, fingerprint="f" * 64):
     victims = {}
     for aid in ("victim1", "victim2"):
-        victims[aid] = {
-            "episodes": 20,
-            "mean_cv_rate": cv,
-            "mean_co_rate": co,
-            "mean_os_rate": os_rate,
-            "mean_ttfc": ttfc,
-            "episodes_with_collision": 0 if ttfc is None else 5,
-        }
+        victims[aid] = VictimMetrics(
+            episodes=20,
+            mean_cv_rate=cv,
+            mean_co_rate=co,
+            mean_os_rate=os_rate,
+            mean_ttfc=ttfc,
+            episodes_with_collision=0 if ttfc is None else 5,
+        )
     return MetricsReport(
         label=label, episodes=20, max_steps=400, action_mode="sample",
         master_seed=0, condition_key=0, fingerprint=fingerprint, victims=victims,
@@ -209,6 +213,14 @@ class TestCompare:
         b = synthetic_report("attack", 0.4, 0.0, 0.2, 12.0, fingerprint="e" * 64)
         with pytest.raises(ContractViolationError):
             compare([a, b])
+
+    def test_reports_with_other_victims_rejected(self):
+        base = synthetic_report("baseline", 0.0, 0.0, 0.1, None)
+        attack = synthetic_report("attack", 0.4, 0.0, 0.2, 12.0)
+        del attack.victims["victim2"]
+        with pytest.raises(ContractViolationError,
+                           match=r"^report 'attack' has victims \['victim1'\], expected"):
+            compare([base, attack])
 
     def test_deltas_flag_degradation_and_improvement(self):
         base = synthetic_report("baseline", 0.0, 0.0, 0.0, None)
@@ -293,10 +305,12 @@ class TestPlot:
 
     def test_empty_log_gives_map_only_plot(self, tmp_path):
         sc = t_intersection_scenario()
-        log = EpisodeLog(agent_ids=sc.agent_ids(), dt=0.05, seed_key=[0, 0], ticks=0)
-        log.flags = {a: {k: [] for k in ("cv", "co", "io", "iol")} for a in sc.agent_ids()}
-        log.positions = np.zeros((0, 3, 4))
-        log.termination = {a: {"tick": None, "reason": None} for a in sc.agent_ids()}
+        log = EpisodeLog(
+            agent_ids=sc.agent_ids(), dt=0.05, seed_key=[0, 0], ticks=0,
+            positions=np.zeros((0, 3, 4)),
+            flags={a: {k: [] for k in ("cv", "co", "io", "iol")} for a in sc.agent_ids()},
+            events=[], termination={a: Termination(None, None) for a in sc.agent_ids()},
+        )
         svg = tmp_path / "empty.svg"
         csv_path = tmp_path / "empty.csv"
         emit_trajectory_plot(log, sc, svg, csv_path)
@@ -308,7 +322,7 @@ class TestPlot:
 
     def test_collision_event_marked(self, tmp_path):
         log = make_log({"a": {"cv": [False, True]}, "b": {"cv": [False, True]}})
-        log.events = [{"tick": 2, "agent_id": "a", "flag": "cv"}]
+        log.events = [Event(tick=2, agent_id="a", flag="cv")]
         sc = straight_scenario(
             agents=[
                 {"id": "a", "spawn": (0.0, 0.0), "goal": (30.0, 0.0)},

@@ -32,6 +32,7 @@ from advdrive.ppo import PpoHyper, update_policy
 from advdrive.raster import render
 from advdrive.rewards import RewardParams
 from advdrive.scenario import t_intersection_scenario
+from advdrive.schema import write_record
 from advdrive.seeding import KEY_INIT, SeedTree
 from advdrive.world import init_world
 
@@ -97,8 +98,8 @@ class TestRunEpisode:
         trajs, log = run_episode(
             sc, pols, RewardParams(), 600, SeedTree(0), (1, 0), collect={"a", "b"}
         )
-        assert log.termination["a"]["reason"] == "collision"
-        k = log.termination["a"]["tick"]
+        assert log.termination["a"].reason == "collision"
+        k = log.termination["a"].tick
         assert k is not None and k < 600
         assert len(trajs["a"]) == k  # nothing appended after the collision tick
         assert trajs["a"].dones[-1] and not any(trajs["a"].dones[:-1])
@@ -131,7 +132,7 @@ class TestRunEpisode:
         trajs, log = run_episode(
             sc, pols, RewardParams(), 500, SeedTree(0), (1, 0), collect={"victim1"}
         )
-        assert log.termination["victim1"]["reason"] == "goal"
+        assert log.termination["victim1"].reason == "goal"
         assert trajs["victim1"].dones[-1]
 
     def test_same_tick_actions_independent_of_other_policies(self):
@@ -201,14 +202,17 @@ class TestRunEpisode:
         with pytest.raises(ContractViolationError, match=r"cannot render at 16x16"):
             run_episode(sc, {"victim1": pol}, RewardParams(), 4, SeedTree(0), (1, 0))
 
-    def test_episode_log_round_trip(self):
+    def test_episode_log_round_trip(self, tmp_path):
         sc = head_on_scenario()
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
-        _, log = run_episode(sc, pols, RewardParams(), 100, SeedTree(0), (1, 0))
-        restored = EpisodeLog.from_dict(json.loads(json.dumps(log.to_dict())))
+        _, log = run_episode(sc, pols, RewardParams(), 600, SeedTree(0), (1, 0))  # a crash
+        path = tmp_path / "episode0.json"
+        write_record(path, log)
+        restored = EpisodeLog.load(path)
         assert restored.ticks == log.ticks
         assert np.array_equal(restored.positions, log.positions)
-        assert restored.flags == {a: {k: list(v) for k, v in per.items()} for a, per in log.flags.items()}
+        assert restored.flags == log.flags
+        assert restored.events == log.events and restored.events
         assert restored.termination == log.termination
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from advdrive.checkpoint import (
     params_checksum,
     save_checkpoint,
 )
-from advdrive.cli import _load_cfg, build_parser
+from advdrive.cli import _load_cfg, build_parser, dispatch
 from advdrive.config import (
     RunConfig,
     config_echo,
@@ -149,6 +151,31 @@ class TestCheckpointErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.pop("arrays"), "KeyError('arrays')"),
+        (lambda h: h.pop("net_config"), "KeyError('net_config')"),
+        (lambda h: h["arrays"][0].update(dtype="float7"), "data type 'float7' not understood"),
+    ], ids=["no_arrays", "no_net_config", "unknown_dtype"])
+    def test_malformed_header_with_a_valid_digest(self, tmp_path, capsys, edit, named):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<I", raw, 12)[0]
+        header = json.loads(raw[16:16 + header_len])
+        edit(header)
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        body = raw[:12] + struct.pack("<I", len(header_bytes)) + header_bytes
+        body += raw[16 + header_len:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match=rf"^checkpoint '{path}': malformed header: ") as info:
+            load_checkpoint(path)
+        assert named in str(info.value)
+        out = tmp_path / "out"
+        assert dispatch(["evaluate", "--victims", f"victim1={path}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error_class=CheckpointError checkpoint '{path}': malformed header: ")
+        assert err.count("error_class=") == 1 and "Traceback" not in err
 
 
 class TestOptimizerStateFallback:
