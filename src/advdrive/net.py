@@ -17,19 +17,34 @@ GEMM results (pre-activation and weight gradient) by the exact 2^-8 instead;
 anything else is rejected.
 
 Every forward pass runs in a ``Workspace``, the caller's or a fresh one, and
-no buffer in it outlives its last reader. One patch matrix is shared by every
-conv layer. Each conv pre-activation is a workspace buffer and its ReLU runs
-in place over it, so the forward cache keeps each conv layer's input and
-activation but no pre-activation and no patch matrix. ``backward`` takes each
-ReLU mask as ``activation > 0`` (equal to ``pre-activation > 0``, NaN
-included) before that buffer is overwritten. For the last conv layer's weight
-gradient it reads the patch matrix the forward pass left in the patch buffer,
-and for each earlier layer it refills that buffer from the cached input. It
+no buffer in it outlives its last reader. Each conv pre-activation is a
+workspace buffer and its ReLU runs in place over it, so the forward cache
+keeps each conv layer's input and activation but no pre-activation and no
+patch matrix. ``backward`` takes each ReLU mask as ``activation > 0`` (equal
+to ``pre-activation > 0``, NaN included) before that buffer is overwritten,
 writes the dense input gradient over the dense input and each conv layer's
-input gradient over that layer's input, and uses the dead patch buffer as its
-tap buffer: one GEMM per kernel tap, added in (a, b) tap order onto zeros. A
-cache is therefore good for one backward pass, with no other use of its
-workspace in between.
+input gradient over that layer's input, and adds each input gradient tap by
+tap in (a, b) order onto zeros, one GEMM per kernel tap. A cache is therefore
+good for one backward pass, with no other use of its workspace in between.
+
+Blocks. The workspace holds one patch buffer for every conv layer in both
+directions. A layer whose patch matrix over the whole minibatch is larger
+than ``PATCH_BLOCK_BYTES`` runs in blocks, in a net from
+``SIDE_BY_SIDE_MIN_PARAMS`` up (``full84``): the forward pass builds the patch
+rows of one block of images at a time and each block's GEMM writes its own
+rows of the pre-activation, and ``backward`` builds the weight gradient one
+kernel row at a time, each a GEMM over the whole minibatch's patch rows of
+that kernel row. A smaller layer, and every ``lite21`` layer, runs as one
+block and one kernel-row group. With one BLAS thread the bits are those of
+one whole-minibatch GEMM per layer on the SkylakeX, Haswell, Zen, SandyBridge
+and Nehalem OpenBLAS kernels. It takes three rules: a block boundary falls on
+a multiple of ``GEMM_ROW_ALIGN`` GEMM rows, no weight gradient splits its sum
+over the minibatch, and a layer that fits is not split at all (OpenBLAS's
+small-matrix and row-tail kernels give other bits for a lone kernel row of
+a few images, or of any ``lite21`` minibatch). With more BLAS threads the
+Haswell and Zen kernels split a GEMM's rows among the threads at points that
+depend on its row count, so a blocked layer keeps the bits only when that
+count splits evenly.
 """
 from __future__ import annotations
 
@@ -215,18 +230,33 @@ def init_params(config: NetConfig, seed) -> NetworkParams:
     return NetworkParams(config=config, arrays=arrays)
 
 
+# Nets with at least this many parameters (full84, 1,687,210; lite21 has
+# 8,906) run their convolutions in blocks, and the orchestrator runs their
+# per-policy jobs side by side (see its module docstring).
+SIDE_BY_SIDE_MIN_PARAMS = 100_000
+# Bytes of patch rows per forward block of a blocked conv layer. The largest
+# full84 block is conv1's 10 images (5.9 MiB); conv2's smallest aligned
+# block, 16 images, takes 5.1 MiB.
+PATCH_BLOCK_BYTES = 6 << 20
+# Forward blocks split a conv GEMM's rows at multiples of this: OpenBLAS
+# computes each row's dot products alike within such a run of rows, and
+# differently in a shorter tail (Haswell, Zen and Nehalem kernels).
+GEMM_ROW_ALIGN = 16
+
+
 class Workspace:
     """Scratch buffers that ``forward_core`` and ``backward`` fill through
     ``out=`` instead of allocating, reusable across calls.
 
     Each named buffer keeps its storage and is handed out as a C-contiguous
     view of the requested shape, so minibatches of different sizes share it.
-    A workspace holds one im2col patch matrix shared by every conv layer, each
-    conv layer's pre-activation (rectified in place into its activation), one
-    ReLU mask and the ``dense/w`` gradient; no buffer outlives its last
-    reader. A forward cache and the ``dense/w`` gradient alias these buffers
-    and stay valid only until the workspace's next use. Not for concurrent
-    use.
+    A workspace holds one im2col patch buffer shared by every conv layer (one
+    block of images forward, one kernel-row group of the whole minibatch
+    backward, and the input-gradient taps), each conv layer's pre-activation
+    (rectified in place into its activation), one ReLU mask and the
+    ``dense/w`` gradient; no buffer outlives its last reader. A forward cache
+    and the ``dense/w`` gradient alias these buffers and stay valid only until
+    the workspace's next use. Not for concurrent use.
     """
 
     def __init__(self):
@@ -244,32 +274,49 @@ class Workspace:
         return sum(buf.nbytes for buf in self._buffers.values())
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kernel*kernel*C) float64 patch matrix,
-    written into the workspace's shared ``cols`` buffer. uint8 observation
-    codes are copied as they are (k, not k / 256): conv1 scales its GEMM
-    results instead (see ``CODE_SCALE``)."""
+def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace,
+            rows: slice = slice(None)) -> np.ndarray:
+    """(N, H, W, C) -> (N*OH*OW, kernel rows * kernel*C) float64 patch matrix
+    of the kernel rows ``rows`` (all by default), written into the
+    workspace's shared ``cols`` buffer. uint8 observation codes are copied as
+    they are (k, not k / 256): conv1 scales its GEMM results instead (see
+    ``CODE_SCALE``)."""
+    first, stop, _ = rows.indices(kernel)
     n, h, w, c = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sh, sw, sc = x.strides
-    # (N, OH, OW, kh, kw, C): window (i, j) starts at pixel (stride*i, stride*j)
+    # (N, OH, OW, kh, kw, C): window (i, j) starts at pixel (stride*i, stride*j),
+    # kernel row kh at its row first + kh
     windows = as_strided(
-        x, (n, oh, ow, kernel, kernel, c), (sn, stride * sh, stride * sw, sh, sw, sc),
-        writeable=False,
+        x[:, first:], (n, oh, ow, stop - first, kernel, c),
+        (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False,
     )
-    cols = ws.array("cols", (n * oh * ow, kernel * kernel * c))
+    cols = ws.array("cols", (n * oh * ow, (stop - first) * kernel * c))
     np.copyto(cols.reshape(windows.shape), windows)
     return cols
+
+
+def _images_per_block(n: int, out_pixels: int, patch_cols: int, cfg: NetConfig) -> int:
+    """Images per block of a conv layer over ``n`` images. All of them when
+    their patch matrix fits ``PATCH_BLOCK_BYTES`` or the net is below
+    ``SIDE_BY_SIDE_MIN_PARAMS``; otherwise as many as fit with a row count
+    that is a multiple of ``GEMM_ROW_ALIGN``, and at least one such multiple."""
+    image_bytes = out_pixels * patch_cols * 8
+    if n * image_bytes <= PATCH_BLOCK_BYTES or cfg.param_count() < SIDE_BY_SIDE_MIN_PARAMS:
+        return max(n, 1)
+    unit = GEMM_ROW_ALIGN // math.gcd(GEMM_ROW_ALIGN, out_pixels)
+    return unit * max(1, PATCH_BLOCK_BYTES // (unit * image_bytes))
 
 
 def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None):
     """Forward pass on a batch of uint8 observation codes at core resolution,
     which conv1 decodes by scaling its GEMM results.
 
-    Runs in ``workspace``, or in a fresh one when none is given. Returns
-    (logits (N, 9), values (N,), cache for one ``backward``). The cache holds
-    each conv layer's input and activation (a workspace buffer), and the
-    dense layer's input, pre-activation and output.
+    Runs in ``workspace``, or in a fresh one when none is given, each conv
+    layer's im2col and GEMM over blocks of images (see the module docstring).
+    Returns (logits (N, 9), values (N,), cache for one ``backward``). The
+    cache holds each conv layer's input and activation (a workspace buffer),
+    and the dense layer's input, pre-activation and output.
     Raises ``ContractViolationError`` for any other dtype or shape.
     """
     cfg = params.config
@@ -287,17 +334,20 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
     for i, spec in enumerate(cfg.convs):
         w = params.arrays[f"conv{i + 1}/w"].reshape(-1, spec.filters)
         b = params.arrays[f"conv{i + 1}/b"]
-        cols = _im2col(h, spec.kernel, spec.stride, workspace)
         out_size = (h.shape[1] - spec.kernel) // spec.stride + 1
         pre = workspace.array(f"pre{i}", (n, out_size, out_size, spec.filters))
-        pre_mat = pre.reshape(-1, spec.filters)
-        np.matmul(cols, w, out=pre_mat)
-        if i == 0:
-            np.multiply(pre_mat, CODE_SCALE, out=pre_mat)
-        np.add(pre_mat, b, out=pre_mat)
-        act = np.maximum(pre, 0.0, out=pre)
-        cache["convs"].append({"input": h, "act": act})
-        h = act
+        pre_rows = pre.reshape(-1, spec.filters)
+        per = _images_per_block(n, out_size**2, len(w), cfg)
+        for lo in range(0, n, per):
+            cols = _im2col(h[lo : lo + per], spec.kernel, spec.stride, workspace)
+            pre_mat = pre_rows[lo * out_size**2 : (lo + per) * out_size**2]
+            np.matmul(cols, w, out=pre_mat)
+            if i == 0:
+                np.multiply(pre_mat, CODE_SCALE, out=pre_mat)
+            np.add(pre_mat, b, out=pre_mat)
+            np.maximum(pre_mat, 0.0, out=pre_mat)
+        cache["convs"].append({"input": h, "act": pre})
+        h = pre
 
     flat = h.reshape(n, -1)
     pre_dense = flat @ params.arrays["dense/w"] + params.arrays["dense/b"]
@@ -340,8 +390,10 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of sum(dlogits * logits) + sum(dvalues * values) w.r.t. params.
 
-    Runs in the workspace of the forward pass that made ``cache``. The
-    ``dense/w`` gradient is one of its buffers, and the input gradients
+    Runs in the workspace of the forward pass that made ``cache``, and
+    builds each conv weight gradient over kernel-row groups (see the module
+    docstring), refilling the patch buffer from the cached input for each.
+    The ``dense/w`` gradient is one of its buffers, and the input gradients
     overwrite the cached activations once they are dead: the cache is used
     up, and a second backward on it raises ``ContractViolationError``.
     """
@@ -380,12 +432,14 @@ def backward(
         h = convs[i]["input"]
         dpre = np.multiply(dpost, mask, out=dpost)
         dpre_mat = dpre.reshape(-1, spec.filters)
-        if i == len(cfg.convs) - 1:  # the forward pass's last patch matrix, still in place
-            cols = workspace.array("cols", (len(dpre_mat), spec.kernel**2 * h.shape[-1]))
-        else:
-            cols = _im2col(h, spec.kernel, spec.stride, workspace)
-        grad_w = cols.T @ dpre_mat
-        grads[f"conv{i + 1}/w"] = grad_w.reshape(params.arrays[f"conv{i + 1}/w"].shape)
+        grad_w = np.empty(params.arrays[f"conv{i + 1}/w"].shape)
+        n, out_size = dpre.shape[:2]
+        per = _images_per_block(n, out_size**2, spec.kernel**2 * h.shape[-1], cfg)
+        groups = [slice(a, a + 1) for a in range(spec.kernel)] if per < n else [slice(None)]
+        for rows in groups:  # one GEMM per kernel-row group, each over the whole minibatch
+            cols = _im2col(h, spec.kernel, spec.stride, workspace, rows)
+            np.matmul(cols.T, dpre_mat, out=grad_w[rows].reshape(-1, spec.filters))
+        grads[f"conv{i + 1}/w"] = grad_w
         grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
         if i == 0:
             np.multiply(grad_w, CODE_SCALE, out=grad_w)

@@ -67,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
+from .net import SIDE_BY_SIDE_MIN_PARAMS
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
@@ -85,14 +86,13 @@ from .world import WorldState, init_world, initial_flags, step
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
-# Nets with at least this many parameters are initialised, loaded, hashed,
-# saved and run forward side by side. A full84 init (1,687,210 parameters)
-# spends most of its 0.24 s in a LAPACK QR that releases the GIL, and two ran
-# in 0.25 s on two threads against 0.47 s one after the other. A lite21 init
-# (8,906) takes 0.8 ms, mostly in Python, and two took 2.5 ms on two threads
-# against 1.6 ms; a lite21 load, hash or forward is likewise too short to
-# hand to a thread.
-SIDE_BY_SIDE_MIN_PARAMS = 100_000
+# Nets with at least net.SIDE_BY_SIDE_MIN_PARAMS parameters are initialised,
+# loaded, hashed, saved and run forward side by side. A full84 init spends
+# most of its 0.24 s in a LAPACK QR that releases the GIL, and two ran in
+# 0.25 s on two threads against 0.47 s one after the other. A lite21 init
+# takes 0.8 ms, mostly in Python, and two took 2.5 ms on two threads against
+# 1.6 ms; a lite21 load, hash or forward is likewise too short to hand to a
+# thread.
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Shared test fixtures and oracle helpers."""
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -143,3 +147,35 @@ def assert_relu_margin(params, cache, margin: float = 1e-3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def openblas(symbol: str):
+    """The function ``symbol`` of numpy's bundled OpenBLAS, or None when
+    there is no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            return getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Runs the test on one OpenBLAS thread and restores the count after.
+    With more threads OpenBLAS splits a GEMM's rows among them at points that
+    depend on the row count (on Haswell and Zen not at multiples of 16), so a
+    row's bits can depend on the size of the GEMM it is computed in."""
+    get, set_threads = (openblas(f"scipy_openblas_{f}_num_threads64_") for f in ("get", "set"))
+    if get is None or set_threads is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    threads = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)

@@ -10,7 +10,6 @@ kernels by CPU at run time, so on another build or core the digests may
 differ and the tests are skipped there (``skip_unless_reference_build``).
 """
 import ctypes
-import glob
 import json
 import os
 import subprocess
@@ -18,6 +17,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import openblas
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
@@ -41,22 +41,10 @@ def _reference_env() -> dict:
 REFERENCE_BLAS_CORE = "SkylakeX"
 
 
-def _openblas(symbol: str):
-    """The function ``symbol`` of numpy's bundled OpenBLAS, or None when
-    there is no such library."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            return getattr(ctypes.CDLL(path), symbol)
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
 def _blas_core() -> str | None:
     """The core whose kernels numpy's bundled OpenBLAS runs (it honours
     ``OPENBLAS_CORETYPE``), or None when there is no such library."""
-    corename = _openblas("scipy_openblas_get_corename64_")
+    corename = openblas("scipy_openblas_get_corename64_")
     if corename is None:
         return None
     corename.argtypes = []
@@ -162,7 +150,7 @@ def test_full84_update_matches_golden_digest():
 if __name__ == "__main__":
     # Set through OpenBLAS itself: it caps OPENBLAS_NUM_THREADS at the usable
     # CPUs, so on one usable CPU the variable alone gives one thread.
-    set_num_threads = _openblas("scipy_openblas_set_num_threads64_")
+    set_num_threads = openblas("scipy_openblas_set_num_threads64_")
     set_num_threads.argtypes = [ctypes.c_int]
     set_num_threads.restype = None
     set_num_threads(2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (
     assert_relu_margin,
@@ -172,6 +173,87 @@ class TestGradients:
             net.backward(params, cache, a, b)
             with pytest.raises(ContractViolationError, match="used up"):
                 net.backward(params, cache, a, b)
+
+
+def whole_minibatch_reference(params, obs, dlogits, dvalues):
+    """(logits, values, grads) by the unblocked arithmetic: one patch matrix
+    over the whole minibatch and one GEMM per conv layer forward, and
+    ``cols.T @ dpre`` for each conv weight gradient."""
+    cfg, arr = params.config, params.arrays
+
+    def im2col(x, spec):
+        windows = sliding_window_view(x, (spec.kernel, spec.kernel), axis=(1, 2))
+        windows = windows[:, :: spec.stride, :: spec.stride]  # (N, OH, OW, C, kh, kw)
+        flat = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, spec.kernel**2 * x.shape[-1])
+        return flat.astype(np.float64)
+
+    n, inputs, acts, h = len(obs), [], [], obs
+    for i, spec in enumerate(cfg.convs):
+        pre = im2col(h, spec) @ arr[f"conv{i + 1}/w"].reshape(-1, spec.filters)
+        if i == 0:
+            pre *= net.CODE_SCALE
+        pre += arr[f"conv{i + 1}/b"]
+        size = cfg.conv_output_sizes()[i]
+        inputs.append(h)
+        h = np.maximum(pre, 0.0).reshape(n, size, size, spec.filters)
+        acts.append(h)
+    flat = h.reshape(n, -1)
+    pre_dense = flat @ arr["dense/w"] + arr["dense/b"]
+    hidden = np.maximum(pre_dense, 0.0)
+    logits = hidden @ arr["policy/w"] + arr["policy/b"]
+    values = (hidden @ arr["value/w"] + arr["value/b"])[:, 0]
+
+    dvalues = dvalues.reshape(-1, 1)
+    grads = {"policy/w": hidden.T @ dlogits, "policy/b": dlogits.sum(axis=0),
+             "value/w": hidden.T @ dvalues, "value/b": dvalues.sum(axis=0)}
+    dhidden = dlogits @ arr["policy/w"].T + dvalues @ arr["value/w"].T
+    dpre_dense = dhidden * (pre_dense > 0.0)
+    grads["dense/w"] = flat.T @ dpre_dense
+    grads["dense/b"] = dpre_dense.sum(axis=0)
+    dpost = (dpre_dense @ arr["dense/w"].T).reshape(h.shape)
+    for i in range(len(cfg.convs) - 1, -1, -1):
+        spec, w = cfg.convs[i], arr[f"conv{i + 1}/w"]
+        dpre = dpost * (acts[i] > 0.0)
+        dpre_mat = dpre.reshape(-1, spec.filters)
+        grad_w = im2col(inputs[i], spec).T @ dpre_mat
+        if i == 0:
+            grad_w *= net.CODE_SCALE
+        grads[f"conv{i + 1}/w"] = grad_w.reshape(w.shape)
+        grads[f"conv{i + 1}/b"] = dpre_mat.sum(axis=0)
+        if i > 0:  # one GEMM per kernel tap, added in (a, b) order onto zeros
+            _, oh, ow, _ = dpre.shape
+            s, dpost = spec.stride, np.zeros(inputs[i].shape)
+            for a in range(spec.kernel):
+                for b in range(spec.kernel):
+                    tap = (dpre_mat @ w[a, b].T).reshape(n, oh, ow, -1)
+                    dpost[:, a : a + s * oh : s, b : b + s * ow : s, :] += tap
+    return logits, values, grads
+
+
+class TestBlockedConvolutions:
+    @pytest.mark.parametrize(
+        "mode, rows",
+        [("full84", 1), ("full84", 5), ("full84", 37), ("full84", 64), ("full84", 128),
+         ("lite21", 64), ("lite21", 128)],
+    )
+    def test_bit_equal_to_whole_minibatch_reference(self, mode, rows, one_blas_thread):
+        # full84 at 37 rows ends every conv layer's forward in a partial block
+        cfg = net.net_config_for_mode(mode)
+        params = net.init_params(cfg, 3)
+        rng = np.random.default_rng(rows)
+        obs = rng.integers(0, 256, size=(rows, cfg.core_res(), cfg.core_res(), 3), dtype=np.uint8)
+        dlogits, dvalues = rng.normal(size=(rows, 9)), rng.normal(size=rows)
+        ref_logits, ref_values, ref_grads = whole_minibatch_reference(params, obs, dlogits, dvalues)
+        logits, values, cache = net.forward_core(params, obs)
+        grads = net.backward(params, cache, dlogits, dvalues)
+
+        def same(a, b):
+            return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+        assert same(logits, ref_logits) and same(values, ref_values)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert same(grads[name], ref_grads[name]), name
 
 
 class TestAdam:

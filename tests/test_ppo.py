@@ -242,14 +242,26 @@ class TestLoss:
         params = net.init_params(net.full84_config(), 6)
         self.check_workspace_bit_equal(params, np.random.default_rng(9), (64, 5))
 
-    def test_full84_workspace_footprint(self):
-        params = net.init_params(net.full84_config(), 6)
+    def workspace_bytes(self, mode):
+        """Bytes a workspace holds after two 64-row minibatches of ``mode``."""
+        cfg = net.net_config_for_mode(mode)
+        params = net.init_params(cfg, 6)
         rng = np.random.default_rng(9)
         workspace = net.Workspace()
         for _ in range(2):
-            ppo_loss_grads(params, self.random_minibatch(rng, 64, 84), self.hyper, 0.3, workspace)
-        # patch matrix 37.5 MiB, dense/w gradient 12.25, pre-activations 10.3, mask 0.8
-        assert workspace.nbytes() <= 65 * 2**20
+            mb = self.random_minibatch(rng, 64, cfg.core_res())
+            ppo_loss_grads(params, mb, self.hyper, 0.3, workspace)
+        return workspace.nbytes()
+
+    def test_full84_workspace_footprint(self):
+        # dense/w gradient 12.25 MiB, pre-activations 10.31, patch buffer 5.86
+        # (one 10-image conv1 block; conv2's largest kernel-row matrix is
+        # 5.06), mask 0.78
+        assert self.workspace_bytes("full84") <= 29.21 * 2**20
+
+    def test_lite21_workspace_footprint(self):
+        # one block: patch matrix 2.97 MiB, pre-activations 0.47, the rest 0.07
+        assert self.workspace_bytes("lite21") <= 3.51 * 2**20
 
     def test_non_finite_ratio_names_transition(self):
         mb = self.identity_minibatch(2)
