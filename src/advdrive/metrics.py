@@ -274,8 +274,7 @@ class ComparisonTable:
         return "\n".join(lines)
 
     def save(self, json_path, text_path) -> None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_record(json_path, self.to_dict(), indent=2)
         with open(text_path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text() + "\n")
 

@@ -18,7 +18,11 @@ An episode leaves an ``EpisodeLog``, the record ``episode0.json`` holds: each
 agent's positions and flags per tick, the flags raised (``Event``) and how
 each agent's episode ended (``Termination``). It is written and read back
 through ``schema.write_record`` and ``schema.read_record``, which checks
-every key at every depth.
+every key at every depth. A phase writes its records through
+``schema.write_record`` too: it truncates ``train_log.jsonl`` when it starts,
+appends one line per agent and episode and one per update, each flushed
+before the next episode starts, and writes ``phase_manifest.json`` once it
+completes or a non-finite value aborts it.
 
 One primitive runs every per-policy job side by side:
 ``side_by_side(items, job, pool)``. For each item in turn, ``job(item)`` runs
@@ -57,7 +61,6 @@ fit the CPUs.
 """
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -79,7 +82,7 @@ from .ppo import PpoHyper, Trajectory, build_rollout_batch, update_policy
 from .raster import render
 from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
-from .schema import error, read_record
+from .schema import error, read_record, write_record
 from .seeding import KEY_UPDATE_BASE, SeedTree
 from .world import WorldState, init_world, initial_flags, step
 
@@ -253,20 +256,6 @@ class PhaseResult:
     checkpoint_checksums: dict[str, str]
 
 
-class _StatsWriter:
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-
-    def write(self, record: dict):
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-
 def _save_policy_checkpoints(policies, agent_ids, out_dir, suffix=""):
     paths = {aid: os.path.join(out_dir, "checkpoints", f"{aid}{suffix}.ckpt")
              for aid in agent_ids}
@@ -437,7 +426,6 @@ def run_training_phase(
 
     checksums_in = _checksums(policies, ids)
     frozen_checksums = {aid: checksums_in[aid] for aid in frozen}
-    stats = _StatsWriter(os.path.join(out_dir, "train_log.jsonl"))
     buffers: dict[str, list[Trajectory]] = {aid: [] for aid in trainable}
 
     episodes_run = 0
@@ -459,7 +447,8 @@ def run_training_phase(
         # the rollouts freed in this thread's malloc arena, which helper
         # threads, each with an arena of their own, cannot (peak RSS 60 MB
         # higher on a full84 phase with both updates on helpers).
-        with helper_pool(concurrency(len(trainable)) - 1) as pool:
+        with open(os.path.join(out_dir, "train_log.jsonl"), "wb") as train_log, \
+                helper_pool(concurrency(len(trainable)) - 1) as pool:
             for ep in range(episodes):
                 if step_cap is not None and steps_run >= step_cap:
                     break
@@ -485,17 +474,14 @@ def run_training_phase(
                     pol.counters["episodes"] += 1
                     pol.counters["env_steps"] += len(trajs[aid])
                     ep_reward = float(np.sum(trajs[aid].rewards))
-                    stats.write(
-                        {"type": "episode", "phase": phase_name, "agent_id": aid,
-                         "episode": ep, "reward": ep_reward, "length": len(trajs[aid])}
-                    )
+                    write_record(train_log, {"type": "episode", "phase": phase_name,
+                                             "agent_id": aid, "episode": ep,
+                                             "reward": ep_reward, "length": len(trajs[aid])})
                     if aid in due:
                         pol.params, pol.adam, pol.kl_coef, upd = next(updates)
                         pol.counters["updates"] += 1
-                        record = {"type": "update", "phase": phase_name, "agent_id": aid,
-                                  "episode": ep}
-                        record.update(upd)
-                        stats.write(record)
+                        write_record(train_log, {"type": "update", "phase": phase_name,
+                                                 "agent_id": aid, "episode": ep, **upd})
 
                 _check_frozen(policies, frozen_checksums, phase_name)
                 if on_episode_end is not None:
@@ -506,8 +492,6 @@ def run_training_phase(
     except NonFiniteError as exc:
         status = "aborted"
         abort_message = str(exc)
-    finally:
-        stats.close()
 
     if status == "completed":
         paths, checksums = _save_policy_checkpoints(policies, trainable, out_dir)
@@ -516,7 +500,7 @@ def run_training_phase(
 
     _check_frozen(policies, frozen_checksums, phase_name)
 
-    manifest = {
+    write_record(os.path.join(out_dir, "phase_manifest.json"), {
         "phase": phase_name,
         "phase_key": phase_key,
         "master_seed": seed_tree.master_seed,
@@ -533,9 +517,7 @@ def run_training_phase(
         "checkpoints_out": {aid: {"path": paths.get(aid), "checksum": checksums.get(aid)} for aid in trainable},
         "frozen_checksums": frozen_checksums,
         "config": config_echo or {},
-    }
-    with open(os.path.join(out_dir, "phase_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    }, indent=2)
 
     if status == "aborted":
         raise PhaseAbortedError(

@@ -23,7 +23,6 @@ serial run's.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 from functools import partial
@@ -106,17 +105,10 @@ def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
 
 
 def write_run_manifest(out_dir, cfg: RunConfig, command: str, extras: dict | None = None):
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "command": command,
-        "code_version": __version__,
-        "master_seed": cfg.seed,
-        "config": config_echo(cfg),
-    }
-    manifest.update(extras or {})
     path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_record(path, {"command": command, "code_version": __version__,
+                        "master_seed": cfg.seed, "config": config_echo(cfg), **(extras or {})},
+                 indent=2)
     return path
 
 

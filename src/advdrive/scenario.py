@@ -4,7 +4,7 @@ each one follows, and the vehicle/simulation parameters shared by all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import worldmap
 from .errors import ConfigurationError
@@ -126,16 +126,7 @@ class ScenarioConfig:
             "dt": self.dt,
             "goal_tolerance": self.goal_tolerance,
             "lateral_limit": self.lateral_limit,
-            "vehicle": {
-                "length": self.vehicle.length,
-                "width": self.vehicle.width,
-                "wheelbase": self.vehicle.wheelbase,
-                "accel_max": self.vehicle.accel_max,
-                "brake_max": self.vehicle.brake_max,
-                "steer_max_deg": self.vehicle.steer_max_deg,
-                "drag": self.vehicle.drag,
-                "speed_max": self.vehicle.speed_max,
-            },
+            "vehicle": asdict(self.vehicle),
             "victims": [a.payload() for a in self.victims()],
         }
 

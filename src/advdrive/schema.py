@@ -12,8 +12,12 @@ by its annotation: a nested dataclass, ``X | None``, ``list[X]`` and
 is required. Unknown keys, missing keys and bad values raise
 ``ValidationError`` naming the dotted key (``per_episode.victim1[0].cv_rate``).
 
-Records are written by ``write_record`` (``dataclasses.asdict`` as JSON with
-sorted keys) and read back by ``read_record``, which raises
+Every JSON run record is written by ``write_record``, the one code that
+turns a record into file bytes: a dataclass (``dataclasses.asdict``) or a
+mapping, as JSON with sorted keys. It writes a whole file (``report.json``,
+``episode0.json``, ``phase_manifest.json``, ``run_manifest.json``,
+``compare.json``) or appends one line to an open log (``train_log.jsonl``).
+The dataclass records are read back by ``read_record``, which raises
 ``ContractViolationError`` naming the file and the dotted key.
 """
 from __future__ import annotations
@@ -135,14 +139,21 @@ def parse_section(cls, data, key: str = ""):
                   for name, value in data.items()})
 
 
-def write_record(path, record, indent: int | None = None) -> None:
-    """Writes ``record`` (a dataclass) to ``path`` as JSON with sorted keys,
-    arrays as nested lists."""
-    path = os.fspath(path)
+def write_record(dest, record, indent: int | None = None) -> None:
+    """Writes ``record`` (a dataclass or a mapping) as JSON with sorted keys,
+    arrays as nested lists: to the file at the path ``dest``, replacing it,
+    with no trailing newline; or, when ``dest`` is a binary file open for
+    writing, as one line appended to it and flushed."""
+    data = asdict(record) if is_dataclass(record) else record
+    text = json.dumps(data, sort_keys=True, indent=indent, default=np.ndarray.tolist).encode()
+    if hasattr(dest, "write"):
+        dest.write(text + b"\n")
+        dest.flush()
+        return
+    path = os.fspath(dest)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(asdict(record), sort_keys=True, indent=indent,
-                            default=np.ndarray.tolist).encode())
+        fh.write(text)
 
 
 def read_record(cls, path, what: str):

@@ -291,42 +291,46 @@ class TestTrainingPhase:
                 on_episode_end=corrupt,
             )
 
-    def test_freeze_violation_closes_train_log(self, tmp_path, monkeypatch):
+    def test_freeze_violation_leaves_the_log_written_so_far(self, tmp_path):
         sc = phase_scenario()
-        victim = make_policy(sc.agents[0])
-        adversary = make_policy(sc.agents[1])
-        writers = []
+        out_dir = tmp_path / "phase"
+        log_path = out_dir / "train_log.jsonl"
+        flushed = []
 
-        class RecordingWriter(orchestrator._StatsWriter):
-            def __init__(self, path):
-                super().__init__(path)
-                self.closed = False
-                writers.append(self)
-
-            def close(self):
-                self.closed = True
-                super().close()
-
-        def corrupt(ep, policies):
-            policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
-
-        monkeypatch.setattr(orchestrator, "_StatsWriter", RecordingWriter)
-        with pytest.raises(FreezeViolationError):
+        def run(on_episode_end=None, episodes=4, out=out_dir):
+            policies = {"victim1": make_policy(sc.agents[0]),
+                        "adversary": make_policy(sc.agents[1])}
             run_training_phase(
-                phase_name="adv_test",
-                phase_key=2,
-                scenario=sc,
-                policies={"victim1": victim, "adversary": adversary},
-                hyper=FAST_HYPER,
-                reward_params=RewardParams(),
-                episodes=3,
-                step_cap=None,
-                seed_tree=SeedTree(1),
-                out_dir=str(tmp_path / "phase"),
-                frozen=("victim1",),
-                on_episode_end=corrupt,
+                phase_name="adv_test", phase_key=2, scenario=sc, policies=policies,
+                hyper=FAST_HYPER, reward_params=RewardParams(), episodes=episodes,
+                step_cap=None, seed_tree=SeedTree(1), out_dir=str(out),
+                frozen=("victim1",), on_episode_end=on_episode_end,
             )
-        assert len(writers) == 1 and writers[0].closed
+
+        def corrupt_after_two(ep, policies):
+            flushed.append(log_path.read_bytes())  # the log as this episode left it
+            if ep == 1:
+                policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
+
+        with pytest.raises(FreezeViolationError):
+            run(corrupt_after_two)
+        data = log_path.read_bytes()
+        records = [json.loads(line) for line in data.decode().split("\n")[:-1]]
+        episodes = [r["episode"] for r in records if r["type"] == "episode"]
+        updates = [r["episode"] for r in records if r["type"] == "update"]
+        # episode 2 ran with the changed victim; its records precede the abort
+        assert data.endswith(b"\n") and episodes == [0, 1, 2] and updates
+        assert {r["agent_id"] for r in records} == {"adversary"}
+        assert len(flushed) == 2 and data.startswith(flushed[1]) and flushed[1].startswith(flushed[0])
+        assert [r["episode"] for r in map(json.loads, flushed[1].decode().splitlines())
+                if r["type"] == "episode"] == [0, 1]
+
+        # a phase run again into the same directory starts a fresh log
+        run(episodes=1)
+        run(episodes=1, out=tmp_path / "fresh")
+        assert log_path.read_bytes() == (tmp_path / "fresh" / "train_log.jsonl").read_bytes()
+        assert [(r["type"], r["episode"]) for r in map(json.loads, log_path.read_text().splitlines())
+                ] == [("episode", 0), ("update", 0)]
 
     def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setattr(orchestrator, "CHECKPOINT_EVERY", 1)
