@@ -13,7 +13,8 @@ Layout (little-endian):
 Writes are atomic (temp file + rename). Saves and loads stream the file
 array by array under an incremental SHA-256, so neither holds a second copy
 of the payload. Loads verify magic, version, length, and checksum before
-returning any array.
+returning any array, and return none unless every parameter and Adam array
+is float64 of the shape the net's ``param_layout`` gives it.
 """
 from __future__ import annotations
 
@@ -189,26 +190,27 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _checkpoint_from(header: dict, loaded: dict[str, np.ndarray]) -> Checkpoint:
     config = NetConfig.from_dict(header["net_config"])
-    expected_layout = dict(config.param_layout())
-    params_arrays = {}
-    for name, shape in expected_layout.items():
-        key = f"params/{name}"
-        if key not in loaded:
-            raise CheckpointError(f"missing array '{key}'")
-        if loaded[key].shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for '{key}': file {loaded[key].shape}, net {shape}"
-            )
-        params_arrays[name] = loaded[key]
-    params = NetworkParams(config=config, arrays=params_arrays)
+    layout = config.param_layout()
 
+    def arrays(prefix: str) -> dict[str, np.ndarray]:
+        """The net's arrays under ``prefix``, each float64 of its layout shape."""
+        out = {}
+        for name, shape in layout:
+            key = prefix + name
+            if key not in loaded:
+                raise CheckpointError(f"missing array '{key}'")
+            arr = loaded[key]
+            if arr.dtype != np.float64:
+                raise CheckpointError(f"dtype mismatch for '{key}': file {arr.dtype}, net float64")
+            if arr.shape != shape:
+                raise CheckpointError(f"shape mismatch for '{key}': file {arr.shape}, net {shape}")
+            out[name] = arr
+        return out
+
+    params = NetworkParams(config=config, arrays=arrays("params/"))
     adam = None
     if header.get("has_adam"):
-        adam = AdamState(
-            m={name: loaded[f"adam/m/{name}"] for name in expected_layout},
-            v={name: loaded[f"adam/v/{name}"] for name in expected_layout},
-            step=int(header["adam_step"]),
-        )
+        adam = AdamState(m=arrays("adam/m/"), v=arrays("adam/v/"), step=int(header["adam_step"]))
     return Checkpoint(
         role=header["role"],
         reward_kind=header["reward_kind"],

@@ -241,9 +241,9 @@ def _cmd_plot(args) -> int:
 
 def _cmd_demo(args) -> int:
     cfg = _load_cfg(args)
-    summary = pipeline.run_demo(cfg, cfg.out_dir, dump_obs=args.dump_obs)
-    print(summary["compare_text"])
-    print(f"demo artifacts under {summary['out_dir']}")
+    table = pipeline.run_demo(cfg, cfg.out_dir, dump_obs=args.dump_obs)
+    print(table.to_text())
+    print(f"demo artifacts under {cfg.out_dir}")
     return 0
 
 

@@ -15,6 +15,11 @@ that carry a title. The fingerprint covers the victims' part of the scenario,
 the evaluation protocol and what the victims saw: the obs mode, taken from
 the names of the victims' nets (each victim is rendered at its own net's
 resolution), and the raster's fixed view extents.
+
+``compare`` lines up reports of distinct labels in a ``ComparisonTable``,
+whose fields are the keys of ``compare.json``: its ``cells`` and
+``composite_deltas_vs_first`` are keyed ``"label|victim"`` in memory as in
+the file, which ``save`` writes through ``schema.write_record``.
 """
 from __future__ import annotations
 
@@ -238,18 +243,12 @@ def aggregate_episode_metrics(metrics_list: list[EpisodeMetrics]) -> VictimMetri
 
 @dataclass
 class ComparisonTable:
+    """Reports side by side: the record ``compare.json`` holds."""
+
     labels: list[str]
     victims: list[str]
-    cells: dict  # (label, victim) -> the victim's VictimMetrics as a dict, plus "composite"
-    deltas: dict  # (label, victim) -> composite delta vs first label
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": self.labels,
-            "victims": self.victims,
-            "cells": {f"{l}|{v}": m for (l, v), m in self.cells.items()},
-            "composite_deltas_vs_first": {f"{l}|{v}": d for (l, v), d in self.deltas.items()},
-        }
+    cells: dict  # "label|victim" -> the victim's VictimMetrics as a dict, plus "composite"
+    composite_deltas_vs_first: dict  # "label|victim" -> composite delta, None for the first label
 
     def to_text(self) -> str:
         columns = [f"{label}/{v}" for label in self.labels for v in self.victims]
@@ -260,28 +259,28 @@ class ComparisonTable:
             row = f"{title:<26}"
             for label in self.labels:
                 for v in self.victims:
-                    m = self.cells[(label, v)]
+                    m = self.cells[f"{label}|{v}"]
                     val = m.get(key)
                     row += f"{'-':>{width}}" if val is None else f"{val:>{width}.4f}"
             lines.append(row)
         delta_row = f"{'composite delta':<26}"
         for label in self.labels:
             for v in self.victims:
-                d = self.deltas[(label, v)]
+                d = self.composite_deltas_vs_first[f"{label}|{v}"]
                 cell = "baseline" if d is None else f"{d:+.4f} {'worse' if d > 0 else 'better' if d < 0 else 'same'}"
                 delta_row += f"{cell:>{width}}"
         lines.append(delta_row)
         return "\n".join(lines)
 
     def save(self, json_path, text_path) -> None:
-        write_record(json_path, self.to_dict(), indent=2)
+        write_record(json_path, self, indent=2)
         with open(text_path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text() + "\n")
 
 
 def compare(reports: list[MetricsReport]) -> ComparisonTable:
     """Side-by-side report comparison; all reports must share a fingerprint
-    and their victims."""
+    and their victims, and each needs a label of its own."""
     if len(reports) < 2:
         raise ContractViolationError("compare needs at least two reports")
     base = reports[0]
@@ -296,12 +295,16 @@ def compare(reports: list[MetricsReport]) -> ComparisonTable:
             raise ContractViolationError(
                 f"report '{r.label}' has victims {sorted(r.victims)}, expected {victims}")
     labels = [r.label for r in reports]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ContractViolationError(
+                f"two reports are labelled '{label}'; each compared report needs its own label")
     cells = {}
     deltas = {}
     for r in reports:
         for v in victims:
-            cells[(r.label, v)] = {**asdict(r.victims[v]), "composite": r.composite(v)}
-            deltas[(r.label, v)] = (
-                None if r is base else r.composite(v) - base.composite(v)
-            )
-    return ComparisonTable(labels=labels, victims=victims, cells=cells, deltas=deltas)
+            key = f"{r.label}|{v}"
+            cells[key] = {**asdict(r.victims[v]), "composite": r.composite(v)}
+            deltas[key] = None if r is base else r.composite(v) - base.composite(v)
+    return ComparisonTable(labels=labels, victims=victims, cells=cells,
+                           composite_deltas_vs_first=deltas)

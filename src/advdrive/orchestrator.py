@@ -119,7 +119,9 @@ class Termination:
 class EpisodeLog:
     """Everything an episode leaves behind for metrics and plots: the record
     ``episode0.json`` holds, written and read through ``schema.write_record``
-    and ``schema.read_record``."""
+    and ``schema.read_record``. ``flags`` and ``termination`` hold an entry
+    for each of ``agent_ids`` and no other, and each agent's flags are
+    ``FLAG_NAMES``."""
 
     agent_ids: list[str]
     dt: float
@@ -140,10 +142,25 @@ class EpisodeLog:
         for i, event in enumerate(self.events):
             if event.agent_id not in self.agent_ids:
                 error(f"events[{i}].agent_id", f"'{event.agent_id}' is not in agent_ids")
+        _check_keys("flags", self.flags, self.agent_ids, "is not in agent_ids")
+        for aid, flags in self.flags.items():
+            _check_keys(f"flags.{aid}", flags, FLAG_NAMES, "is not a flag name")
+        _check_keys("termination", self.termination, self.agent_ids, "is not in agent_ids")
 
     @staticmethod
     def load(path) -> "EpisodeLog":
         return read_record(EpisodeLog, path, "episode log")
+
+
+def _check_keys(key: str, mapping: dict, expected, unknown: str) -> None:
+    """Raises ``ValidationError`` naming ``key.<name>`` unless ``mapping`` is
+    keyed by exactly the names in ``expected``."""
+    for name in mapping:
+        if name not in expected:
+            error(f"{key}.{name}", f"'{name}' {unknown}")
+    for name in expected:
+        if name not in mapping:
+            error(f"{key}.{name}", "missing key")
 
 
 def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
@@ -197,7 +214,7 @@ def run_episode(
     events, termination, positions = [], {}, []
 
     with helper_pool(helper_threads(len(ids), _smallest_net(policies, ids))) as pool:
-        for t in range(max_steps):
+        for _ in range(max_steps):
             live = world.live_agents()
             if not live:
                 break
@@ -221,9 +238,8 @@ def run_episode(
                 if aid in collect:
                     obs, chosen, value = pending[aid]
                     reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
-                    done = world.terminated[aid] or (t == max_steps - 1)
                     trajectories[aid].append(
-                        obs.pixels, chosen.index, chosen.log_prob_vector, value, reward, done
+                        obs.pixels, chosen.index, chosen.log_prob_vector, value, reward
                     )
                 prev_flags[aid] = fl
                 if world.terminated[aid] and aid not in termination:
@@ -382,13 +398,19 @@ def side_by_side(items, job, pool):
 
 def _update(pol: Checkpoint, trajectories: list[Trajectory], hyper: PpoHyper, rng):
     """Build one policy's rollout batch and update the policy; returns
-    update_policy's result. `trajectories` is emptied once the batch holds
+    update_policy's result, its stats joined by the episodes' count and mean
+    undiscounted reward. `trajectories` is emptied once the batch holds
     their steps."""
+    episode_rewards = np.array([float(np.sum(t.rewards)) for t in trajectories])
     batch = build_rollout_batch(trajectories, hyper.gamma, hyper.gae_lambda)
     trajectories.clear()
     if pol.adam is None:
         pol.adam = net.init_adam_state(pol.params)
-    return update_policy(pol.params, pol.adam, batch, hyper, pol.kl_coef, rng)
+    params, adam, kl_coef, stats = update_policy(pol.params, pol.adam, batch, hyper,
+                                                 pol.kl_coef, rng)
+    stats.update(n_episodes=len(episode_rewards),
+                 mean_episode_reward=float(episode_rewards.mean()))
+    return params, adam, kl_coef, stats
 
 
 def run_training_phase(

@@ -31,7 +31,7 @@ from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, params_checksum  # noqa: F401 (perfbench/tracer.py wraps params_checksum here)
 from .config import RunConfig, build_scenario, config_echo
 from .errors import ConfigurationError
-from .metrics import MetricsReport, compare, evaluate
+from .metrics import ComparisonTable, MetricsReport, compare, evaluate
 from .net import init_params, net_config_for_mode
 from .orchestrator import (PhaseResult, episode_world, helper_pool, helper_threads,
                            run_training_phase, side_by_side)
@@ -105,11 +105,10 @@ def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
 
 
 def write_run_manifest(out_dir, cfg: RunConfig, command: str, extras: dict | None = None):
-    path = os.path.join(out_dir, "run_manifest.json")
-    write_record(path, {"command": command, "code_version": __version__,
-                        "master_seed": cfg.seed, "config": config_echo(cfg), **(extras or {})},
+    write_record(os.path.join(out_dir, "run_manifest.json"),
+                 {"command": command, "code_version": __version__, "master_seed": cfg.seed,
+                  "config": config_echo(cfg), **(extras or {})},
                  indent=2)
-    return path
 
 
 def _check_roles(full: ScenarioConfig, agent_ids, role: str):
@@ -308,12 +307,12 @@ def evaluate_condition(
     return report
 
 
-def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
+def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> ComparisonTable:
     """The whole two-step methodology at one budget setting:
 
     baseline victims -> per adversary variant, its adversary and the victims
     retrained against it -> five evaluation conditions -> comparison table +
-    per-condition plots.
+    per-condition plots. Returns the table it writes to ``compare.json``.
     """
     os.makedirs(out_dir, exist_ok=True)
     baseline = train_baseline(cfg, os.path.join(out_dir, "baseline"))
@@ -341,7 +340,7 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
 
     table = compare(reports)
     table.save(os.path.join(out_dir, "compare.json"), os.path.join(out_dir, "compare.txt"))
-    manifest_path = write_run_manifest(
+    write_run_manifest(
         out_dir,
         cfg,
         "demo",
@@ -352,12 +351,4 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> dict:
             "conditions": [c[0] for c in conditions],
         },
     )
-    return {
-        "out_dir": out_dir,
-        "victim_checkpoints": victim_ckpts,
-        "adversary_checkpoints": adv_ckpts,
-        "retrained_checkpoints": retrained,
-        "reports": {r.label: r for r in reports},
-        "compare_text": table.to_text(),
-        "manifest": manifest_path,
-    }
+    return table

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 
-from .orchestrator import EpisodeLog
+from .orchestrator import FLAG_NAMES, EpisodeLog
 from .scenario import ScenarioConfig
 
 AGENT_COLORS = ("#1f6fd0", "#12927a", "#d03a2a", "#9550c2", "#c98a16")
@@ -18,8 +19,6 @@ MARGIN_M = 6.0
 def _svg_star(x, y, r, color):
     pts = []
     for i in range(10):
-        import math
-
         ang = -math.pi / 2 + i * math.pi / 5
         rad = r if i % 2 == 0 else 0.42 * r
         pts.append(f"{x + rad * math.cos(ang):.2f},{y + rad * math.sin(ang):.2f}")
@@ -127,15 +126,12 @@ def emit_trajectory_plot(
 
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tick", "agent_id", "x", "y", "heading", "speed", "cv", "co", "io", "iol"])
+        writer.writerow(["tick", "agent_id", "x", "y", "heading", "speed", *FLAG_NAMES])
         for t in range(log.ticks):
             for i, aid in enumerate(log.agent_ids):
                 x, y, heading, speed = log.positions[t, i]
-                flags = log.flags.get(aid, {})
-                row_flags = [
-                    int(flags[k][t]) if k in flags and t < len(flags[k]) else 0
-                    for k in ("cv", "co", "io", "iol")
-                ]
+                flags = log.flags[aid]
+                row_flags = [int(flags[k][t]) if t < len(flags[k]) else 0 for k in FLAG_NAMES]
                 writer.writerow(
                     [t + 1, aid, f"{x:.6f}", f"{y:.6f}", f"{heading:.6f}", f"{speed:.6f}"]
                     + row_flags

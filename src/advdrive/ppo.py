@@ -3,6 +3,11 @@ surrogate objective combined with an adaptive KL penalty, value loss, and
 entropy bonus. Minibatch gradients flow through the hand-written network
 backward pass and Adam.
 
+A ``Trajectory`` is one agent's whole episode, so only its last step ends
+it: GAE bootstraps 0 after that step and nowhere else. ``RolloutBatch`` is
+the one shape of the per-step data an update reads: the whole batch that
+``build_rollout_batch`` stacks, and each minibatch that its ``slice`` cuts.
+
 Rollouts store observations as the raster renders them: uint8 palette
 codes at the net's core resolution (code k is the channel value k/256), an
 eighth of float64. ``update_policy`` gathers each minibatch's codes and
@@ -11,7 +16,7 @@ backward passes; conv1 decodes them by scaling its GEMM results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +46,8 @@ class PpoHyper:
 
 @dataclass
 class Trajectory:
-    """One agent's transitions for one episode, in order."""
+    """One agent's transitions for one episode, in order; the episode ends
+    after the last one."""
 
     agent_id: str
     obs: list = field(default_factory=list)  # each (R, R, 3) uint8 codes, R = net core resolution
@@ -49,83 +55,55 @@ class Trajectory:
     log_prob_vecs_old: list = field(default_factory=list)  # each (9,)
     values_old: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.rewards)
 
-    def append(self, obs, action, log_prob_vec, value, reward, done):
+    def append(self, obs, action, log_prob_vec, value, reward):
         self.obs.append(obs)
         self.actions.append(int(action))
         self.log_prob_vecs_old.append(np.asarray(log_prob_vec, dtype=np.float64))
         self.values_old.append(float(value))
         self.rewards.append(float(reward))
-        self.dones.append(bool(done))
-
-    def validate(self):
-        if len(self) == 0:
-            raise PpoError(f"empty trajectory for agent '{self.agent_id}'")
-        if any(self.dones[:-1]) or not self.dones[-1]:
-            raise PpoError("done must be set exactly on the final transition")
 
 
 def compute_advantages(
     traj: Trajectory, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """GAE(gamma, lam); terminal bootstrap value is 0. Returns = adv + values."""
+    """GAE(gamma, lam) over one whole episode; the value after its last step
+    is 0. Returns = adv + values."""
     n = len(traj)
     if n == 0:
         raise PpoError("cannot compute advantages of an empty trajectory")
     rewards = np.asarray(traj.rewards, dtype=np.float64)
     values = np.asarray(traj.values_old, dtype=np.float64)
-    dones = np.asarray(traj.dones, dtype=bool)
     advantages = np.zeros(n, dtype=np.float64)
     last = 0.0
     for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
         next_value = values[t + 1] if t + 1 < n else 0.0
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last = delta + gamma * lam * nonterminal * last
+        delta = rewards[t] + gamma * next_value - values[t]
+        last = delta + gamma * lam * last
         advantages[t] = last
     return advantages, advantages + values
 
 
 @dataclass
 class RolloutBatch:
-    """Whole episodes stacked for one policy update; advantages already normalized."""
+    """Per-step arrays of whole episodes stacked for one policy update, or of
+    a minibatch sliced from them; advantages normalized over the whole batch."""
 
     obs: np.ndarray  # (N, R, R, 3) uint8 codes, R = net core resolution
     actions: np.ndarray  # (N,) int64
     log_probs_old: np.ndarray  # (N,)
     log_prob_vecs_old: np.ndarray  # (N, 9)
-    advantages: np.ndarray  # (N,), mean 0 / std 1
+    advantages: np.ndarray  # (N,), mean 0 / std 1 over the whole batch
     returns: np.ndarray  # (N,)
-    n_steps: int
-    n_episodes: int
-    episode_rewards: np.ndarray  # (n_episodes,) undiscounted sums
-
-    def slice(self, idx: np.ndarray) -> "Minibatch":
-        return Minibatch(
-            obs=self.obs[idx],
-            actions=self.actions[idx],
-            log_probs_old=self.log_probs_old[idx],
-            log_prob_vecs_old=self.log_prob_vecs_old[idx],
-            advantages=self.advantages[idx],
-            returns=self.returns[idx],
-        )
-
-
-@dataclass
-class Minibatch:
-    obs: np.ndarray
-    actions: np.ndarray
-    log_probs_old: np.ndarray
-    log_prob_vecs_old: np.ndarray
-    advantages: np.ndarray
-    returns: np.ndarray
 
     def __len__(self) -> int:
         return len(self.actions)
+
+    def slice(self, idx: np.ndarray) -> "RolloutBatch":
+        return RolloutBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
 def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
@@ -135,7 +113,6 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     adv_parts = []
     ret_parts = []
     for traj in trajs:
-        traj.validate()
         adv, ret = compute_advantages(traj, gamma, lam)
         adv_parts.append(adv)
         ret_parts.append(ret)
@@ -153,15 +130,12 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
         log_prob_vecs_old=log_prob_vecs_old,
         advantages=normalized,
         returns=np.concatenate(ret_parts),
-        n_steps=int(advantages.size),
-        n_episodes=len(trajs),
-        episode_rewards=np.array([float(np.sum(t.rewards)) for t in trajs]),
     )
 
 
 def ppo_loss_grads(
     params: NetworkParams,
-    mb: Minibatch,
+    mb: RolloutBatch,
     hyper: PpoHyper,
     kl_coef: float,
     workspace: net.Workspace | None = None,
@@ -268,7 +242,7 @@ def update_policy(
     """
     workspace = net.Workspace()
     logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
-    ratio_start = np.exp(logp_start[np.arange(batch.n_steps), batch.actions] - batch.log_probs_old)
+    ratio_start = np.exp(logp_start[np.arange(len(batch)), batch.actions] - batch.log_probs_old)
     worst = float(np.abs(ratio_start - 1.0).max())
     if worst > ON_POLICY_TOLERANCE:
         raise PpoError(
@@ -279,8 +253,8 @@ def update_policy(
     last_components: dict = {}
     grad_steps = 0
     for _ in range(hyper.epochs_per_batch):
-        order = rng.permutation(batch.n_steps)
-        for lo in range(0, batch.n_steps, hyper.minibatch):
+        order = rng.permutation(len(batch))
+        for lo in range(0, len(batch), hyper.minibatch):
             mb = batch.slice(order[lo : lo + hyper.minibatch])
             last_loss, last_components, grads = ppo_loss_grads(
                 params, mb, hyper, kl_coef, workspace
@@ -296,8 +270,7 @@ def update_policy(
     new_kl_coef = adapt_kl_coef(kl_coef, mean_kl, hyper.kl_target)
 
     stats = {
-        "n_steps": batch.n_steps,
-        "n_episodes": batch.n_episodes,
+        "n_steps": len(batch),
         "grad_steps": grad_steps,
         "loss": last_loss,
         "surrogate": last_components.get("surrogate"),
@@ -306,6 +279,5 @@ def update_policy(
         "mean_entropy": mean_entropy,
         "kl_coef": kl_coef,
         "kl_coef_next": new_kl_coef,
-        "mean_episode_reward": float(batch.episode_rewards.mean()),
     }
     return params, adam_state, new_kl_coef, stats

@@ -121,7 +121,7 @@ def full84_update_digest() -> str:
     trajs, _ = run_episode(sc, {spec.agent_id: pol}, RewardParams(), 16, SeedTree(3), (1, 0),
                            collect={spec.agent_id})
     batch = build_rollout_batch([trajs[spec.agent_id]], 0.99, 1.0)
-    assert batch.n_steps == 16
+    assert len(batch) == 16
     hyper = PpoHyper(minibatch=8, epochs_per_batch=2, train_batch=16)
     params, adam, kl_coef, stats = update_policy(
         params, net.init_adam_state(params), batch, hyper, 0.3, np.random.default_rng(11)

@@ -183,14 +183,18 @@ def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, cont
     assert not out.exists()
 
 
-def test_compare_names_victim_entry_without_a_metric(tmp_path, capsys):
+def saved_report(path, label="baseline"):
+    """A report of two victims without errors, saved at ``path``."""
     entry = VictimMetrics(episodes=2, mean_cv_rate=0.0, mean_co_rate=0.0, mean_os_rate=0.0,
                           mean_ttfc=None, episodes_with_collision=0)
-    report = MetricsReport(label="baseline", episodes=2, max_steps=40, action_mode="sample",
-                           master_seed=5, condition_key=0, fingerprint="f" * 64,
-                           victims={"victim1": entry, "victim2": entry}, per_episode={})
-    good = tmp_path / "good.json"
-    report.save(good)
+    MetricsReport(label=label, episodes=2, max_steps=40, action_mode="sample",
+                  master_seed=5, condition_key=0, fingerprint="f" * 64,
+                  victims={"victim1": entry, "victim2": entry}, per_episode={}).save(path)
+    return path
+
+
+def test_compare_names_victim_entry_without_a_metric(tmp_path, capsys):
+    good = saved_report(tmp_path / "good.json")
     data = json.loads(good.read_text())
     del data["victims"]["victim1"]["mean_cv_rate"]
     bad = tmp_path / "bad.json"
@@ -201,6 +205,17 @@ def test_compare_names_victim_entry_without_a_metric(tmp_path, capsys):
     assert err.startswith(f"error_class=ContractViolationError metrics report '{bad}': "
                           "victims.victim1.mean_cv_rate: missing key")
     assert err.count("error_class=") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_of_reports_with_one_label_exits_1(tmp_path, capsys):
+    report = saved_report(tmp_path / "report.json", label="evaluation")
+    out = tmp_path / "out"
+    assert dispatch(["compare", str(report), str(report), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error_class=ContractViolationError two reports are labelled "
+                            "'evaluation'; each compared report needs its own label\n")
     assert not out.exists()
 
 

@@ -227,14 +227,21 @@ class TestCompare:
         attack = synthetic_report("attack", 0.4, 0.0, 0.0, 12.0)
         retrained = synthetic_report("retrained", 0.07, 0.0, 0.0, 30.0)
         table = compare([base, attack, retrained])
-        assert table.deltas[("attack", "victim1")] == pytest.approx(0.4)
-        assert table.deltas[("retrained", "victim1")] == pytest.approx(0.07)
+        assert table.composite_deltas_vs_first["attack|victim1"] == pytest.approx(0.4)
+        assert table.composite_deltas_vs_first["retrained|victim1"] == pytest.approx(0.07)
         text = table.to_text()
         assert "worse" in text and "baseline" in text
         # attack vs retrained improvement visible via composite columns
-        assert table.cells[("retrained", "victim1")]["composite"] < table.cells[
-            ("attack", "victim1")
-        ]["composite"]
+        assert (table.cells["retrained|victim1"]["composite"]
+                < table.cells["attack|victim1"]["composite"])
+
+    def test_repeated_label_rejected(self):
+        base = synthetic_report("evaluation", 0.0, 0.0, 0.1, None)
+        attack = synthetic_report("attack", 0.4, 0.0, 0.2, 12.0)
+        other = synthetic_report("evaluation", 0.8, 0.0, 0.2, 12.0)
+        with pytest.raises(ContractViolationError,
+                           match=r"^two reports are labelled 'evaluation'; "):
+            compare([base, attack, other])
 
     def test_dash_rendered_for_missing_ttfc(self):
         base = synthetic_report("baseline", 0.0, 0.0, 0.1, None)

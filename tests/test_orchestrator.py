@@ -102,7 +102,6 @@ class TestRunEpisode:
         k = log.termination["a"].tick
         assert k is not None and k < 600
         assert len(trajs["a"]) == k  # nothing appended after the collision tick
-        assert trajs["a"].dones[-1] and not any(trajs["a"].dones[:-1])
         assert len(log.flags["a"]["cv"]) == k
 
     def test_reward_streams_differ_by_kind_on_identical_flags(self):
@@ -133,7 +132,8 @@ class TestRunEpisode:
             sc, pols, RewardParams(), 500, SeedTree(0), (1, 0), collect={"victim1"}
         )
         assert log.termination["victim1"].reason == "goal"
-        assert trajs["victim1"].dones[-1]
+        # the trajectory holds the agent's live ticks and ends with its episode
+        assert len(trajs["victim1"]) == log.termination["victim1"].tick < 500
 
     def test_same_tick_actions_independent_of_other_policies(self):
         sc = head_on_scenario()
@@ -437,6 +437,16 @@ class TestTrainingPhase:
             assert key in updates[0]
         for key in ("agent_id", "episode", "reward", "length"):
             assert key in episodes[0]
+        # each update counts the episodes logged since the one before it
+        since_update = []
+        for r in records:
+            if r["type"] == "episode":
+                since_update.append(r)
+                continue
+            assert r["n_episodes"] == len(since_update)
+            assert r["n_steps"] == sum(e["length"] for e in since_update)
+            assert r["mean_episode_reward"] == np.mean([e["reward"] for e in since_update])
+            since_update = []
 
 
 def two_victim_scenario():

@@ -177,6 +177,22 @@ class TestCheckpointErrors:
         assert err.startswith(f"error_class=CheckpointError checkpoint '{path}': malformed header: ")
         assert err.count("error_class=") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.params.arrays.update({k: v.astype(np.float32)
+                                           for k, v in c.params.arrays.items()}),
+         "dtype mismatch for 'params/conv1/w': file float32, net float64"),
+        (lambda c: c.adam.m.update({"dense/w": np.zeros(7)}),
+         "shape mismatch for 'adam/m/dense/w': file (7,), net (256, 8)"),
+    ], ids=["float32_params", "adam_wrong_shape"])
+    def test_array_not_float64_of_the_layout_shape(self, tmp_path, edit, message):
+        ckpt = make_checkpoint()
+        edit(ckpt)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"checkpoint '{path}': {message}"
+
 
 class TestOptimizerStateFallback:
     def test_missing_adam_resumes_fresh_with_warning(self, tmp_path):

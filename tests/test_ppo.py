@@ -15,8 +15,8 @@ from conftest import (
 from advdrive import net, ppo
 from advdrive.errors import PpoError
 from advdrive.ppo import (
-    Minibatch,
     PpoHyper,
+    RolloutBatch,
     Trajectory,
     adapt_kl_coef,
     build_rollout_batch,
@@ -50,7 +50,6 @@ def make_trajectory(params, n, rewards=None, values=None, rng_seed=5):
             chosen.log_prob_vector,
             value if values is None else values[t],
             rng.normal() if rewards is None else rewards[t],
-            t == n - 1,
         )
     return traj
 
@@ -58,8 +57,8 @@ def make_trajectory(params, n, rewards=None, values=None, rng_seed=5):
 class TestAdvantages:
     def test_hand_evaluated_discounted_returns(self):
         traj = Trajectory(agent_id="a")
-        for t, r in enumerate([1.0, 1.0, 1.0]):
-            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, r, t == 2)
+        for r in [1.0, 1.0, 1.0]:
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, r)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
         expected = [1.0 + 0.99 + 0.99**2, 1.0 + 0.99, 1.0]
         assert np.allclose(ret, expected, atol=1e-12)
@@ -67,8 +66,8 @@ class TestAdvantages:
 
     def test_zero_rewards_zero_values_zero_advantages(self):
         traj = Trajectory(agent_id="a")
-        for t in range(5):
-            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 0.0, t == 4)
+        for _ in range(5):
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 0.0)
         adv, ret = compute_advantages(traj, gamma=0.99, lam=1.0)
         assert np.all(adv == 0.0) and np.all(ret == 0.0)
 
@@ -77,7 +76,7 @@ class TestAdvantages:
         rewards = rng.normal(size=6)
         values = rng.normal(size=6)
         for t in range(6):
-            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t], t == 5)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t])
         adv, ret = compute_advantages(traj, gamma=0.0, lam=1.0)
         assert np.array_equal(adv, rewards - values)
         assert np.allclose(ret, rewards, atol=1e-12)
@@ -87,7 +86,7 @@ class TestAdvantages:
         rewards = rng.normal(size=8)
         values = rng.normal(size=8)
         for t in range(8):
-            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t], t == 7)
+            traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), values[t], rewards[t])
         _, ret = compute_advantages(traj, gamma=0.9, lam=1.0)
         expected = np.zeros(8)
         acc = 0.0
@@ -100,13 +99,6 @@ class TestAdvantages:
         with pytest.raises(PpoError):
             compute_advantages(Trajectory(agent_id="a"), 0.99, 1.0)
 
-    def test_done_must_be_last_only(self):
-        traj = Trajectory(agent_id="a")
-        traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 1.0, True)
-        traj.append(np.zeros((84, 84, 3)), 0, np.zeros(9), 0.0, 1.0, True)
-        with pytest.raises(PpoError):
-            traj.validate()
-
 
 class TestRolloutBatch:
     def test_advantage_normalization(self):
@@ -115,15 +107,14 @@ class TestRolloutBatch:
         batch = build_rollout_batch(trajs, 0.99, 1.0)
         assert abs(batch.advantages.mean()) < 1e-9
         assert abs(batch.advantages.std() - 1.0) < 1e-6
-        assert batch.n_steps == 60 and batch.n_episodes == 3
+        assert len(batch) == 60
 
     def test_whole_episodes_only(self):
         params = net.init_params(tiny_net_config(), 2)
         t1 = make_trajectory(params, 7, rng_seed=1)
         t2 = make_trajectory(params, 9, rng_seed=2)
         batch = build_rollout_batch([t1, t2], 0.99, 1.0)
-        assert batch.n_steps == 16
-        assert batch.episode_rewards.shape == (2,)
+        assert len(batch) == 16
 
 
 class TestLoss:
@@ -136,7 +127,7 @@ class TestLoss:
         logits, values, _ = net.forward_core(self.params, obs)
         logp = net.log_softmax(logits)
         actions = np.arange(n) % 9
-        return Minibatch(
+        return RolloutBatch(
             obs=obs,
             actions=actions,
             log_probs_old=logp[np.arange(n), actions],
@@ -203,7 +194,7 @@ class TestLoss:
         codes = rng.integers(0, 256, size=(n, res, res, 3), dtype=np.uint8)
         logp = net.log_softmax(rng.normal(size=(n, 9)))
         actions = rng.integers(0, 9, size=n)
-        return Minibatch(
+        return RolloutBatch(
             obs=codes,
             actions=actions,
             log_probs_old=logp[np.arange(n), actions],
@@ -306,7 +297,7 @@ class TestUpdatePolicy:
         batch = build_rollout_batch([make_trajectory(params, 16)], 0.99, 1.0)
         logits, _, _ = net.forward_core(params, batch.obs)
         logp = net.log_softmax(logits)
-        ratios = np.exp(logp[np.arange(batch.n_steps), batch.actions] - batch.log_probs_old)
+        ratios = np.exp(logp[np.arange(len(batch)), batch.actions] - batch.log_probs_old)
         assert np.all(np.abs(ratios - 1.0) <= 1e-9)
 
     def test_stale_batch_rejected(self):
@@ -373,7 +364,7 @@ class TestUpdatePolicy:
         )
         assert max(rows) == hyper.minibatch
         # the on-policy check and final KL each cover the 40 rows in chunks
-        assert sum(rows) == 2 * batch.n_steps + hyper.epochs_per_batch * batch.n_steps
+        assert sum(rows) == 2 * len(batch) + hyper.epochs_per_batch * len(batch)
         assert len(rows) == 2 * 3 + stats["grad_steps"]
 
     def test_update_is_deterministic(self):

@@ -72,6 +72,19 @@ CASES = {
     "log_event_agent": ("episode0.json",
                         lambda d: d["events"].append({"tick": 3, "agent_id": "ghost", "flag": "cv"}),
                         "events[0].agent_id: 'ghost' is not in agent_ids"),
+    "log_flags_ghost": ("episode0.json", lambda d: d["flags"].update(ghost=d["flags"].pop("victim2")),
+                        "flags.ghost: 'ghost' is not in agent_ids"),
+    "log_flags_agent_missing": ("episode0.json", lambda d: d["flags"].pop("victim2"),
+                                "flags.victim2: missing key"),
+    "log_flag_unknown": ("episode0.json", lambda d: d["flags"]["victim1"].update(goal=[]),
+                         "flags.victim1.goal: 'goal' is not a flag name"),
+    "log_flag_missing": ("episode0.json", lambda d: d["flags"]["victim1"].pop("iol"),
+                         "flags.victim1.iol: missing key"),
+    "log_termination_ghost": ("episode0.json",
+                              lambda d: d["termination"].update(ghost=d["termination"]["victim1"]),
+                              "termination.ghost: 'ghost' is not in agent_ids"),
+    "log_termination_agent_missing": ("episode0.json", lambda d: d["termination"].pop("victim1"),
+                                      "termination.victim1: missing key"),
     "log_unknown": ("episode0.json", lambda d: d.update(seed=1), "seed: unknown key"),
     "log_empty": ("episode0.json", lambda d: d.clear(), "agent_ids: missing key"),
 }
@@ -106,7 +119,8 @@ def test_report_with_empty_label_round_trips(micro_run, tmp_path):
 
 def test_log_without_ticks_round_trips(tmp_path):
     log = EpisodeLog(agent_ids=["victim1"], dt=0.05, seed_key=[0, 0], ticks=0,
-                     positions=np.zeros((0, 1, 4)), flags={"victim1": {"cv": []}}, events=[],
+                     positions=np.zeros((0, 1, 4)),
+                     flags={"victim1": {"cv": [], "co": [], "io": [], "iol": []}}, events=[],
                      termination={"victim1": Termination(None, None)})
     write_record(tmp_path / "a.json", log)
     assert (tmp_path / "a.json").read_text().count('"positions": []') == 1
