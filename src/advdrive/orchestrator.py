@@ -16,9 +16,11 @@ freeze contracts.
 
 An episode leaves an ``EpisodeLog``, the record ``episode0.json`` holds: each
 agent's positions and flags per tick, the flags raised (``Event``) and how
-each agent's episode ended (``Termination``). It is written and read back
-through ``schema.write_record`` and ``schema.read_record``, which checks
-every key at every depth. A phase writes its records through
+each agent's episode ended (``Termination``, which comes from ``world``: the
+log takes each agent's record from the final world's ``ended``). It is
+written and read back through ``schema.write_record`` and
+``schema.read_record``, which checks every key at every depth and that each
+agent's flags and events fit the ticks it was live. A phase writes its records through
 ``schema.write_record`` too: it truncates ``train_log.jsonl`` when it starts,
 appends one line per agent and episode and one per update, each flushed
 before the next episode starts, and writes ``phase_manifest.json`` once it
@@ -84,7 +86,7 @@ from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
 from .schema import error, read_record, write_record
 from .seeding import KEY_UPDATE_BASE, SeedTree
-from .world import WorldState, init_world, initial_flags, step
+from .world import Termination, WorldState, init_world, initial_flags, step
 
 FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
@@ -108,20 +110,15 @@ class Event:
 
 
 @dataclass
-class Termination:
-    """The tick an agent's episode ended at and why; both None if it ran out of time."""
-
-    tick: int | None
-    reason: str | None
-
-
-@dataclass
 class EpisodeLog:
     """Everything an episode leaves behind for metrics and plots: the record
     ``episode0.json`` holds, written and read through ``schema.write_record``
     and ``schema.read_record``. ``flags`` and ``termination`` hold an entry
     for each of ``agent_ids`` and no other, and each agent's flags are
-    ``FLAG_NAMES``."""
+    ``FLAG_NAMES``. An agent is live up to its termination tick, or for all
+    ``ticks`` if it ran out of time: each of its flag lists holds one entry
+    per live tick, and each of its events names a live tick at which that
+    flag is raised."""
 
     agent_ids: list[str]
     dt: float
@@ -139,13 +136,29 @@ class EpisodeLog:
         if self.positions.shape != shape:
             error("positions", f"expected shape {shape} (ticks, agents, 4), "
                   f"got {self.positions.shape}")
-        for i, event in enumerate(self.events):
-            if event.agent_id not in self.agent_ids:
-                error(f"events[{i}].agent_id", f"'{event.agent_id}' is not in agent_ids")
         _check_keys("flags", self.flags, self.agent_ids, "is not in agent_ids")
         for aid, flags in self.flags.items():
             _check_keys(f"flags.{aid}", flags, FLAG_NAMES, "is not a flag name")
         _check_keys("termination", self.termination, self.agent_ids, "is not in agent_ids")
+        live_ticks = {}
+        for aid in self.agent_ids:
+            end = self.termination[aid].tick
+            if end is not None and not 1 <= end <= self.ticks:
+                error(f"termination.{aid}.tick", f"expected a tick in 1..{self.ticks}, got {end}")
+            live_ticks[aid] = self.ticks if end is None else end
+            for name in FLAG_NAMES:
+                if len(self.flags[aid][name]) != live_ticks[aid]:
+                    error(f"flags.{aid}.{name}", f"expected {live_ticks[aid]} entries (one per "
+                          f"live tick), got {len(self.flags[aid][name])}")
+        for i, event in enumerate(self.events):
+            if event.agent_id not in self.agent_ids:
+                error(f"events[{i}].agent_id", f"'{event.agent_id}' is not in agent_ids")
+            if event.flag not in FLAG_NAMES:
+                error(f"events[{i}].flag", f"'{event.flag}' is not a flag name")
+            live, raised = live_ticks[event.agent_id], self.flags[event.agent_id][event.flag]
+            if not (1 <= event.tick <= live and raised[event.tick - 1]):
+                error(f"events[{i}].tick", f"'{event.agent_id}' raised no {event.flag} at tick "
+                      f"{event.tick} (live ticks 1..{live})")
 
     @staticmethod
     def load(path) -> "EpisodeLog":
@@ -211,7 +224,7 @@ def run_episode(
 
     trajectories = {aid: Trajectory(agent_id=aid) for aid in collect}
     flag_log = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
-    events, termination, positions = [], {}, []
+    events, positions = [], []
 
     with helper_pool(helper_threads(len(ids), _smallest_net(policies, ids))) as pool:
         for _ in range(max_steps):
@@ -242,8 +255,6 @@ def run_episode(
                         obs.pixels, chosen.index, chosen.log_prob_vector, value, reward
                     )
                 prev_flags[aid] = fl
-                if world.terminated[aid] and aid not in termination:
-                    termination[aid] = Termination(world.tick, world.termination_reason[aid])
 
             vehicles = [world.vehicles[aid] for aid in ids]
             positions.append([(*v.position[:2], v.heading, v.speed) for v in vehicles])
@@ -251,7 +262,7 @@ def run_episode(
     log = EpisodeLog(
         agent_ids=ids, dt=scenario.dt, seed_key=list(key_prefix), ticks=len(positions),
         positions=np.asarray(positions, dtype=np.float64), flags=flag_log, events=events,
-        termination={aid: termination.get(aid, Termination(None, None)) for aid in ids},
+        termination={aid: world.ended.get(aid, Termination(None, None)) for aid in ids},
     )
     return trajectories, log
 
@@ -427,7 +438,6 @@ def run_training_phase(
     out_dir: str,
     frozen: tuple[str, ...] = (),
     config_echo: dict | None = None,
-    on_episode_end=None,
 ) -> PhaseResult:
     """Collect-and-update loop for one phase. The policies of the ``frozen``
     ids are not trained, and are checksum verified after every episode; any
@@ -506,8 +516,6 @@ def run_training_phase(
                                                  "agent_id": aid, "episode": ep, **upd})
 
                 _check_frozen(policies, frozen_checksums, phase_name)
-                if on_episode_end is not None:
-                    on_episode_end(ep, policies)
                 if (ep + 1) % CHECKPOINT_EVERY == 0:
                     last_paths, _ = _save_policy_checkpoints(policies, trainable, out_dir,
                                                              "_latest")

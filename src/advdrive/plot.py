@@ -96,10 +96,7 @@ def emit_trajectory_plot(
 
     agent_index = {aid: i for i, aid in enumerate(log.agent_ids)}
     for ev in log.events:
-        t = ev.tick - 1
-        if not 0 <= t < log.ticks:
-            continue
-        x, y = log.positions[t, agent_index[ev.agent_id], :2]
+        x, y = log.positions[ev.tick - 1, agent_index[ev.agent_id], :2]
         if ev.flag in ("cv", "co"):
             parts.append(_svg_star(sx(x), sy(y), 9, "#e01616"))
         elif ev.flag == "io":

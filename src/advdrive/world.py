@@ -1,15 +1,24 @@
 """Deterministic 2D driving world.
 
+The state (``WorldState``) is the tick, each vehicle's position, heading
+and speed (``VehicleState``), and the ``Termination`` of each agent whose
+episode has ended: the tick and the reason. Everything else an agent has,
+its goal and route among them, is its spec's in the scenario
+(``scenario.agent(aid)``).
+
 One `step` advances every live vehicle by dt under kinematic bicycle
 dynamics, then evaluates per-agent flags: vehicle collision (CV), leaving
 the drivable area entirely (CO), offroad-at-intersection (IO), outside the
 desired lane (IOL), forward speed (F) and remaining route distance (D).
-Agents freeze permanently once they collide or reach their goal.
+Each pair of vehicles with a live member is tested for overlap once per
+tick. Agents freeze permanently once they collide, leave the map or reach
+their goal.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +52,6 @@ class VehicleState:
     position: np.ndarray  # (2,)
     heading: float
     speed: float
-    goal: np.ndarray  # (2,)
 
 
 @dataclass
@@ -57,20 +65,26 @@ class StepFlags:
 
 
 @dataclass
+class Termination:
+    """The tick an agent's episode ended at and why; both None if it ran out of time."""
+
+    tick: int | None
+    reason: str | None
+
+
+@dataclass
 class WorldState:
     tick: int
     vehicles: dict[str, VehicleState]
-    terminated: dict[str, bool]
-    termination_reason: dict[str, str | None]
+    ended: dict[str, Termination]  # agents whose episode has ended
     scenario: ScenarioConfig
-    rng: np.random.Generator
 
     @property
     def map(self):
         return self.scenario.map
 
     def live_agents(self) -> list[str]:
-        return [a for a in self.scenario.agent_ids() if not self.terminated[a]]
+        return [a for a in self.scenario.agent_ids() if a not in self.ended]
 
     def digest(self) -> str:
         """Checksum of the dynamic state, for determinism checks."""
@@ -82,15 +96,23 @@ class WorldState:
             h.update(np.asarray(v.position, dtype=np.float64).tobytes())
             h.update(np.float64(v.heading).tobytes())
             h.update(np.float64(v.speed).tobytes())
-            h.update(b"1" if self.terminated[aid] else b"0")
-            h.update(str(self.termination_reason[aid]).encode())
-        h.update(repr(self.rng.bit_generator.state).encode())
+            h.update(repr(self.ended.get(aid)).encode())
         return h.hexdigest()
 
 
 def _vehicle_corners(scenario: ScenarioConfig, veh: VehicleState) -> np.ndarray:
     p = scenario.vehicle
     return obb_corners(veh.position[0], veh.position[1], veh.heading, p.length, p.width)
+
+
+def _overlapping_pairs(corners: dict[str, np.ndarray], live) -> Iterator[tuple[str, str]]:
+    """Each unordered pair of vehicles (in agent order) with a member in
+    ``live`` whose footprints overlap, each pair tested once."""
+    ids = list(corners)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if (a in live or b in live) and obb_overlap(corners[a], corners[b]):
+                yield a, b
 
 
 def init_world(scenario: ScenarioConfig, seed) -> WorldState:
@@ -105,26 +127,12 @@ def init_world(scenario: ScenarioConfig, seed) -> WorldState:
             raise ConfigurationError(
                 f"spawn for '{spec.agent_id}' at {pos.tolist()} is outside the drivable region"
             )
-        vehicles[spec.agent_id] = VehicleState(
-            position=pos,
-            heading=normalize_angle(spec.route.initial_heading()),
-            speed=0.0,
-            goal=np.array(spec.goal, dtype=np.float64),
-        )
-    ids = scenario.agent_ids()
-    for i, a in enumerate(ids):
-        ca = _vehicle_corners(scenario, vehicles[a])
-        for b in ids[i + 1 :]:
-            if obb_overlap(ca, _vehicle_corners(scenario, vehicles[b])):
-                raise ConfigurationError(f"spawns of '{a}' and '{b}' overlap")
-    return WorldState(
-        tick=0,
-        vehicles=vehicles,
-        terminated={a: False for a in ids},
-        termination_reason={a: None for a in ids},
-        scenario=scenario,
-        rng=rng,
-    )
+        heading = normalize_angle(spec.route.initial_heading())
+        vehicles[spec.agent_id] = VehicleState(pos, heading, speed=0.0)
+    corners = {aid: _vehicle_corners(scenario, veh) for aid, veh in vehicles.items()}
+    for a, b in _overlapping_pairs(corners, vehicles):
+        raise ConfigurationError(f"spawns of '{a}' and '{b}' overlap")
+    return WorldState(tick=0, vehicles=vehicles, ended={}, scenario=scenario)
 
 
 def route_flags(world: WorldState, agent_id: str) -> tuple[bool, bool, float]:
@@ -133,16 +141,16 @@ def route_flags(world: WorldState, agent_id: str) -> tuple[bool, bool, float]:
     inside the intersection region; d is the route distance still to cover,
     exactly 0 once within goal tolerance."""
     scenario = world.scenario
-    route = scenario.agent(agent_id).route
+    spec = scenario.agent(agent_id)
     veh = world.vehicles[agent_id]
-    arc, lateral = route.project(veh.position)
+    arc, lateral = spec.route.project(veh.position)
     iol = lateral > scenario.lateral_limit
     region = scenario.map.intersection_region
     io = bool(iol and region is not None and region.contains(veh.position[0], veh.position[1]))
-    to_goal = float(np.hypot(*(veh.position - veh.goal)))
+    to_goal = float(np.hypot(*(veh.position - spec.goal)))
     if to_goal <= scenario.goal_tolerance:
         return io, iol, 0.0
-    return io, iol, max(route.length - arc, to_goal - scenario.goal_tolerance)
+    return io, iol, max(spec.route.length - arc, to_goal - scenario.goal_tolerance)
 
 
 def initial_flags(world: WorldState) -> dict[str, StepFlags]:
@@ -170,7 +178,7 @@ def step(
     for aid in actions:
         if aid not in world.vehicles:
             raise ContractViolationError(f"action for unknown agent '{aid}'")
-        if world.terminated[aid]:
+        if aid in world.ended:
             raise ContractViolationError(f"action for terminated agent '{aid}'")
     missing = [a for a in live if a not in actions]
     if missing:
@@ -190,38 +198,19 @@ def step(
         pos_new = veh.position + speed_new * dt * np.array(
             [math.cos(heading_new), math.sin(heading_new)]
         )
-        vehicles[aid] = VehicleState(pos_new, heading_new, speed_new, veh.goal.copy())
+        vehicles[aid] = VehicleState(pos_new, heading_new, speed_new)
 
-    new_world = WorldState(
-        tick=world.tick + 1,
-        vehicles=vehicles,
-        terminated=dict(world.terminated),
-        termination_reason=dict(world.termination_reason),
-        scenario=scenario,
-        rng=world.rng,
-    )
-
+    new_world = WorldState(world.tick + 1, vehicles, dict(world.ended), scenario)
     corners = {aid: _vehicle_corners(scenario, vehicles[aid]) for aid in scenario.agent_ids()}
+    hit = {aid for pair in _overlapping_pairs(corners, live) for aid in pair}
     flags: dict[str, StepFlags] = {}
     for aid in live:
         veh = vehicles[aid]
-        cv = any(
-            obb_overlap(corners[aid], corners[other])
-            for other in scenario.agent_ids()
-            if other != aid
-        )
         co = _footprint_outside(new_world, corners[aid], veh.position)
         io, iol, d = route_flags(new_world, aid)
-        flags[aid] = StepFlags(cv=cv, co=co, io=io, iol=iol, f=veh.speed, d=d)
-
-        reached = float(np.hypot(*(veh.position - veh.goal))) <= scenario.goal_tolerance
-        if cv:
-            new_world.terminated[aid] = True
-            new_world.termination_reason[aid] = TERMINATION_COLLISION
-        elif co:
-            new_world.terminated[aid] = True
-            new_world.termination_reason[aid] = TERMINATION_OFFROAD_EXIT
-        elif reached:
-            new_world.terminated[aid] = True
-            new_world.termination_reason[aid] = TERMINATION_GOAL
+        flags[aid] = StepFlags(cv=aid in hit, co=co, io=io, iol=iol, f=veh.speed, d=d)
+        reason = (TERMINATION_COLLISION if aid in hit else TERMINATION_OFFROAD_EXIT if co
+                  else TERMINATION_GOAL if d == 0.0 else None)
+        if reason is not None:
+            new_world.ended[aid] = Termination(new_world.tick, reason)
     return new_world, flags

@@ -62,8 +62,8 @@ def drive(scenario, commands):
                 prev[aid], flags[aid], RewardParams()
             )
             prev[aid] = flags[aid]
-            if world.terminated[aid]:
-                out[aid][1:] = [world.termination_reason[aid], world.tick]
+    for aid, end in world.ended.items():
+        out[aid][1:] = [end.reason, end.tick]
     return {aid: tuple(v) for aid, v in out.items()}
 
 

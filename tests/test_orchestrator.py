@@ -45,6 +45,18 @@ def make_policy(spec, seed=None, reward_kind=None):
     )
 
 
+def before_episode(monkeypatch, hook):
+    """Calls ``hook(ep, policies)`` before each training episode ``ep`` runs,
+    through a monkeypatched ``orchestrator.run_episode``: the hook sees the
+    policies and the files as the episodes before ``ep`` left them."""
+
+    def hooked(scenario, policies, *args, key_prefix, **kwargs):
+        hook(key_prefix[-1], policies)
+        return run_episode(scenario, policies, *args, key_prefix=key_prefix, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", hooked)
+
+
 def head_on_scenario(adversary_reward="adv_collision"):
     return straight_scenario(
         route_length=40,
@@ -267,14 +279,16 @@ class TestTrainingPhase:
         ckpt = load_checkpoint(result.checkpoint_paths["adversary"])
         assert ckpt.reward_kind == "adv_collision"
 
-    def test_freeze_violation_aborts(self, tmp_path):
+    def test_freeze_violation_aborts(self, tmp_path, monkeypatch):
         sc = phase_scenario()
         victim = make_policy(sc.agents[0])
         adversary = make_policy(sc.agents[1])
 
         def corrupt(ep, policies):
-            policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
+            if ep > 0:
+                policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
 
+        before_episode(monkeypatch, corrupt)
         with pytest.raises(FreezeViolationError):
             run_training_phase(
                 phase_name="adv_test",
@@ -288,32 +302,34 @@ class TestTrainingPhase:
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
                 frozen=("victim1",),
-                on_episode_end=corrupt,
             )
 
-    def test_freeze_violation_leaves_the_log_written_so_far(self, tmp_path):
+    def test_freeze_violation_leaves_the_log_written_so_far(self, tmp_path, monkeypatch):
         sc = phase_scenario()
         out_dir = tmp_path / "phase"
         log_path = out_dir / "train_log.jsonl"
         flushed = []
 
-        def run(on_episode_end=None, episodes=4, out=out_dir):
+        def run(episodes=4, out=out_dir):
             policies = {"victim1": make_policy(sc.agents[0]),
                         "adversary": make_policy(sc.agents[1])}
             run_training_phase(
                 phase_name="adv_test", phase_key=2, scenario=sc, policies=policies,
                 hyper=FAST_HYPER, reward_params=RewardParams(), episodes=episodes,
                 step_cap=None, seed_tree=SeedTree(1), out_dir=str(out),
-                frozen=("victim1",), on_episode_end=on_episode_end,
+                frozen=("victim1",),
             )
 
         def corrupt_after_two(ep, policies):
-            flushed.append(log_path.read_bytes())  # the log as this episode left it
-            if ep == 1:
+            if ep > 0:
+                flushed.append(log_path.read_bytes())  # the log as the last episode left it
+            if ep == 2:
                 policies["victim1"].params.arrays["dense/w"][0, 0] += 1.0
 
+        before_episode(monkeypatch, corrupt_after_two)
         with pytest.raises(FreezeViolationError):
-            run(corrupt_after_two)
+            run()
+        monkeypatch.undo()
         data = log_path.read_bytes()
         records = [json.loads(line) for line in data.decode().split("\n")[:-1]]
         episodes = [r["episode"] for r in records if r["type"] == "episode"]
@@ -339,9 +355,10 @@ class TestTrainingPhase:
         adversary = make_policy(sc.agents[1])
 
         def poison(ep, policies):
-            if ep == 1:
+            if ep == 2:
                 policies["adversary"].params.arrays["policy/b"][:] = np.nan
 
+        before_episode(monkeypatch, poison)
         with pytest.raises(PhaseAbortedError) as err:
             run_training_phase(
                 phase_name="adv_test",
@@ -355,7 +372,6 @@ class TestTrainingPhase:
                 seed_tree=SeedTree(1),
                 out_dir=str(tmp_path / "phase"),
                 frozen=("victim1",),
-                on_episode_end=poison,
             )
         last = err.value.last_checkpoints
         assert "adversary" in last and os.path.exists(last["adversary"])
@@ -481,8 +497,10 @@ class TestConcurrentUpdates:
 
         def poison(ep, policies):
             # NaN values leave the rollout alone and fail the next update's loss
-            if ep == 1 and poisoned is not None:
+            if ep == 2 and poisoned is not None:
                 policies[poisoned].params.arrays["value/w"][:] = np.nan
+
+        before_episode(monkeypatch, poison)
 
         sc = two_victim_scenario()
         out = tmp_path / "phase"
@@ -500,7 +518,6 @@ class TestConcurrentUpdates:
                 step_cap=None,
                 seed_tree=SeedTree(5),
                 out_dir=str(out),
-                on_episode_end=poison,
             )
         except PhaseAbortedError:
             aborted = True
@@ -1056,10 +1073,11 @@ class TestFrozenChecksSideBySide:
             return checksum(params)
 
         def mutate(ep, policies):
-            if ep == 0 and mutated is not None:
+            if ep == 1 and mutated is not None:
                 policies[mutated].params.arrays["dense/w"][0, 0] += 1.0
 
         pin_cpus(monkeypatch, 2)
+        before_episode(monkeypatch, mutate)
         monkeypatch.setattr(orchestrator, "params_checksum", recorder)
         phase = partial(
             run_training_phase,
@@ -1074,7 +1092,6 @@ class TestFrozenChecksSideBySide:
             seed_tree=SeedTree(1),
             out_dir=str(tmp_path / "phase"),
             frozen=("victim1", "victim2"),
-            on_episode_end=mutate,
         )
         if mutated is None:
             phase()

@@ -41,6 +41,11 @@ def _two_d(d):
     d["positions"] = [tick[0] for tick in d["positions"]]
 
 
+def _extend_flags(d):
+    for values in d["flags"]["victim1"].values():
+        values.extend([True] * 60)
+
+
 # (file, edit of its parsed JSON, the message after the file is named)
 CASES = {
     "report_nested_missing": ("report.json", lambda d: d["per_episode"]["victim1"][0].pop("cv_rate"),
@@ -85,6 +90,31 @@ CASES = {
                               "termination.ghost: 'ghost' is not in agent_ids"),
     "log_termination_agent_missing": ("episode0.json", lambda d: d["termination"].pop("victim1"),
                                       "termination.victim1: missing key"),
+    "log_flags_past_ticks": ("episode0.json", _extend_flags,
+                             "flags.victim1.cv: expected 40 entries (one per live tick), got 100"),
+    "log_flag_short": ("episode0.json", lambda d: d["flags"]["victim2"]["iol"].pop(),
+                       "flags.victim2.iol: expected 40 entries (one per live tick), got 39"),
+    "log_flags_past_termination": ("episode0.json",
+                                   lambda d: d["termination"].update(victim1={"tick": 10,
+                                                                             "reason": "goal"}),
+                                   "flags.victim1.cv: expected 10 entries (one per live tick), "
+                                   "got 40"),
+    "log_termination_past_ticks": ("episode0.json",
+                                   lambda d: d["termination"].update(victim2={"tick": 41,
+                                                                             "reason": "goal"}),
+                                   "termination.victim2.tick: expected a tick in 1..40, got 41"),
+    "log_event_past_ticks": ("episode0.json",
+                             lambda d: d["events"].append({"tick": 41, "agent_id": "victim1",
+                                                           "flag": "cv"}),
+                             "events[0].tick: 'victim1' raised no cv at tick 41 (live ticks 1..40)"),
+    "log_event_flag_lowered": ("episode0.json",
+                               lambda d: d["events"].append({"tick": 3, "agent_id": "victim1",
+                                                             "flag": "cv"}),
+                               "events[0].tick: 'victim1' raised no cv at tick 3 (live ticks 1..40)"),
+    "log_event_flag_unknown": ("episode0.json",
+                               lambda d: d["events"].append({"tick": 3, "agent_id": "victim1",
+                                                             "flag": "goal"}),
+                               "events[0].flag: 'goal' is not a flag name"),
     "log_unknown": ("episode0.json", lambda d: d.update(seed=1), "seed: unknown key"),
     "log_empty": ("episode0.json", lambda d: d.clear(), "agent_ids: missing key"),
 }

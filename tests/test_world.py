@@ -6,10 +6,13 @@ import pytest
 
 from conftest import straight_scenario
 
+from advdrive import world
 from advdrive.errors import ConfigurationError, ContractViolationError
+from advdrive.geometry import obb_overlap
 from advdrive.scenario import VehicleParams, t_intersection_scenario
 from advdrive.world import (
     ActionCommand,
+    Termination,
     init_world,
     initial_flags,
     route_flags,
@@ -30,11 +33,11 @@ class TestInitWorld:
         sc = t_intersection_scenario()
         w = init_world(sc, 0)
         assert np.allclose(w.vehicles["victim1"].position, (188.0, 59.0))
-        assert np.allclose(w.vehicles["victim1"].goal, (167.0, 75.7))
+        assert np.allclose(sc.agent("victim1").goal, (167.0, 75.7))
         assert np.allclose(w.vehicles["adversary"].position, (170.5, 80.0))
-        assert np.allclose(w.vehicles["adversary"].goal, (144.0, 59.0))
+        assert np.allclose(sc.agent("adversary").goal, (144.0, 59.0))
         assert np.allclose(w.vehicles["victim2"].position, (147.6, 62.6))
-        assert np.allclose(w.vehicles["victim2"].goal, (191.2, 62.7))
+        assert np.allclose(sc.agent("victim2").goal, (191.2, 62.7))
 
     def test_spawn_state(self):
         sc = t_intersection_scenario()
@@ -42,7 +45,7 @@ class TestInitWorld:
         assert w.tick == 0
         for aid in sc.agent_ids():
             assert w.vehicles[aid].speed == 0.0
-            assert not w.terminated[aid]
+        assert w.ended == {} and w.live_agents() == sc.agent_ids()
         # headings aligned with route starts
         assert w.vehicles["victim1"].heading == pytest.approx(math.pi)  # westbound
         assert w.vehicles["adversary"].heading == pytest.approx(-math.pi / 2)  # southbound
@@ -51,6 +54,17 @@ class TestInitWorld:
         sc = t_intersection_scenario(spawn_jitter=0.4)
         assert init_world(sc, 7).digest() == init_world(sc, 7).digest()
         assert init_world(sc, 7).digest() != init_world(sc, 8).digest()
+
+    def test_digest_is_the_dynamic_state(self):
+        # seeds differ through the spawn jitter they draw; the world keeps no generator
+        jittered = t_intersection_scenario(spawn_jitter=0.4)
+        assert len({init_world(jittered, seed).digest() for seed in range(10)}) == 10
+        still = t_intersection_scenario()
+        assert len({init_world(still, seed).digest() for seed in range(10)}) == 1
+        w = init_world(still, 0)
+        before = w.digest()
+        w.ended["victim1"] = Termination(1, "goal")
+        assert w.digest() != before
 
     def test_overlapping_spawns_rejected(self):
         sc = straight_scenario(
@@ -108,7 +122,7 @@ class TestStepDynamics:
         w = init_world(sc, 0)
         vmax = sc.vehicle.speed_max
         for _ in range(300):
-            if w.terminated["victim1"]:
+            if w.ended:
                 break
             cmd = ActionCommand(
                 steer=float(rng.uniform(-1, 1)),
@@ -167,8 +181,8 @@ class TestCollisions:
     def test_collision_symmetric_and_terminates(self):
         w, flags = self.collide_two()
         assert flags["a"].cv and flags["b"].cv
-        assert w.terminated["a"] and w.terminated["b"]
-        assert w.termination_reason["a"] == "collision"
+        assert w.ended == {"a": Termination(w.tick, "collision"),
+                           "b": Termination(w.tick, "collision")}
 
     def test_terminated_agents_freeze(self):
         sc = straight_scenario(
@@ -180,7 +194,7 @@ class TestCollisions:
         )
         w = init_world(sc, 0)
         w.vehicles["a"].speed = 12.0
-        while not (w.terminated["a"] and w.terminated["b"]):
+        while w.live_agents() != ["c"]:
             w, _ = step(w, {aid: coast() for aid in w.live_agents()})
         frozen_pos = w.vehicles["a"].position.copy()
         for _ in range(5):
@@ -198,16 +212,39 @@ class TestCollisions:
         )
         w = init_world(sc, 0)
         w.vehicles["a"].speed = 12.0
-        while not w.terminated["a"]:
+        while "a" not in w.ended:
             w, _ = step(w, {aid: coast() for aid in w.live_agents()})
+        wreck = dict(w.ended)
+        assert sorted(wreck) == ["a", "b"]
         # drive c into the wreck
-        hit = False
         for _ in range(400):
-            if w.terminated["c"]:
-                hit = True
+            if "c" in w.ended:
                 break
             w, flags = step(w, {"c": ActionCommand(throttle=1.0)})
-        assert hit and w.termination_reason["c"] == "collision"
+        assert list(flags) == ["c"] and flags["c"].cv
+        assert w.ended == {**wreck, "c": Termination(w.tick, "collision")}
+
+    def test_each_pair_with_a_live_member_is_tested_once_per_tick(self, monkeypatch):
+        sc = straight_scenario(
+            agents=[
+                {"id": "a", "spawn": (0.0, 0.0), "goal": (40.0, 0.0)},
+                {"id": "b", "spawn": (6.0, 0.0), "goal": (40.0, 0.0)},
+                {"id": "c", "spawn": (0.0, 3.0), "goal": (40.0, 3.0)},
+            ]
+        )
+        w = init_world(sc, 0)
+        w.vehicles["a"].speed = 12.0
+        calls = []
+        monkeypatch.setattr(world, "obb_overlap", lambda p, q: calls.append(1) or obb_overlap(p, q))
+        per_tick, expected = [], []
+        for _ in range(20):
+            ended = len(w.ended)
+            expected.append(3 - ended * (ended - 1) // 2)  # pairs less those of two ended agents
+            before = len(calls)
+            w, _ = step(w, all_coast(w))
+            per_tick.append(len(calls) - before)
+        assert sorted(w.ended) == ["a", "b"]  # a hit b, so the last ticks test (a, c), (b, c)
+        assert per_tick == expected and set(per_tick) == {2, 3}
 
     def test_leaving_road_entirely_sets_co(self):
         sc = straight_scenario(road_halfwidth=4.0)
@@ -216,8 +253,8 @@ class TestCollisions:
         w.vehicles["victim1"].speed = 10.0
         reasons = None
         for _ in range(40):
-            if w.terminated["victim1"]:
-                reasons = w.termination_reason["victim1"]
+            if w.ended:
+                reasons = w.ended["victim1"].reason
                 break
             w, flags = step(w, {"victim1": coast()})
         assert reasons == "offroad_exit"
@@ -270,7 +307,7 @@ class TestOffroadAndDistance:
         w = init_world(sc, 0)
         prev = route_flags(w, "victim1")[2]
         for _ in range(120):
-            if w.terminated["victim1"]:
+            if w.ended:
                 break
             w, flags = step(w, {"victim1": ActionCommand(throttle=0.8)})
             assert flags["victim1"].d <= prev + 1e-12
@@ -308,7 +345,7 @@ class TestContracts:
         )
         w = init_world(sc, 0)
         w.vehicles["a"].speed = 10.0
-        while not w.terminated["a"]:
+        while "a" not in w.ended:
             w, _ = step(w, {aid: coast() for aid in w.live_agents()})
         with pytest.raises(ContractViolationError):
             step(w, {aid: coast() for aid in w.scenario.agent_ids()})
@@ -327,6 +364,5 @@ class TestContracts:
         w.vehicles["victim1"].position = np.array([29.5, 0.0])
         w.vehicles["victim1"].speed = 5.0
         w, flags = step(w, {"victim1": coast()})
-        assert w.terminated["victim1"]
-        assert w.termination_reason["victim1"] == "goal"
+        assert w.ended == {"victim1": Termination(1, "goal")}
         assert flags["victim1"].d == 0.0
