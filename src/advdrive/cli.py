@@ -17,18 +17,13 @@ import os
 import sys
 
 from . import pipeline
-from .config import (
-    ADVERSARY_REWARDS,
-    RunConfig,
-    build_scenario,
-    load_config,
-    parse_config,
-)
+from .config import RunConfig, build_scenario, load_config, parse_config
 from .errors import AdvDriveError, ConfigurationError
 from .metrics import MetricsReport, compare
 from .net import OBS_MODES
 from .orchestrator import EpisodeLog
 from .plot import emit_trajectory_plot
+from .rewards import ADVERSARY_VARIANTS
 
 OUT_ROOT_ENV = "ADVDRIVE_OUT_ROOT"
 
@@ -83,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-adversary", help="train an adversary against frozen victims")
     _add_common(p)
-    p.add_argument("--reward", choices=ADVERSARY_REWARDS)
+    p.add_argument("--reward", choices=ADVERSARY_VARIANTS)
     p.add_argument("--victims", nargs="+", metavar="CKPT", required=True,
                    help="victim checkpoints as id=path or bare paths in scenario order")
 
@@ -170,22 +165,26 @@ def _victim_ckpts(paths, cfg) -> dict[str, str]:
     return out
 
 
-def _cmd_train_baseline(args) -> int:
-    cfg = _load_cfg(args)
-    result = pipeline.train_baseline(cfg, cfg.out_dir)
-    print(f"baseline complete: {result.episodes_run} episodes, {result.steps_run} steps")
+def _phase_done(result, headline: str) -> int:
+    """Print a finished training phase's headline and checkpoint paths."""
+    print(headline)
     for aid, path in result.checkpoint_paths.items():
         print(f"  checkpoint {aid}: {path}")
     return 0
+
+
+def _cmd_train_baseline(args) -> int:
+    cfg = _load_cfg(args)
+    result = pipeline.train_baseline(cfg, cfg.out_dir)
+    return _phase_done(result, f"baseline complete: {result.episodes_run} episodes, "
+                               f"{result.steps_run} steps")
 
 
 def _cmd_train_adversary(args) -> int:
     cfg = _load_cfg(args)
     result = pipeline.train_adversary(cfg, _victim_ckpts(args.victims, cfg), cfg.out_dir)
-    print(f"adversary ({cfg.adversary.reward}) complete: {result.episodes_run} episodes")
-    for aid, path in result.checkpoint_paths.items():
-        print(f"  checkpoint {aid}: {path}")
-    return 0
+    return _phase_done(result, f"adversary ({cfg.adversary.reward}) complete: "
+                               f"{result.episodes_run} episodes")
 
 
 def _cmd_retrain(args) -> int:
@@ -193,10 +192,7 @@ def _cmd_retrain(args) -> int:
     result = pipeline.retrain_victims(
         cfg, _victim_ckpts(args.victims, cfg), args.adversary, cfg.out_dir
     )
-    print(f"retraining complete: {result.episodes_run} episodes")
-    for aid, path in result.checkpoint_paths.items():
-        print(f"  checkpoint {aid}: {path}")
-    return 0
+    return _phase_done(result, f"retraining complete: {result.episodes_run} episodes")
 
 
 def _cmd_evaluate(args) -> int:

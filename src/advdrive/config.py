@@ -26,13 +26,12 @@ import yaml
 from .errors import ValidationError
 from .net import OBS_MODES
 from .ppo import PpoHyper
-from .rewards import RewardParams
+from .rewards import ADVERSARY_VARIANTS, RewardParams
 from .scenario import ScenarioConfig, corridor_scenario, t_intersection_scenario
 from .schema import error, parse_section, setting
 
 ACTION_MODES = ("sample", "greedy")
 PRESETS = ("t_intersection", "corridor")
-ADVERSARY_REWARDS = ("adv_collision", "adv_offroad")
 
 
 @dataclass
@@ -65,7 +64,7 @@ class EvalSettings:
 @dataclass
 class AdversarySettings:
     train_victims: list[str] = setting(factory=lambda: ["victim1"])
-    reward: str = setting("adv_collision", choices=ADVERSARY_REWARDS)
+    reward: str = setting("adv_collision", choices=ADVERSARY_VARIANTS)
 
 
 @dataclass

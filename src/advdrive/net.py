@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolationError, NonFiniteError
 from .raster import OBS_CODE_SCALE
@@ -280,17 +279,22 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, ws: Workspace,
     of the kernel rows ``rows`` (all by default), written into the
     workspace's shared ``cols`` buffer. uint8 observation codes are copied as
     they are (k, not k / 256): conv1 scales its GEMM results instead (see
-    ``CODE_SCALE``)."""
+    ``CODE_SCALE``).
+
+    The windows are one strided view over ``x``'s buffer, made by the
+    ``ndarray`` constructor: on a rollout tick's one-image arrays that costs
+    much less than ``as_strided``. The view needs ``x`` C-contiguous, as
+    every caller passes it (observation codes, a block of them, or a conv
+    activation); ``np.ascontiguousarray`` returns such an array as it is."""
+    x = np.ascontiguousarray(x)
     first, stop, _ = rows.indices(kernel)
     n, h, w, c = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     sn, sh, sw, sc = x.strides
     # (N, OH, OW, kh, kw, C): window (i, j) starts at pixel (stride*i, stride*j),
     # kernel row kh at its row first + kh
-    windows = as_strided(
-        x[:, first:], (n, oh, ow, stop - first, kernel, c),
-        (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False,
-    )
+    windows = np.ndarray((n, oh, ow, stop - first, kernel, c), x.dtype, buffer=x,
+                         offset=first * sh, strides=(sn, stride * sh, stride * sw, sh, sw, sc))
     cols = ws.array("cols", (n * oh * ow, (stop - first) * kernel * c))
     np.copyto(cols.reshape(windows.shape), windows)
     return cols

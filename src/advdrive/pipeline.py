@@ -3,6 +3,14 @@ training against frozen victims (one per adversary reward variant), victim
 retraining against a frozen adversary, evaluation conditions, and the demo
 that chains them all and emits a comparison table.
 
+The variants are the rows of ``rewards.ADVERSARY_VARIANTS``. A variant's
+row gives the seed keys of its adversary and retraining phases, read by
+``train_adversary`` and ``retrain_victims``, and the labels and seed keys of
+its two evaluation conditions, which ``EVAL_CONDITION_KEYS`` collects after
+the baseline condition. ``run_demo`` trains each row's adversary and then
+retrains the victims against it, row by row, and evaluates the conditions in
+``EVAL_CONDITION_KEYS`` order: baseline, every attack, every retrained.
+
 Every phase and evaluation is built from the same pieces. A policy is its
 ``Checkpoint``. ``_build_policies`` builds every policy a command needs,
 loaded or fresh, and raises ``ConfigurationError`` unless each checkpoint id
@@ -37,34 +45,14 @@ from .orchestrator import (PhaseResult, episode_world, helper_pool, helper_threa
                            run_training_phase, side_by_side)
 from .plot import emit_trajectory_plot
 from .raster import render, write_ppm
+from .rewards import ADVERSARY_VARIANTS
 from .scenario import AgentSpec, ScenarioConfig
 from .schema import write_record
-from .seeding import (
-    KEY_ADVERSARY_COLLISION,
-    KEY_ADVERSARY_OFFROAD,
-    KEY_EVAL_BASE,
-    KEY_BASELINE,
-    KEY_INIT,
-    KEY_RETRAIN_COLLISION,
-    KEY_RETRAIN_OFFROAD,
-    SeedTree,
-)
+from .seeding import KEY_BASELINE, KEY_EVAL_BASE, KEY_INIT, SeedTree
 
-ADVERSARY_PHASE_KEYS = {
-    "adv_collision": KEY_ADVERSARY_COLLISION,
-    "adv_offroad": KEY_ADVERSARY_OFFROAD,
-}
-RETRAIN_PHASE_KEYS = {
-    "adv_collision": KEY_RETRAIN_COLLISION,
-    "adv_offroad": KEY_RETRAIN_OFFROAD,
-}
-EVAL_CONDITION_KEYS = {
-    "baseline": KEY_EVAL_BASE + 0,
-    "attack_collision": KEY_EVAL_BASE + 1,
-    "attack_offroad": KEY_EVAL_BASE + 2,
-    "retrained_collision": KEY_EVAL_BASE + 3,
-    "retrained_offroad": KEY_EVAL_BASE + 4,
-}
+EVAL_CONDITION_KEYS = dict([("baseline", KEY_EVAL_BASE)]
+                           + [v.attack for v in ADVERSARY_VARIANTS.values()]
+                           + [v.retrained for v in ADVERSARY_VARIANTS.values()])
 
 
 def fresh_policy(cfg: RunConfig, spec: AgentSpec) -> Checkpoint:
@@ -87,10 +75,10 @@ def policy_from_checkpoint(path, agent_id: str, frozen: bool, role: str,
         raise ConfigurationError(
             f"checkpoint '{path}' for '{agent_id}' has role '{ckpt.role}', expected '{role}'"
         )
-    if role == "adversary" and ckpt.reward_kind not in ADVERSARY_PHASE_KEYS:
+    if role == "adversary" and ckpt.reward_kind not in ADVERSARY_VARIANTS:
         raise ConfigurationError(
             f"adversary checkpoint '{path}' has reward kind '{ckpt.reward_kind}', "
-            f"expected one of {list(ADVERSARY_PHASE_KEYS)}"
+            f"expected one of {list(ADVERSARY_VARIANTS)}"
         )
     want = net_config_for_mode(obs_mode)
     if ckpt.net_config != want:
@@ -226,8 +214,8 @@ def train_adversary(cfg: RunConfig, victim_ckpts: dict[str, str], out_dir: str) 
     policies, load_warnings = _build_policies(cfg, full, {"victim": opponents}, ("victim",),
                                               (replace(adv, reward_kind=reward_kind),))
     return _train(cfg, out_dir, f"train-adversary --reward {reward_kind}", f"adversary_{reward_kind}",
-                  ADVERSARY_PHASE_KEYS[reward_kind], "adversary", full, policies, tuple(opponents),
-                  warnings + load_warnings)
+                  ADVERSARY_VARIANTS[reward_kind].adversary_key, "adversary", full, policies,
+                  tuple(opponents), warnings + load_warnings)
 
 
 def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt: str,
@@ -240,7 +228,8 @@ def retrain_victims(cfg: RunConfig, victim_ckpts: dict[str, str], adversary_ckpt
     )
     kind = policies[adv_id].reward_kind
     return _train(_with_reward(cfg, kind), out_dir, "retrain", f"retrain_vs_{kind}",
-                  RETRAIN_PHASE_KEYS[kind], "retrain", full, policies, (adv_id,), warnings)
+                  ADVERSARY_VARIANTS[kind].retrain_key, "retrain", full, policies, (adv_id,),
+                  warnings)
 
 
 def evaluate_condition(
@@ -318,24 +307,20 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> Comparison
     baseline = train_baseline(cfg, os.path.join(out_dir, "baseline"))
     victim_ckpts = baseline.checkpoint_paths
 
-    adv_ckpts, retrained = {}, {}
-    for kind in ADVERSARY_PHASE_KEYS:
+    adv_ckpts, retrained, policy_sets = {}, {}, {"baseline": (victim_ckpts, None)}
+    for kind, variant in ADVERSARY_VARIANTS.items():
         res = train_adversary(_with_reward(cfg, kind), victim_ckpts,
                               os.path.join(out_dir, f"adversary_{kind}"))
         adv_ckpts[kind] = next(iter(res.checkpoint_paths.values()))
         res = retrain_victims(cfg, victim_ckpts, adv_ckpts[kind], os.path.join(out_dir, f"retrain_{kind}"))
         retrained[kind] = res.checkpoint_paths
+        policy_sets[variant.attack[0]] = (victim_ckpts, adv_ckpts[kind])
+        policy_sets[variant.retrained[0]] = (retrained[kind], adv_ckpts[kind])
 
-    conditions = [
-        ("baseline", victim_ckpts, None),
-        ("attack_collision", victim_ckpts, adv_ckpts["adv_collision"]),
-        ("attack_offroad", victim_ckpts, adv_ckpts["adv_offroad"]),
-        ("retrained_collision", retrained["adv_collision"], adv_ckpts["adv_collision"]),
-        ("retrained_offroad", retrained["adv_offroad"], adv_ckpts["adv_offroad"]),
-    ]
     reports = [
-        evaluate_condition(cfg, label, vc, ac, os.path.join(out_dir, "eval", label), dump_obs=dump_obs)
-        for label, vc, ac in conditions
+        evaluate_condition(cfg, label, *policy_sets[label], os.path.join(out_dir, "eval", label),
+                           dump_obs=dump_obs)
+        for label in EVAL_CONDITION_KEYS
     ]
 
     table = compare(reports)
@@ -348,7 +333,7 @@ def run_demo(cfg: RunConfig, out_dir: str, dump_obs: bool = False) -> Comparison
             "victim_checkpoints": victim_ckpts,
             "adversary_checkpoints": adv_ckpts,
             "retrained_checkpoints": retrained,
-            "conditions": [c[0] for c in conditions],
+            "conditions": list(EVAL_CONDITION_KEYS),
         },
     )
     return table

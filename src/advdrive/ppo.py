@@ -94,8 +94,7 @@ class RolloutBatch:
 
     obs: np.ndarray  # (N, R, R, 3) uint8 codes, R = net core resolution
     actions: np.ndarray  # (N,) int64
-    log_probs_old: np.ndarray  # (N,)
-    log_prob_vecs_old: np.ndarray  # (N, 9)
+    log_prob_vecs_old: np.ndarray  # (N, 9); the taken action's entry is the one it was sampled with
     advantages: np.ndarray  # (N,), mean 0 / std 1 over the whole batch
     returns: np.ndarray  # (N,)
 
@@ -120,14 +119,10 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     mu = advantages.mean()
     sigma = advantages.std()
     normalized = (advantages - mu) / (sigma + ADV_NORM_EPS)
-    actions = np.array([a for t in trajs for a in t.actions], dtype=np.int64)
-    log_prob_vecs_old = np.stack([v for t in trajs for v in t.log_prob_vecs_old])
     return RolloutBatch(
         obs=np.stack([o for t in trajs for o in t.obs]),
-        actions=actions,
-        # the taken action's entry: the log-probability the rollout sampled it with
-        log_probs_old=log_prob_vecs_old[np.arange(actions.size), actions],
-        log_prob_vecs_old=log_prob_vecs_old,
+        actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
+        log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
         advantages=normalized,
         returns=np.concatenate(ret_parts),
     )
@@ -151,8 +146,8 @@ def ppo_loss_grads(
     logits, values, cache = net.forward_core(params, mb.obs, workspace)
     logp = net.log_softmax(logits)
     n = len(mb)
-    logp_act = logp[np.arange(n), mb.actions]
-    ratio = np.exp(logp_act - mb.log_probs_old)
+    taken = (np.arange(n), mb.actions)
+    ratio = np.exp(logp[taken] - mb.log_prob_vecs_old[taken])
     if not np.all(np.isfinite(ratio)):
         bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
         raise NonFiniteError(f"non-finite probability ratio at transition {bad}")
@@ -183,7 +178,7 @@ def ppo_loss_grads(
         raise NonFiniteError("non-finite PPO loss")
 
     onehot = np.zeros_like(logp)
-    onehot[np.arange(n), mb.actions] = 1.0
+    onehot[taken] = 1.0
 
     # surrogate: gradient flows only where the unclipped branch is active
     active = (unclipped <= clipped).astype(np.float64)
@@ -242,7 +237,8 @@ def update_policy(
     """
     workspace = net.Workspace()
     logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
-    ratio_start = np.exp(logp_start[np.arange(len(batch)), batch.actions] - batch.log_probs_old)
+    taken = (np.arange(len(batch)), batch.actions)
+    ratio_start = np.exp(logp_start[taken] - batch.log_prob_vecs_old[taken])
     worst = float(np.abs(ratio_start - 1.0).max())
     if worst > ON_POLICY_TOLERANCE:
         raise PpoError(

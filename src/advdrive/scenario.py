@@ -12,7 +12,6 @@ from .geometry import Polyline, smooth_corners
 from .worldmap import MapGeometry
 
 ROLES = ("victim", "adversary")
-REWARD_KINDS = ("victim", "adv_collision", "adv_offroad")
 
 VICTIM_1 = "victim1"
 VICTIM_2 = "victim2"
@@ -50,10 +49,6 @@ class AgentSpec:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ConfigurationError(f"unknown role '{self.role}' for agent {self.agent_id}")
-        if self.reward_kind not in REWARD_KINDS:
-            raise ConfigurationError(
-                f"unknown reward_kind '{self.reward_kind}' for agent {self.agent_id}"
-            )
 
     def payload(self) -> dict:
         return {

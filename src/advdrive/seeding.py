@@ -3,19 +3,21 @@
 A single master seed fans out to every random decision in a run through
 numpy SeedSequence spawn keys, so any (phase, episode, agent, ...) tuple
 always maps to the same generator regardless of execution order.
+
+The keys every run shares are below. Each adversary variant's two phase
+keys and two evaluation-condition keys sit in its row of
+``rewards.ADVERSARY_VARIANTS``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Reserved first components of spawn keys. Evaluation contexts use
-# EVAL_BASE + condition index so they never collide with training phases.
+# Reserved first components of spawn keys. Evaluation conditions use keys
+# from KEY_EVAL_BASE up, so they never collide with training phases: the
+# baseline condition KEY_EVAL_BASE, a label outside the demo's conditions
+# KEY_EVAL_BASE + 50.
 KEY_INIT = 0
 KEY_BASELINE = 1
-KEY_ADVERSARY_COLLISION = 2
-KEY_ADVERSARY_OFFROAD = 3
-KEY_RETRAIN_COLLISION = 4
-KEY_RETRAIN_OFFROAD = 5
 KEY_EVAL_BASE = 100
 KEY_UPDATE_BASE = 50_000
 

@@ -2,6 +2,7 @@
 and the checks on checkpoints where they enter the pipeline."""
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from test_cli import MICRO_CONFIG
 
 from advdrive import pipeline
 from advdrive.checkpoint import Checkpoint, save_checkpoint
-from advdrive.cli import _victim_ckpts, dispatch
+from advdrive.cli import _victim_ckpts, build_parser, dispatch
 from advdrive.config import RunConfig, build_scenario, config_echo, parse_config
 from advdrive.errors import ConfigurationError, ValidationError
 from advdrive.net import full84_config, init_params, lite21_config
 from advdrive.orchestrator import run_episode
 from advdrive.raster import write_ppm
+from advdrive.rewards import ADVERSARY_VARIANTS, reward_function
 from advdrive.schema import Check, section_fields
 from advdrive.seeding import SeedTree
 
@@ -273,6 +275,46 @@ def test_victim_checkpoint_as_adversary_rejected(lite21_ckpts, tmp_path):
         pipeline.train_adversary(_cfg("lite21"), {"victim1": lite21_ckpts["adversary"]},
                                  str(tmp_path / "a"))
     assert not (tmp_path / "r").exists() and not (tmp_path / "a").exists()
+
+
+DEMO_CONDITIONS = [("baseline", 100), ("attack_collision", 101), ("attack_offroad", 102),
+                   ("retrained_collision", 103), ("retrained_offroad", 104)]
+
+
+@pytest.mark.parametrize("kind", list(ADVERSARY_VARIANTS))
+def test_adversary_variant_row_drives_every_use(kind, lite21_ckpts, tmp_path, capsys):
+    variant = ADVERSARY_VARIANTS[kind]
+    kinds = list(ADVERSARY_VARIANTS)
+    # the config key and the --reward flag take exactly the registry's kinds
+    assert parse_config({"adversary": {"reward": kind}}).adversary.reward == kind
+    with pytest.raises(ValidationError, match=re.escape(f"adversary.reward: must be one of {kinds}")):
+        parse_config({"adversary": {"reward": "victim"}})
+    argv = ["train-adversary", "--victims", "v.ckpt", "--reward"]
+    assert build_parser().parse_args(argv + [kind]).reward == kind
+    assert dispatch(argv + ["victim"]) == 2
+    choices = ", ".join(repr(k) for k in kinds)
+    assert f"invalid choice: 'victim' (choose from {choices})" in capsys.readouterr().err
+    assert reward_function(kind) is variant.reward
+    # an adversary checkpoint loads with the row's kind and with no other
+    paths = {}
+    for label in (kind, "adv_ablation"):
+        paths[label] = str(tmp_path / f"{label}.ckpt")
+        params = init_params(lite21_config(), np.random.SeedSequence(1))
+        save_checkpoint(paths[label], Checkpoint(role="adversary", reward_kind=label, params=params))
+    assert pipeline.policy_from_checkpoint(paths[kind], "adversary", True, "adversary",
+                                           "lite21")[0].reward_kind == kind
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"reward kind 'adv_ablation', expected one of {kinds}")):
+        pipeline.policy_from_checkpoint(paths["adv_ablation"], "adversary", True, "adversary",
+                                        "lite21")
+    # the row's two conditions sit among the demo's, whose keys the reports carry
+    assert list(pipeline.EVAL_CONDITION_KEYS.items()) == DEMO_CONDITIONS
+    assert variant.attack in DEMO_CONDITIONS and variant.retrained in DEMO_CONDITIONS
+    victims = {"victim1": lite21_ckpts["victim"]}
+    cfg = parse_config({**MICRO_CONFIG, "eval": {"episodes": 1, "max_steps": 5}})
+    for label, key in (variant.attack, ("evaluation", 150)):
+        report = pipeline.evaluate_condition(cfg, label, victims, paths[kind], str(tmp_path / label))
+        assert report.condition_key == key
 
 
 def test_checkpoint_net_must_match_obs_mode(lite21_ckpts, tmp_path):

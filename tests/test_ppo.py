@@ -130,11 +130,17 @@ class TestLoss:
         return RolloutBatch(
             obs=obs,
             actions=actions,
-            log_probs_old=logp[np.arange(n), actions],
             log_prob_vecs_old=logp,
             advantages=np.ones(n) if adv is None else np.asarray(adv, dtype=float),
             returns=values.copy(),
         )
+
+    @staticmethod
+    def shift_taken(mb, shifts):
+        """Add ``shifts`` to the taken actions' old log-probabilities, which
+        scales each probability ratio by exp(-shift)."""
+        mb.log_prob_vecs_old = mb.log_prob_vecs_old.copy()
+        mb.log_prob_vecs_old[np.arange(len(mb)), mb.actions] += shifts
 
     def test_identity_policy_surrogate_is_minus_mean_advantage(self, rng):
         adv = rng.normal(size=6)
@@ -145,14 +151,14 @@ class TestLoss:
 
     def test_clip_boundary_positive_advantage(self):
         mb = self.identity_minibatch(1, adv=[1.0])
-        mb.log_probs_old = mb.log_probs_old - math.log(2.0)  # ratio = 2.0
+        self.shift_taken(mb, -math.log(2.0))  # ratio = 2.0
         _, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.0)[:2]
         # min(2.0 * 1, 1.3 * 1) -> clipped value 1.3
         assert comps["surrogate"] == pytest.approx(-1.3, abs=1e-12)
 
     def test_clip_boundary_negative_advantage(self):
         mb = self.identity_minibatch(1, adv=[-1.0])
-        mb.log_probs_old = mb.log_probs_old + math.log(2.0)  # ratio = 0.5
+        self.shift_taken(mb, math.log(2.0))  # ratio = 0.5
         _, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.0)[:2]
         # min(0.5 * -1, 0.7 * -1) = -0.7: the clipped branch is the pessimistic one
         assert comps["surrogate"] == pytest.approx(0.7, abs=1e-12)
@@ -160,7 +166,7 @@ class TestLoss:
     def test_full_loss_matches_scalar_oracle(self):
         n = 3
         mb = self.identity_minibatch(n, adv=[0.5, -1.2, 2.0])
-        mb.log_probs_old = mb.log_probs_old + np.array([0.0, math.log(2.0), -math.log(2.0)])
+        self.shift_taken(mb, [0.0, math.log(2.0), -math.log(2.0)])
         kl_coef = 0.25
         loss, comps = ppo_loss_grads(self.params, mb, self.hyper, kl_coef)[:2]
 
@@ -174,7 +180,7 @@ class TestLoss:
             z = logits[i] - logits[i].max()
             p = np.exp(z) / np.exp(z).sum()
             logp = np.log(p)
-            ratio = math.exp(logp[mb.actions[i]] - mb.log_probs_old[i])
+            ratio = math.exp(logp[mb.actions[i]] - mb.log_prob_vecs_old[i, mb.actions[i]])
             clipped = min(max(ratio, 1 - 0.3), 1 + 0.3)
             surr_terms.append(min(ratio * mb.advantages[i], clipped * mb.advantages[i]))
             ent_terms.append(float(-(p * logp).sum()))
@@ -197,7 +203,6 @@ class TestLoss:
         return RolloutBatch(
             obs=codes,
             actions=actions,
-            log_probs_old=logp[np.arange(n), actions],
             log_prob_vecs_old=logp,
             advantages=rng.normal(size=n),
             returns=rng.normal(size=n),
@@ -256,19 +261,21 @@ class TestLoss:
 
     def test_non_finite_ratio_names_transition(self):
         mb = self.identity_minibatch(2)
-        mb.log_probs_old = mb.log_probs_old.copy()
-        mb.log_probs_old[1] = -np.inf
+        self.shift_taken(mb, [0.0, -np.inf])
         with pytest.raises(PpoError, match="transition 1"):
             ppo_loss_grads(self.params, mb, self.hyper, kl_coef=0.1)
 
     def test_loss_gradient_matches_central_differences(self):
         # ratios pushed off 1 and one transition into each clip branch
         mb = self.identity_minibatch(4, adv=[0.8, -1.1, 1.7, -0.4])
-        mb.log_probs_old = mb.log_probs_old + np.array(
-            [0.0, math.log(2.0), -math.log(2.0), 0.1]
-        )
+        self.shift_taken(mb, [0.0, math.log(2.0), -math.log(2.0), 0.1])
+        # renormalized: the KL gradient p - q holds for a distribution q
+        mb.log_prob_vecs_old = net.log_softmax(mb.log_prob_vecs_old)
         kl_coef = 0.2
-        _, _, cache = net.forward_core(self.params, mb.obs)
+        logits, _, cache = net.forward_core(self.params, mb.obs)
+        taken = (np.arange(4), mb.actions)
+        ratios = np.exp(net.log_softmax(logits)[taken] - mb.log_prob_vecs_old[taken])
+        assert ratios[1] < 0.7 and ratios[2] > 1.3 and 0.7 < ratios[3] < 1.0
         assert_relu_margin(self.params, cache)
         _, _, analytic = ppo_loss_grads(self.params, mb, self.hyper, kl_coef)
         numeric = fd_gradient(
@@ -297,7 +304,8 @@ class TestUpdatePolicy:
         batch = build_rollout_batch([make_trajectory(params, 16)], 0.99, 1.0)
         logits, _, _ = net.forward_core(params, batch.obs)
         logp = net.log_softmax(logits)
-        ratios = np.exp(logp[np.arange(len(batch)), batch.actions] - batch.log_probs_old)
+        taken = (np.arange(len(batch)), batch.actions)
+        ratios = np.exp(logp[taken] - batch.log_prob_vecs_old[taken])
         assert np.all(np.abs(ratios - 1.0) <= 1e-9)
 
     def test_stale_batch_rejected(self):
