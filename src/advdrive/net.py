@@ -321,14 +321,16 @@ def forward_core(params: NetworkParams, x: np.ndarray, workspace: Workspace | No
     Returns (logits (N, 9), values (N,), cache for one ``backward``). The
     cache holds each conv layer's input and activation (a workspace buffer),
     and the dense layer's input, pre-activation and output.
-    Raises ``ContractViolationError`` for any other dtype or shape.
+    Raises ``ContractViolationError`` for any other dtype or shape, an empty
+    batch included.
     """
     cfg = params.config
     res = cfg.core_res()
-    if x.dtype != np.uint8 or x.ndim != 4 or x.shape[1:] != (res, res, INPUT_CHANNELS):
+    if (x.dtype != np.uint8 or x.ndim != 4 or x.shape[1:] != (res, res, INPUT_CHANNELS)
+            or not len(x)):
         raise ContractViolationError(
-            f"net '{cfg.name}' takes uint8 codes of shape (N, {res}, {res}, {INPUT_CHANNELS}),"
-            f" got {x.dtype} of shape {x.shape}"
+            f"net '{cfg.name}' takes uint8 codes of shape (N, {res}, {res}, {INPUT_CHANNELS})"
+            f" with N >= 1, got {x.dtype} of shape {x.shape}"
         )
     n = x.shape[0]
     workspace = Workspace() if workspace is None else workspace

@@ -36,30 +36,30 @@ yields and raises them, so outputs are the same for any CPU count. The pool
 comes from ``helper_pool(helpers)``, which the caller holds for as long as it
 runs jobs: ``None`` runs every call on the calling thread and starts no
 thread, and leaving the block drops the calls not yet started and waits for
-the running ones. One concurrency rule sizes it (``concurrency``): as many
-jobs at once as the usable CPUs divided by the threads of each BLAS call,
-which is one per CPU with a single BLAS thread and one at a time with BLAS at
-its default of every CPU, where each job's large matrix products already use
-every core. Each job owns what it writes, and numpy, LAPACK, hashlib and file
-writes release the GIL in their large operations. The jobs are the updates of
-the policies due after the same episode, on a pool per phase (the job takes
-the buffer and the update's RNG, the call builds the batch and updates; every
-agent's episode record is written, then its update record or its error);
-within each tick of ``run_episode``, every live agent's forward, on a pool
-per episode (the job renders the agent, so each forward overlaps the next
-agents' renders, and sampling and the world step then follow in agent order,
-each agent drawing from its own RNG); and a phase's ``checksums_in`` and
-frozen-policy hashes and checkpoint writes and, in ``pipeline``, each
-command's checkpoint loads and fresh inits, on a pool per call. (After an
-abort, an update or a write that ran alongside the failing one has still
-taken effect; no file records the update.)
+the running ones. The jobs are the updates of the policies due after the
+same episode, on a pool per phase (the job takes the buffer and the update's
+RNG, the call builds the batch and updates; every agent's episode record is
+written, then its update record or its error); within each tick of
+``run_episode``, every live agent's forward, on a pool per episode (the job
+renders the agent, so each forward overlaps the next agents' renders, and
+sampling and the world step then follow in agent order, each agent drawing
+from its own RNG); and a phase's ``checksums_in`` and frozen-policy hashes
+and checkpoint writes and, in ``pipeline``, each command's checkpoint loads
+and fresh inits, on a pool per call. (After an abort, an update or a write
+that ran alongside the failing one has still taken effect; no file records
+the update.)
 
-All but the updates are gated on the size of the net (``helper_threads``):
-below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters (``lite21``) they run one after
-another and start no thread. A process pool (``metrics.evaluate`` with
-``workers`` > 1) shares the usable CPUs among its processes (``share_cpus``),
-so a worker's jobs start helper threads only where processes × jobs at once
-fit the CPUs.
+One rule sizes every pool (``helper_threads``), from the number of jobs and
+the smallest of their nets. Below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters
+(``lite21``) the jobs run one after another on the calling thread and start
+no thread. From it up, as many jobs run at once as the usable CPUs divided
+by the threads of each BLAS call: one per CPU with a single BLAS thread, and
+one at a time with BLAS at its default of every CPU, where each job's large
+matrix products already use every core. Each job owns what it writes, and
+numpy, LAPACK, hashlib and file writes release the GIL in their large
+operations. A process pool (``metrics.evaluate`` with ``workers`` > 1)
+shares the usable CPUs among its processes (``share_cpus``), so a worker's
+jobs start helper threads only where processes × jobs at once fit the CPUs.
 """
 from __future__ import annotations
 
@@ -92,12 +92,14 @@ FLAG_NAMES = ("cv", "co", "io", "iol")
 # Episodes between the `_latest` checkpoints a diverged phase falls back to.
 CHECKPOINT_EVERY = 25
 # Nets with at least net.SIDE_BY_SIDE_MIN_PARAMS parameters are initialised,
-# loaded, hashed, saved and run forward side by side. A full84 init spends
-# most of its 0.24 s in a LAPACK QR that releases the GIL, and two ran in
-# 0.25 s on two threads against 0.47 s one after the other. A lite21 init
+# loaded, hashed, saved, run forward and updated side by side. A full84 init
+# spends most of its 0.24 s in a LAPACK QR that releases the GIL, and two ran
+# in 0.25 s on two threads against 0.47 s one after the other. A lite21 init
 # takes 0.8 ms, mostly in Python, and two took 2.5 ms on two threads against
 # 1.6 ms; a lite21 load, hash or forward is likewise too short to hand to a
-# thread.
+# thread. With two lite21 updates on two threads, train_lite21 ran a median 7%
+# more agent steps/s, inside its runs' spread, and the helper's malloc arena
+# raised its peak RSS by 9% (51.1 against 46.8 MB, medians of 10 paired runs).
 
 
 @dataclass
@@ -226,7 +228,7 @@ def run_episode(
     flag_log = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
     events, positions = [], []
 
-    with helper_pool(helper_threads(len(ids), _smallest_net(policies, ids))) as pool:
+    with _policy_pool(policies, ids) as pool:
         for _ in range(max_steps):
             live = world.live_agents()
             if not live:
@@ -308,14 +310,15 @@ def _check_frozen(policies: dict[str, Checkpoint], frozen_checksums: dict[str, s
 def _per_policy(policies: dict[str, Checkpoint], agent_ids, job) -> dict:
     """The results of the calls ``job(aid)`` returns, by id, run side by side
     on a pool of their own sized for the smallest of the policies' nets."""
-    with helper_pool(helper_threads(len(agent_ids), _smallest_net(policies, agent_ids))) as pool:
+    with _policy_pool(policies, agent_ids) as pool:
         return dict(zip(agent_ids, side_by_side(agent_ids, job, pool)))
 
 
-def _smallest_net(policies: dict[str, Checkpoint], agent_ids) -> int:
-    """The parameter count of the smallest net among ``agent_ids``' policies
-    (0 for none)."""
-    return min((policies[aid].net_config.param_count() for aid in agent_ids), default=0)
+def _policy_pool(policies: dict[str, Checkpoint], agent_ids):
+    """``helper_pool`` for side-by-side jobs of ``agent_ids``' policies, sized
+    by ``helper_threads`` for the smallest of their nets."""
+    params = min((policies[aid].net_config.param_count() for aid in agent_ids), default=0)
+    return helper_pool(helper_threads(len(agent_ids), params))
 
 
 def _usable_cpus() -> int:
@@ -342,24 +345,22 @@ _processes = 1
 
 def share_cpus(processes: int) -> None:
     """Count the usable CPUs as shared by ``processes`` processes running
-    side by side, this one among them; ``concurrency`` gives each its
+    side by side, this one among them; ``helper_threads`` gives each its
     share."""
     global _processes
     _processes = processes
 
 
-def concurrency(jobs: int) -> int:
-    """How many of ``jobs`` independent per-policy jobs run at once: this
-    process's share of the usable CPUs divided by the threads of each BLAS
-    call, at least one and at most ``jobs``."""
-    return min(jobs, max(1, _usable_cpus() // (_blas_threads() * _processes)))
-
-
 def helper_threads(jobs: int, params: int) -> int:
-    """Helper threads for ``jobs`` per-policy jobs on nets of at least
-    ``params`` parameters: ``concurrency(jobs) - 1`` from
-    ``SIDE_BY_SIDE_MIN_PARAMS`` up, and none below it."""
-    return concurrency(jobs) - 1 if params >= SIDE_BY_SIDE_MIN_PARAMS else 0
+    """Helper threads for ``jobs`` independent per-policy jobs on nets of at
+    least ``params`` parameters, the one rule that sizes every
+    ``helper_pool``: none below ``SIDE_BY_SIDE_MIN_PARAMS``; from it up, one
+    fewer than the jobs that run at once, which are this process's share of
+    the usable CPUs divided by the threads of each BLAS call, at least one
+    and at most ``jobs``."""
+    if params < SIDE_BY_SIDE_MIN_PARAMS:
+        return 0
+    return min(jobs, max(1, _usable_cpus() // (_blas_threads() * _processes))) - 1
 
 
 @contextmanager
@@ -444,10 +445,11 @@ def run_training_phase(
     mutation aborts the phase. The others are trained in place. Every
     ``CHECKPOINT_EVERY`` (25) episodes the trainable policies are saved as
     ``<id>_latest`` checkpoints; a non-finite loss or gradient aborts the
-    phase with those last good checkpoints preserved. Updates due after the
-    same episode run side by side, and so do the ``checksums_in`` hashes, the
-    frozen checks and the checkpoint writes of nets from
-    ``SIDE_BY_SIDE_MIN_PARAMS`` up (see the module docstring).
+    phase with those last good checkpoints preserved. For nets from
+    ``SIDE_BY_SIDE_MIN_PARAMS`` up, the updates due after the same episode run
+    side by side, and so do the ``checksums_in`` hashes, the frozen checks and
+    the checkpoint writes; smaller nets run each of them on the calling
+    thread and start no thread (see the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = scenario.agent_ids()
@@ -475,12 +477,13 @@ def run_training_phase(
         return partial(_update, pol, trajectories, hyper, rng)
 
     try:
-        # The last due update runs on this thread: it reuses the memory that
-        # the rollouts freed in this thread's malloc arena, which helper
-        # threads, each with an arena of their own, cannot (peak RSS 60 MB
-        # higher on a full84 phase with both updates on helpers).
+        # For nets from SIDE_BY_SIDE_MIN_PARAMS up, the last due update runs
+        # on this thread: it reuses the memory that the rollouts freed in this
+        # thread's malloc arena, which helper threads, each with an arena of
+        # their own, cannot (peak RSS 60 MB higher on a full84 phase with both
+        # updates on helpers). Smaller nets run every update on this thread.
         with open(os.path.join(out_dir, "train_log.jsonl"), "wb") as train_log, \
-                helper_pool(concurrency(len(trainable)) - 1) as pool:
+                _policy_pool(policies, trainable) as pool:
             for ep in range(episodes):
                 if step_cap is not None and steps_run >= step_cap:
                     break

@@ -109,22 +109,14 @@ def build_rollout_batch(trajectories, gamma: float, lam: float) -> RolloutBatch:
     trajs = list(trajectories)
     if not trajs:
         raise PpoError("rollout batch needs at least one trajectory")
-    adv_parts = []
-    ret_parts = []
-    for traj in trajs:
-        adv, ret = compute_advantages(traj, gamma, lam)
-        adv_parts.append(adv)
-        ret_parts.append(ret)
-    advantages = np.concatenate(adv_parts)
-    mu = advantages.mean()
-    sigma = advantages.std()
-    normalized = (advantages - mu) / (sigma + ADV_NORM_EPS)
+    parts = [compute_advantages(traj, gamma, lam) for traj in trajs]
+    advantages = np.concatenate([adv for adv, _ in parts])
     return RolloutBatch(
         obs=np.stack([o for t in trajs for o in t.obs]),
         actions=np.array([a for t in trajs for a in t.actions], dtype=np.int64),
         log_prob_vecs_old=np.stack([v for t in trajs for v in t.log_prob_vecs_old]),
-        advantages=normalized,
-        returns=np.concatenate(ret_parts),
+        advantages=(advantages - advantages.mean()) / (advantages.std() + ADV_NORM_EPS),
+        returns=np.concatenate([ret for _, ret in parts]),
     )
 
 
@@ -233,7 +225,9 @@ def update_policy(
     so concurrent calls on different policies do not share state.
 
     Raises PpoError if the batch was not collected under `params`
-    (probability ratios at the start must be 1 within 1e-9).
+    (probability ratios at the start must be 1 within 1e-9), and then if a
+    row of `log_prob_vecs_old` is not normalized (its logsumexp must be 0
+    within 1e-9; NaN is refused).
     """
     workspace = net.Workspace()
     logp_start = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
@@ -244,6 +238,13 @@ def update_policy(
         raise PpoError(
             f"stale rollout batch: probability ratio deviates from 1 by {worst:.3e} at start"
         )
+    # the KL gradient p - q in ppo_loss_grads holds only for normalized rows
+    q = np.exp(batch.log_prob_vecs_old)
+    log_norms = np.log(q.sum(axis=1))
+    bad = np.flatnonzero(~(np.abs(log_norms) <= ON_POLICY_TOLERANCE))
+    if bad.size:
+        raise PpoError(f"log_prob_vecs_old row {bad[0]} is not normalized: its logsumexp is "
+                       f"{log_norms[bad[0]]:.3e}, not 0 within {ON_POLICY_TOLERANCE:g}")
 
     last_loss = 0.0
     last_components: dict = {}
@@ -260,7 +261,6 @@ def update_policy(
             grad_steps += 1
 
     logp_final = _batch_log_probs(params, batch.obs, hyper.minibatch, workspace)
-    q = np.exp(batch.log_prob_vecs_old)
     mean_kl = float((q * (batch.log_prob_vecs_old - logp_final)).sum(axis=1).mean())
     mean_entropy = float(net.entropy_from_logp(logp_final).mean())
     new_kl_coef = adapt_kl_coef(kl_coef, mean_kl, hyper.kl_target)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,24 +58,28 @@ class TestForward:
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_shape_mismatch_rejected(self):
-        # (net, observation, why it is rejected): only uint8 codes at the
-        # net's core resolution are observations
+        # (net, batch, why it is rejected): a batch holds one or more
+        # observations, each uint8 codes at the net's core resolution; forward
+        # takes the observation of a one-row batch
         lite, full = net.lite21_config(), net.full84_config()
         cases = [
-            (lite, np.zeros((21, 21, 3)), "float64 codes"),
-            (lite, np.zeros((84, 84, 3), np.uint8), "84x84 image for lite21"),
-            (full, np.zeros((21, 21, 3), np.uint8), "21x21 image for full84"),
-            (lite, np.zeros((21, 21, 1), np.uint8), "one channel"),
+            (lite, np.zeros((1, 21, 21, 3)), "float64 codes"),
+            (lite, np.zeros((1, 84, 84, 3), np.uint8), "84x84 image for lite21"),
+            (full, np.zeros((1, 21, 21, 3), np.uint8), "21x21 image for full84"),
+            (lite, np.zeros((1, 21, 21, 1), np.uint8), "one channel"),
+            (lite, np.zeros((0, 21, 21, 3), np.uint8), "an empty batch"),
         ]
-        for config, obs, why in cases:
+        for config, batch, why in cases:
             params = net.init_params(config, 0)
             res = config.core_res()
-            expected = rf"uint8 codes of shape \(N, {res}, {res}, 3\), got {obs.dtype}"
+            expected = (rf"uint8 codes of shape \(N, {res}, {res}, 3\) with N >= 1, "
+                        rf"got {batch.dtype} of shape {re.escape(str(batch.shape))}$")
+            if len(batch) == 1:
+                with pytest.raises(ContractViolationError, match=expected):
+                    net.forward(params, batch[0])
+                    pytest.fail(f"forward accepted {why}")
             with pytest.raises(ContractViolationError, match=expected):
-                net.forward(params, obs)
-                pytest.fail(f"forward accepted {why}")
-            with pytest.raises(ContractViolationError, match=expected):
-                net.forward_core(params, obs[None])
+                net.forward_core(params, batch)
                 pytest.fail(f"forward_core accepted {why}")
 
     def test_single_pixel_difference_propagates(self):

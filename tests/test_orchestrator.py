@@ -37,11 +37,12 @@ from advdrive.seeding import KEY_INIT, SeedTree
 from advdrive.world import init_world
 
 
-def make_policy(spec, seed=None, reward_kind=None):
+def make_policy(spec, seed=None, reward_kind=None, config=None):
     return Checkpoint(
         role=spec.role,
         reward_kind=reward_kind or spec.reward_kind,
-        params=net.init_params(tiny_net_config(), spec.seed_index if seed is None else seed),
+        params=net.init_params(config or tiny_net_config(),
+                               spec.seed_index if seed is None else seed),
     )
 
 
@@ -478,10 +479,18 @@ def two_victim_scenario():
 
 class TestConcurrentUpdates:
     """Updates due after the same episode run on as many threads as there are
-    usable CPUs per BLAS thread; the outputs must not depend on that number."""
+    usable CPUs per BLAS thread for nets from ``SIDE_BY_SIDE_MIN_PARAMS`` up,
+    and on the calling thread alone for smaller nets; the outputs must not
+    depend on that number."""
 
     def run_phase(self, tmp_path, monkeypatch, cpus, poisoned=None, blas_threads="1"):
+        """Runs a 4-episode phase of two tiny-net victims, counted as nets of
+        ``SIDE_BY_SIDE_MIN_PARAMS`` parameters so their updates may run side
+        by side; returns its files, whether it aborted and the threads that
+        ran its updates."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(orchestrator, "SIDE_BY_SIDE_MIN_PARAMS",
+                            tiny_net_config().param_count())
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         if blas_threads is not None:
@@ -557,6 +566,27 @@ class TestConcurrentUpdates:
         assert not aborted and len(threads) == 1
         serial, _, _ = self.run_phase(tmp_path, monkeypatch, 1)
         assert files == serial
+
+    def test_lite21_updates_due_together_start_no_thread(self, tmp_path, monkeypatch):
+        assert net.lite21_config().param_count() < orchestrator.SIDE_BY_SIDE_MIN_PARAMS
+        pin_cpus(monkeypatch, 2)
+        refuse_threads(monkeypatch, "a lite21 phase's updates")
+        sc = two_victim_scenario()
+        run_training_phase(
+            phase_name="baseline_test",
+            phase_key=1,
+            scenario=sc,
+            policies={s.agent_id: make_policy(s, config=net.lite21_config()) for s in sc.agents},
+            hyper=PpoHyper(minibatch=10, epochs_per_batch=1, train_batch=1),
+            reward_params=RewardParams(),
+            episodes=1,
+            step_cap=None,
+            seed_tree=SeedTree(5),
+            out_dir=str(tmp_path),
+        )
+        records = [json.loads(line) for line in (tmp_path / "train_log.jsonl").open()]
+        updates = [(r["agent_id"], r["episode"]) for r in records if r["type"] == "update"]
+        assert updates == [("victim1", 0), ("victim2", 0)]
 
 
 def baseline_config(obs_mode):
@@ -720,8 +750,8 @@ class TestSideBySidePrimitive:
 
 class TestSideBySide:
     """Fresh inits and checkpoint writes of full84 nets run side by side by
-    the update pool's CPU rule; lite21 nets' run serially on no thread. The
-    outputs and errors must not depend on it."""
+    the CPU rule of every per-policy job; lite21 nets' run serially on no
+    thread. The outputs and errors must not depend on it."""
 
     def test_full84_baseline_identical_for_one_and_two_cpus(self, tmp_path, monkeypatch):
         outputs = {}

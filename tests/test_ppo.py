@@ -318,6 +318,24 @@ class TestUpdatePolicy:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6, np.nan])
+    def test_unnormalized_row_rejected_after_the_on_policy_check(self, shift):
+        params = net.init_params(tiny_net_config(), 3)
+        batch = build_rollout_batch([make_trajectory(params, 12)], 0.99, 1.0)
+        # rows 5 and 8 shift their untaken actions' log-probs, so every ratio
+        # at the start stays 1 and only the KL term sees the shift
+        for row in (5, 8):
+            batch.log_prob_vecs_old[row, np.arange(net.N_ACTIONS) != batch.actions[row]] += shift
+
+        def update(params):
+            return update_policy(params, net.init_adam_state(params), batch, PpoHyper(), 0.3,
+                                 np.random.default_rng(0))
+
+        with pytest.raises(PpoError, match=r"^log_prob_vecs_old row 5 is not normalized"):
+            update(params)
+        with pytest.raises(PpoError, match="^stale rollout batch"):
+            update(net.init_params(tiny_net_config(), 4))
+
     def test_zero_advantage_batch_does_not_reduce_entropy(self):
         params = net.init_params(tiny_net_config(), 3)
         traj = make_trajectory(params, 24, rewards=np.zeros(24), values=np.zeros(24))
