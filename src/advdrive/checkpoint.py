@@ -33,6 +33,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .net import AdamState, NetConfig, NetworkParams
+from .ppo import PpoHyper
 
 MAGIC = b"ADRVCKP1"
 FORMAT_VERSION = 1
@@ -49,7 +50,7 @@ class Checkpoint:
     reward_kind: str
     params: NetworkParams
     adam: AdamState | None = None
-    kl_coef: float = 0.3
+    kl_coef: float = PpoHyper.kl_coef_init
     counters: dict = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
 
     @property

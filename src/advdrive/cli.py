@@ -2,13 +2,15 @@
 
 Subcommands: train-baseline, train-adversary, retrain, evaluate, compare,
 plot, demo. Flag precedence: command line > config file > built-in
-defaults. Flags that set config values become overrides keyed by dotted
-config keys, merged over the config file's data before the one
-``config.parse_config`` call, so they pass the same schema checks
-(``config.py``) and fail with the same messages as config keys. The
-ADVDRIVE_OUT_ROOT environment variable, when set, prefixes
-relative output directories. Exit codes: 0 success, 1 runtime failure
-(one machine-parseable ``error_class=...`` line on stderr), 2 usage error.
+defaults. A command takes only the flags it acts on: plot reads just the
+scenario and the output directory, and only evaluate and demo take
+--workers, which sets the evaluation's world count. Flags that set config
+values become overrides keyed by dotted config keys, merged over the config
+file's data before the one ``config.parse_config`` call, so they pass the
+same schema checks (``config.py``) and fail with the same messages as
+config keys. The ADVDRIVE_OUT_ROOT environment variable, when set, prefixes
+relative output directories. Exit codes: 0 success, 1 runtime failure (one
+machine-parseable ``error_class=...`` line on stderr), 2 usage error.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from . import pipeline
 from .config import RunConfig, build_scenario, load_config, parse_config
 from .errors import AdvDriveError, ConfigurationError
 from .metrics import MetricsReport, compare
-from .net import OBS_MODES
+from .net import NETS
 from .orchestrator import EpisodeLog
 from .plot import emit_trajectory_plot
 from .rewards import ADVERSARY_VARIANTS
@@ -59,13 +61,21 @@ _DEMO_OVERRIDES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
+# The config flags besides --config and --out, with their argparse options.
+_CONFIG_FLAGS = {
+    "--seed": {"type": int, "help": "master seed"},
+    "--workers": {"type": int, "help": "concurrent world instances for evaluation"},
+    "--episodes": {"type": int, "help": "episode budget override for this command"},
+    "--steps": {"type": int, "help": "per-episode step cap override"},
+    "--obs-mode": {"choices": NETS, "dest": "obs_mode"},
+}
+_TRAINING_FLAGS = ("--seed", "--episodes", "--steps", "--obs-mode")
+
+
+def _add_common(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)):
     p.add_argument("--config", help="YAML run config; unset keys use defaults")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--workers", type=int, help="concurrent world instances for evaluation")
-    p.add_argument("--episodes", type=int, help="episode budget override for this command")
-    p.add_argument("--steps", type=int, help="per-episode step cap override")
-    p.add_argument("--obs-mode", choices=OBS_MODES, dest="obs_mode")
+    for flag in flags:
+        p.add_argument(flag, **_CONFIG_FLAGS[flag])
     p.add_argument("--out", help="output directory")
 
 
@@ -74,16 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-baseline", help="train victim policies with no adversary")
-    _add_common(p)
+    _add_common(p, _TRAINING_FLAGS)
 
     p = sub.add_parser("train-adversary", help="train an adversary against frozen victims")
-    _add_common(p)
+    _add_common(p, _TRAINING_FLAGS)
     p.add_argument("--reward", choices=ADVERSARY_VARIANTS)
     p.add_argument("--victims", nargs="+", metavar="CKPT", required=True,
                    help="victim checkpoints as id=path or bare paths in scenario order")
 
     p = sub.add_parser("retrain", help="retrain victims against a frozen adversary")
-    _add_common(p)
+    _add_common(p, _TRAINING_FLAGS)
     p.add_argument("--victims", nargs="+", metavar="CKPT", required=True)
     p.add_argument("--adversary", metavar="CKPT", required=True)
 
@@ -101,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("plot", help="render a saved episode log as SVG + CSV")
-    _add_common(p)
+    _add_common(p, ())  # reads only the scenario and the output directory
     p.add_argument("episode_log", help="episode0.json produced by evaluate")
 
     p = sub.add_parser("demo", help="full pipeline at desk-scale budgets")

@@ -1,13 +1,16 @@
 """Run configuration: the schema, YAML loading, validation, and builders.
 
-The schema is the dataclasses below together with ``ppo.PpoHyper`` and
-``rewards.RewardParams``: every config key is one field, and its checks
-(type, bounds, choices, whether null is allowed) sit on that field
-(``schema.setting``). ``parse_config`` runs them all through
-``schema.parse_section`` and then checks the entries of
-``adversary.train_victims``. Command-line flags reach the config as
-overrides merged over the YAML data before that one call, so they pass the
-same checks with the same messages.
+The schema is the dataclasses below together with
+``scenario.ScenarioSettings``, ``ppo.PpoHyper`` and ``rewards.RewardParams``:
+every config key is one field, and its checks (type, bounds, choices,
+whether null is allowed) sit on that field (``schema.setting``).
+``parse_config`` runs them all through ``schema.parse_section`` and then
+checks the entries of ``adversary.train_victims``. Command-line flags reach
+the config as overrides merged over the YAML data before that one call, so
+they pass the same checks with the same messages. The choices of
+``scenario.preset`` and ``obs_mode`` are the keys of ``scenario.PRESETS``
+and ``net.NETS``, and ``build_scenario`` is the preset's builder applied to
+the ``scenario`` section.
 
 Every hyperparameter defaults to the reference training setup (PPO
 clip 0.3 / KL target 0.03 / lr 0.0006 / batch 128, phase budgets
@@ -23,25 +26,15 @@ from typing import Any
 
 import yaml
 
+from . import scenario
 from .errors import ValidationError
-from .net import OBS_MODES
+from .net import NETS
 from .ppo import PpoHyper
 from .rewards import ADVERSARY_VARIANTS, RewardParams
-from .scenario import ScenarioConfig, corridor_scenario, t_intersection_scenario
+from .scenario import ScenarioConfig, ScenarioSettings
 from .schema import error, parse_section, setting
 
 ACTION_MODES = ("sample", "greedy")
-PRESETS = ("t_intersection", "corridor")
-
-
-@dataclass
-class ScenarioSettings:
-    preset: str = setting("t_intersection", choices=PRESETS)
-    lane_width: float = setting(3.5, lo=2.1)
-    dt: float = setting(0.05, lo=1e-4, hi=1.0)
-    max_steps: int = setting(500, lo=1)
-    spawn_jitter: float = setting(0.0, lo=0.0)
-    corridor_length: float = setting(50.0, lo=10.0)
 
 
 @dataclass
@@ -71,7 +64,7 @@ class AdversarySettings:
 class RunConfig:
     seed: int = setting(0, lo=0)
     out_dir: str = setting("runs/run")
-    obs_mode: str = setting("full84", choices=OBS_MODES)
+    obs_mode: str = setting("full84", choices=NETS)
     workers: int = setting(1, lo=1)
     scenario: ScenarioSettings = field(default_factory=ScenarioSettings)
     reward: RewardParams = field(default_factory=RewardParams)
@@ -127,21 +120,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def build_scenario(cfg: RunConfig) -> ScenarioConfig:
-    s = cfg.scenario
-    if s.preset == "t_intersection":
-        return t_intersection_scenario(
-            lane_width=s.lane_width,
-            dt=s.dt,
-            max_steps=s.max_steps,
-            spawn_jitter=s.spawn_jitter,
-        )
-    return corridor_scenario(
-        length=s.corridor_length,
-        lane_width=s.lane_width,
-        dt=s.dt,
-        max_steps=s.max_steps,
-        spawn_jitter=s.spawn_jitter,
-    )
+    return scenario.PRESETS[cfg.scenario.preset](cfg.scenario)
 
 
 def config_echo(cfg: RunConfig) -> dict[str, Any]:

@@ -3,7 +3,9 @@
 Forward, reverse-mode gradients, and Adam are implemented directly on
 float64 numpy arrays (convolutions via im2col + BLAS). Each net works at
 its core resolution (84 / decimation), the resolution at which every agent
-driven by it is rendered; a run's obs mode names its net:
+driven by it is rendered. A run's obs mode names its net; ``NETS`` holds
+each mode's ``NetConfig`` and is the one place a mode is named (the choices
+of ``obs_mode`` and ``--obs-mode``):
 
 * ``full84``: 84x84 input; 32@8x8/4, 64@4x4/2, 64@3x3/1, dense 512 (the
   fidelity net).
@@ -62,7 +64,6 @@ INPUT_CHANNELS = 3
 # Scaling by a power of two is exact, so conv1's GEMM on the codes k, scaled
 # by this, has the bits of the same GEMM on the values k / 256.
 CODE_SCALE = 1.0 / OBS_CODE_SCALE
-OBS_MODES = ("full84", "lite21")  # the nets a run can train, by NetConfig.name
 N_ACTIONS = 9
 
 STEER_VALUES = (-0.5, 0.0, 0.5)
@@ -151,30 +152,18 @@ class NetConfig:
         )
 
 
-def full84_config() -> NetConfig:
-    return NetConfig(
-        name="full84",
-        decimation=1,
-        convs=(ConvSpec(32, 8, 4), ConvSpec(64, 4, 2), ConvSpec(64, 3, 1)),
-        dense_units=512,
-    )
-
-
-def lite21_config() -> NetConfig:
-    return NetConfig(
-        name="lite21",
-        decimation=4,
-        convs=(ConvSpec(8, 5, 2), ConvSpec(16, 3, 2), ConvSpec(16, 3, 1)),
-        dense_units=64,
-    )
+# each obs mode's net, keyed by its NetConfig.name
+NETS = {c.name: c for c in (
+    NetConfig("full84", 1, (ConvSpec(32, 8, 4), ConvSpec(64, 4, 2), ConvSpec(64, 3, 1)), 512),
+    NetConfig("lite21", 4, (ConvSpec(8, 5, 2), ConvSpec(16, 3, 2), ConvSpec(16, 3, 1)), 64),
+)}
 
 
 def net_config_for_mode(obs_mode: str) -> NetConfig:
-    if obs_mode == "full84":
-        return full84_config()
-    if obs_mode == "lite21":
-        return lite21_config()
-    raise ContractViolationError(f"unknown obs mode '{obs_mode}'")
+    try:
+        return NETS[obs_mode]
+    except KeyError:
+        raise ContractViolationError(f"unknown obs mode '{obs_mode}'") from None
 
 
 @dataclass

@@ -85,7 +85,7 @@ from .raster import render
 from .rewards import RewardParams, reward_function
 from .scenario import ScenarioConfig
 from .schema import error, read_record, write_record
-from .seeding import KEY_UPDATE_BASE, SeedTree
+from .seeding import KEY_AGENT_RNG_BASE, KEY_EPISODE_WORLD, KEY_UPDATE_BASE, SeedTree
 from .world import Termination, WorldState, init_world, initial_flags, step
 
 FLAG_NAMES = ("cv", "co", "io", "iol")
@@ -181,7 +181,7 @@ def _check_keys(key: str, mapping: dict, expected, unknown: str) -> None:
 def episode_world(scenario: ScenarioConfig, seed_tree: SeedTree,
                   key_prefix: tuple[int, ...]) -> WorldState:
     """The initial world of the episode keyed by ``key_prefix``."""
-    return init_world(scenario, seed=seed_tree.sequence(*key_prefix, 0))
+    return init_world(scenario, seed=seed_tree.sequence(*key_prefix, KEY_EPISODE_WORLD))
 
 
 def run_episode(
@@ -219,7 +219,8 @@ def run_episode(
 
     world = episode_world(scenario, seed_tree, key_prefix)
     rngs = {
-        aid: seed_tree.rng(*key_prefix, 10 + scenario.agent(aid).seed_index) for aid in ids
+        aid: seed_tree.rng(*key_prefix, KEY_AGENT_RNG_BASE + scenario.agent(aid).seed_index)
+        for aid in ids
     }
     prev_flags = initial_flags(world)
     reward_fns = {aid: reward_function(policies[aid].reward_kind) for aid in ids}

@@ -48,7 +48,7 @@ from .raster import render, write_ppm
 from .rewards import ADVERSARY_VARIANTS
 from .scenario import AgentSpec, ScenarioConfig
 from .schema import write_record
-from .seeding import KEY_BASELINE, KEY_EVAL_BASE, KEY_INIT, SeedTree
+from .seeding import KEY_BASELINE, KEY_EVAL_BASE, KEY_EVAL_OTHER, KEY_INIT, SeedTree
 
 EVAL_CONDITION_KEYS = dict([("baseline", KEY_EVAL_BASE)]
                            + [v.attack for v in ADVERSARY_VARIANTS.values()]
@@ -260,7 +260,7 @@ def evaluate_condition(
         cfg = _with_reward(cfg, policies[adv_id].reward_kind)
     scenario = full.subset(policies)
     seed_tree = SeedTree(cfg.seed)
-    condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_BASE + 50)
+    condition_key = EVAL_CONDITION_KEYS.get(label, KEY_EVAL_OTHER)
 
     report, logs = evaluate(
         scenario,

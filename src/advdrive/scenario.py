@@ -1,5 +1,11 @@
 """Scenario definitions: which agents exist, where they spawn, what route
 each one follows, and the vehicle/simulation parameters shared by all.
+
+``PRESETS`` is the one place a scenario preset is named: it maps each
+choice of ``scenario.preset`` to its builder. A builder takes the run's
+``ScenarioSettings`` (the config's ``scenario`` section, whose fields hold
+the only defaults of the map and simulation values) and reads every value
+from it.
 """
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import worldmap
 from .errors import ConfigurationError
 from .geometry import Polyline, smooth_corners
+from .schema import setting
 from .worldmap import MapGeometry
 
 ROLES = ("victim", "adversary")
@@ -65,10 +72,10 @@ class ScenarioConfig:
     name: str
     map: MapGeometry
     agents: list[AgentSpec]
-    dt: float = 0.05
-    max_steps: int = 500
+    dt: float
+    max_steps: int
+    spawn_jitter: float
     vehicle: VehicleParams = field(default_factory=VehicleParams)
-    spawn_jitter: float = 0.0
     goal_tolerance: float = 1.0
 
     def __post_init__(self):
@@ -126,19 +133,14 @@ class ScenarioConfig:
         }
 
 
-def t_intersection_scenario(
-    lane_width: float = 3.5,
-    dt: float = 0.05,
-    max_steps: int = 500,
-    spawn_jitter: float = 0.0,
-) -> ScenarioConfig:
+def t_intersection_scenario(s: ScenarioSettings) -> ScenarioConfig:
     """Three-agent T-intersection: two victims crossing, one adversary turning in.
 
     victim1 approaches from the east and turns north up the stem; victim2
     drives straight west-to-east; the adversary comes down the stem and turns
     west, crossing both victims' paths.
     """
-    geo = worldmap.t_intersection_map(lane_width)
+    geo = worldmap.t_intersection_map(s.lane_width)
     wb, eb = worldmap.WESTBOUND_Y, worldmap.EASTBOUND_Y
     nb, sb = worldmap.NORTHBOUND_X, worldmap.SOUTHBOUND_X
     agents = [
@@ -170,25 +172,13 @@ def t_intersection_scenario(
             seed_index=2,
         ),
     ]
-    return ScenarioConfig(
-        name="t_intersection",
-        map=geo,
-        agents=agents,
-        dt=dt,
-        max_steps=max_steps,
-        spawn_jitter=spawn_jitter,
-    )
+    return ScenarioConfig("t_intersection", geo, agents, s.dt, s.max_steps, s.spawn_jitter)
 
 
-def corridor_scenario(
-    length: float = 50.0,
-    lane_width: float = 3.5,
-    dt: float = 0.05,
-    max_steps: int = 250,
-    spawn_jitter: float = 0.0,
-) -> ScenarioConfig:
+def corridor_scenario(s: ScenarioSettings) -> ScenarioConfig:
     """Single victim driving a straight corridor; used for sanity training."""
-    geo = worldmap.corridor_map(length, lane_width)
+    length = s.corridor_length
+    geo = worldmap.corridor_map(length, s.lane_width)
     agent = AgentSpec(
         agent_id=VICTIM_1,
         role="victim",
@@ -198,11 +188,17 @@ def corridor_scenario(
         route=Polyline([(0.0, 0.0), (length, 0.0)]),
         seed_index=0,
     )
-    return ScenarioConfig(
-        name="corridor",
-        map=geo,
-        agents=[agent],
-        dt=dt,
-        max_steps=max_steps,
-        spawn_jitter=spawn_jitter,
-    )
+    return ScenarioConfig("corridor", geo, [agent], s.dt, s.max_steps, s.spawn_jitter)
+
+
+PRESETS = {"t_intersection": t_intersection_scenario, "corridor": corridor_scenario}
+
+
+@dataclass
+class ScenarioSettings:
+    preset: str = setting("t_intersection", choices=PRESETS)
+    lane_width: float = setting(3.5, lo=2.1)
+    dt: float = setting(0.05, lo=1e-4, hi=1.0)
+    max_steps: int = setting(500, lo=1)
+    spawn_jitter: float = setting(0.0, lo=0.0)
+    corridor_length: float = setting(50.0, lo=10.0)

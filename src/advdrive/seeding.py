@@ -15,11 +15,17 @@ import numpy as np
 # Reserved first components of spawn keys. Evaluation conditions use keys
 # from KEY_EVAL_BASE up, so they never collide with training phases: the
 # baseline condition KEY_EVAL_BASE, a label outside the demo's conditions
-# KEY_EVAL_BASE + 50.
+# KEY_EVAL_OTHER.
 KEY_INIT = 0
 KEY_BASELINE = 1
 KEY_EVAL_BASE = 100
+KEY_EVAL_OTHER = KEY_EVAL_BASE + 50
 KEY_UPDATE_BASE = 50_000
+
+# Last components under an episode's key prefix: its initial world, and each
+# agent's action RNG at KEY_AGENT_RNG_BASE + the agent's seed index.
+KEY_EPISODE_WORLD = 0
+KEY_AGENT_RNG_BASE = 10
 
 
 class SeedTree:

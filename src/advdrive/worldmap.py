@@ -92,7 +92,7 @@ ROAD_X_MIN, ROAD_X_MAX = 140.0, 196.0
 STEM_Y_MAX = 86.0
 
 
-def t_intersection_map(lane_width: float = 3.5) -> MapGeometry:
+def t_intersection_map(lane_width: float) -> MapGeometry:
     half = lane_width / 2.0
     road_y0 = WESTBOUND_Y - half
     road_y1 = EASTBOUND_Y + half
@@ -126,7 +126,7 @@ def t_intersection_map(lane_width: float = 3.5) -> MapGeometry:
     )
 
 
-def corridor_map(length: float = 50.0, lane_width: float = 3.5) -> MapGeometry:
+def corridor_map(length: float, lane_width: float) -> MapGeometry:
     # road is three lane-widths across so early policies have room to recover
     half_road = 1.5 * lane_width
     road = Rect(-5.0, -half_road, length + 10.0, half_road)

@@ -54,7 +54,7 @@ def straight_scenario(
             )
         )
     return ScenarioConfig(
-        name="test_road", map=geo, agents=specs, dt=dt, max_steps=max_steps
+        name="test_road", map=geo, agents=specs, dt=dt, max_steps=max_steps, spawn_jitter=0.0
     )
 
 

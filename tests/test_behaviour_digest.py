@@ -116,7 +116,7 @@ def full84_update_digest() -> str:
 
     sc = straight_scenario(route_length=40.0, max_steps=16)
     spec = sc.agents[0]
-    params = net.init_params(net.full84_config(), 5)
+    params = net.init_params(net.NETS["full84"], 5)
     pol = Checkpoint(spec.role, spec.reward_kind, params)
     trajs, _ = run_episode(sc, {spec.agent_id: pol}, RewardParams(), 16, SeedTree(3), (1, 0),
                            collect={spec.agent_id})

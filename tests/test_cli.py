@@ -39,6 +39,28 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+# Flags a command does not act on: plot reads only the scenario and the output
+# directory, and only evaluate and demo take --workers.
+REFUSED_FLAGS = [
+    (["plot", "episode0.json"], flag) for flag in
+    (["--seed", "1"], ["--workers", "1"], ["--episodes", "1"], ["--steps", "1"],
+     ["--obs-mode", "lite21"])
+] + [
+    (command, ["--workers", "1"]) for command in
+    (["train-baseline"], ["train-adversary", "--victims", "v.ckpt"],
+     ["retrain", "--victims", "v.ckpt", "--adversary", "a.ckpt"])
+]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS,
+                         ids=[f"{c[0]}{f[0]}" for c, f in REFUSED_FLAGS])
+def test_flags_a_command_ignores_are_usage_errors(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(command + flag + ["--out", "o"]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()

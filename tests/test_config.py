@@ -14,11 +14,12 @@ from advdrive import pipeline
 from advdrive.checkpoint import Checkpoint, save_checkpoint
 from advdrive.cli import _victim_ckpts, build_parser, dispatch
 from advdrive.config import RunConfig, build_scenario, config_echo, parse_config
-from advdrive.errors import ConfigurationError, ValidationError
-from advdrive.net import full84_config, init_params, lite21_config
+from advdrive.errors import ConfigurationError, ContractViolationError, ValidationError
+from advdrive.net import NETS, init_params, net_config_for_mode
 from advdrive.orchestrator import run_episode
 from advdrive.raster import write_ppm
 from advdrive.rewards import ADVERSARY_VARIANTS, reward_function
+from advdrive.scenario import PRESETS, ScenarioSettings, corridor_scenario
 from advdrive.schema import Check, section_fields
 from advdrive.seeding import SeedTree
 
@@ -205,7 +206,7 @@ def test_config_echo_golden(name):
     "argv, key",
     [
         (["train-baseline", "--seed", "-1"], "seed"),
-        (["train-baseline", "--workers", "0"], "workers"),
+        (["demo", "--workers", "0"], "workers"),
         (["train-baseline", "--episodes", "0"], "phases.baseline_episodes"),
         (["train-baseline", "--steps", "0"], "scenario.max_steps"),
         (["evaluate", "--victims", "victim1=a", "--steps", "0"], "eval.max_steps"),
@@ -254,7 +255,7 @@ def lite21_ckpts(tmp_path):
          ("odd_adversary", "adversary", "victim"))
     ):
         paths[name] = str(tmp_path / f"{name}.ckpt")
-        params = init_params(lite21_config(), np.random.SeedSequence(i))
+        params = init_params(NETS["lite21"], np.random.SeedSequence(i))
         save_checkpoint(paths[name], Checkpoint(role=role, reward_kind=kind, params=params))
     return paths
 
@@ -299,7 +300,7 @@ def test_adversary_variant_row_drives_every_use(kind, lite21_ckpts, tmp_path, ca
     paths = {}
     for label in (kind, "adv_ablation"):
         paths[label] = str(tmp_path / f"{label}.ckpt")
-        params = init_params(lite21_config(), np.random.SeedSequence(1))
+        params = init_params(NETS["lite21"], np.random.SeedSequence(1))
         save_checkpoint(paths[label], Checkpoint(role="adversary", reward_kind=label, params=params))
     assert pipeline.policy_from_checkpoint(paths[kind], "adversary", True, "adversary",
                                            "lite21")[0].reward_kind == kind
@@ -315,6 +316,58 @@ def test_adversary_variant_row_drives_every_use(kind, lite21_ckpts, tmp_path, ca
     for label, key in (variant.attack, ("evaluation", 150)):
         report = pipeline.evaluate_condition(cfg, label, victims, paths[kind], str(tmp_path / label))
         assert report.condition_key == key
+
+
+def _world_facts(scenario):
+    """What a built scenario holds, as comparable data."""
+    return (scenario.name, scenario.max_steps, scenario.spawn_jitter,
+            scenario.fingerprint_payload(), [a.payload() for a in scenario.agents])
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_scenario_preset_row_drives_every_use(preset):
+    # the config key takes exactly the registry's presets, in its order
+    assert section_fields(ScenarioSettings)["preset"].choices == tuple(PRESETS)
+    with pytest.raises(ValidationError, match=re.escape(
+            "scenario.preset: must be one of ['t_intersection', 'corridor'], got 'custom'")):
+        parse_config({"scenario": {"preset": "custom"}})
+    # build_scenario is the row's builder on the run's settings, every value read from them
+    data = {"preset": preset, "lane_width": 4.0, "dt": 0.1, "max_steps": 40,
+            "spawn_jitter": 0.5, "corridor_length": 30.0}
+    cfg = parse_config({"scenario": data})
+    built = build_scenario(cfg)
+    assert _world_facts(built) == _world_facts(PRESETS[preset](cfg.scenario))
+    assert (built.name, built.map.lane_width, built.dt, built.max_steps, built.spawn_jitter) == (
+        preset, 4.0, 0.1, 40, 0.5)
+
+
+def test_default_corridor_is_the_configs():
+    default = corridor_scenario(ScenarioSettings())
+    assert default.max_steps == 500
+    assert default.agent("victim1").goal == (50.0, 0.0)
+    assert _world_facts(default) == _world_facts(
+        build_scenario(parse_config({"scenario": {"preset": "corridor"}})))
+
+
+@pytest.mark.parametrize("mode", list(NETS))
+def test_obs_mode_row_drives_every_use(mode, capsys):
+    modes = list(NETS)
+    # the config key and the --obs-mode flag take exactly the registry's modes
+    assert section_fields(RunConfig)["obs_mode"].choices == tuple(NETS)
+    assert parse_config({"obs_mode": mode}).obs_mode == mode
+    with pytest.raises(ValidationError, match=re.escape(f"obs_mode: must be one of {modes}")):
+        parse_config({"obs_mode": "tiny"})
+    assert build_parser().parse_args(["train-baseline", "--obs-mode", mode]).obs_mode == mode
+    assert dispatch(["train-baseline", "--obs-mode", "tiny"]) == 2
+    choices = ", ".join(repr(m) for m in modes)
+    assert f"invalid choice: 'tiny' (choose from {choices})" in capsys.readouterr().err
+    # the row is the net: looked up by name, and held by every fresh policy
+    assert net_config_for_mode(mode) is NETS[mode] and NETS[mode].name == mode
+    with pytest.raises(ContractViolationError, match="^unknown obs mode 'tiny'$"):
+        net_config_for_mode("tiny")
+    cfg = parse_config({"obs_mode": mode})
+    for spec in build_scenario(cfg).victims():
+        assert pipeline.fresh_policy(cfg, spec).net_config == NETS[mode]
 
 
 def test_checkpoint_net_must_match_obs_mode(lite21_ckpts, tmp_path):
@@ -428,7 +481,7 @@ def test_dumped_observation_is_episode0_first_observation(tmp_path):
                         "scenario": {**MICRO_CONFIG["scenario"], "spawn_jitter": 1.5}})
     ckpt = str(tmp_path / "victim.ckpt")
     save_checkpoint(ckpt, Checkpoint(role="victim", reward_kind="victim",
-                                     params=init_params(full84_config(), 0)))
+                                     params=init_params(NETS["full84"], 0)))
     out = tmp_path / "e"
     pipeline.evaluate_condition(cfg, "baseline", {"victim1": ckpt}, None, str(out), dump_obs=True)
 

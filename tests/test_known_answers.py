@@ -15,7 +15,7 @@ import pytest
 from advdrive.geometry import normalize_angle
 from advdrive.net import action_to_command
 from advdrive.rewards import RewardParams, reward_function
-from advdrive.scenario import corridor_scenario, t_intersection_scenario
+from advdrive.scenario import ScenarioSettings, corridor_scenario, t_intersection_scenario
 from advdrive.world import ActionCommand, init_world, initial_flags, step
 
 BRAKE = ActionCommand(brake=0.6)
@@ -68,7 +68,7 @@ def drive(scenario, commands):
 
 
 class TestTIntersection:
-    scenario = t_intersection_scenario(max_steps=300)
+    scenario = t_intersection_scenario(ScenarioSettings(max_steps=300))
 
     def test_every_agent_brakes(self):
         out = drive(self.scenario, dict.fromkeys(self.scenario.agent_ids(), BRAKE))
@@ -85,7 +85,7 @@ class TestTIntersection:
 
 
 class TestCorridor:
-    scenario = corridor_scenario(max_steps=300)
+    scenario = corridor_scenario(ScenarioSettings(max_steps=300))
 
     def test_braking_earns_beta_per_tick(self):
         assert drive(self.scenario, {"victim1": BRAKE}) == {"victim1": (150.0, None, None)}
@@ -100,7 +100,7 @@ class TestRoutePursuit:
     """``pursue`` drivers on the T-intersection (300 ticks); agents given no
     cruise speed brake."""
 
-    scenario = t_intersection_scenario(max_steps=300)
+    scenario = t_intersection_scenario(ScenarioSettings(max_steps=300))
 
     def run(self, **cruise):
         return drive(self.scenario, {aid: pursue(cruise[aid]) if aid in cruise else BRAKE

@@ -25,7 +25,7 @@ from advdrive.checkpoint import Checkpoint
 from advdrive.orchestrator import EpisodeLog, Event, Termination, run_episode
 from advdrive.plot import emit_trajectory_plot
 from advdrive.rewards import RewardParams
-from advdrive.scenario import t_intersection_scenario
+from advdrive.scenario import ScenarioSettings, t_intersection_scenario
 from advdrive.seeding import SeedTree
 
 
@@ -264,7 +264,7 @@ class TestCompare:
             assert all(row[e - 1] != " " and (e == len(row) or row[e] == " ") for e in ends), row
 
     def test_fingerprint_ignores_adversary_presence(self):
-        full = t_intersection_scenario()
+        full = t_intersection_scenario(ScenarioSettings())
         victims_only = full.subset(["victim1", "victim2"])
         f1 = scenario_fingerprint(full, "lite21", 20, 400, "sample")
         f2 = scenario_fingerprint(victims_only, "lite21", 20, 400, "sample")
@@ -278,13 +278,13 @@ class TestCompare:
     ], ids=["lite21", "full84"])
     def test_fingerprint_is_pinned(self, obs_mode, digest):
         # reports already written carry these values; a change makes them incomparable
-        victims_only = t_intersection_scenario().subset(["victim1", "victim2"])
+        victims_only = t_intersection_scenario(ScenarioSettings()).subset(["victim1", "victim2"])
         assert scenario_fingerprint(victims_only, obs_mode, 20, 400, "sample") == digest
 
 
 class TestPlot:
     def run_and_plot(self, tmp_path):
-        sc = t_intersection_scenario(max_steps=40)
+        sc = t_intersection_scenario(ScenarioSettings(max_steps=40))
         pols = {
             s.agent_id: Checkpoint(
                 s.role, s.reward_kind, net.init_params(tiny_net_config(), s.seed_index)
@@ -311,7 +311,7 @@ class TestPlot:
         assert len(rows) - 1 == log.ticks * len(log.agent_ids)
 
     def test_empty_log_gives_map_only_plot(self, tmp_path):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         log = EpisodeLog(
             agent_ids=sc.agent_ids(), dt=0.05, seed_key=[0, 0], ticks=0,
             positions=np.zeros((0, 3, 4)),

@@ -33,13 +33,13 @@ def margin_params(config, seed, bias_boost=0.07):
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        params = zero_params(net.lite21_config())
+        params = zero_params(net.NETS["lite21"])
         logits, value = net.forward(params, probe_obs(params.config)[0])
         assert np.array_equal(logits, np.zeros(9))
         assert value == 0.0
 
     def test_full84_layer_sizes(self):
-        cfg = net.full84_config()
+        cfg = net.NETS["full84"]
         assert cfg.conv_output_sizes() == [20, 9, 7]
         assert cfg.flat_features() == 7 * 7 * 64
         shapes = dict(cfg.param_layout())
@@ -51,7 +51,7 @@ class TestForward:
         assert shapes["value/w"] == (512, 1)
 
     def test_deterministic_outputs(self):
-        params = net.init_params(net.full84_config(), 5)
+        params = net.init_params(net.NETS["full84"], 5)
         obs = probe_obs(params.config)[0]
         a = net.forward(params, obs)
         b = net.forward(params, obs)
@@ -61,7 +61,7 @@ class TestForward:
         # (net, batch, why it is rejected): a batch holds one or more
         # observations, each uint8 codes at the net's core resolution; forward
         # takes the observation of a one-row batch
-        lite, full = net.lite21_config(), net.full84_config()
+        lite, full = net.NETS["lite21"], net.NETS["full84"]
         cases = [
             (lite, np.zeros((1, 21, 21, 3)), "float64 codes"),
             (lite, np.zeros((1, 84, 84, 3), np.uint8), "84x84 image for lite21"),
@@ -83,7 +83,7 @@ class TestForward:
                 pytest.fail(f"forward_core accepted {why}")
 
     def test_single_pixel_difference_propagates(self):
-        params = margin_params(net.full84_config(), 3)
+        params = margin_params(net.NETS["full84"], 3)
         obs = probe_obs(params.config)[0]
         logits0, _ = net.forward(params, obs)
         bumped = obs.copy()
@@ -114,7 +114,7 @@ class TestForward:
         assert np.allclose(fast, np.maximum(slow, 0.0), atol=1e-12)
 
     def test_batch_matches_single(self):
-        params = net.init_params(net.lite21_config(), 9)
+        params = net.init_params(net.NETS["lite21"], 9)
         obs = probe_obs(params.config, 3)
         logits_b, values_b, _ = net.forward_core(params, obs)
         for i in range(3):

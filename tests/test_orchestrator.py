@@ -31,7 +31,7 @@ from advdrive.orchestrator import (
 from advdrive.ppo import PpoHyper, update_policy
 from advdrive.raster import render
 from advdrive.rewards import RewardParams
-from advdrive.scenario import t_intersection_scenario
+from advdrive.scenario import ScenarioSettings, t_intersection_scenario
 from advdrive.schema import write_record
 from advdrive.seeding import KEY_INIT, SeedTree
 from advdrive.world import init_world
@@ -84,7 +84,7 @@ def trajectories_equal(t1, t2):
 
 class TestRunEpisode:
     def test_fixed_seed_reproduces_trajectories(self):
-        sc = t_intersection_scenario(max_steps=80)
+        sc = t_intersection_scenario(ScenarioSettings(max_steps=80))
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
         runs = []
         for _ in range(2):
@@ -99,7 +99,7 @@ class TestRunEpisode:
         assert np.array_equal(runs[0][1].positions, runs[1][1].positions)
 
     def test_different_episode_keys_differ(self):
-        sc = t_intersection_scenario(max_steps=60)
+        sc = t_intersection_scenario(ScenarioSettings(max_steps=60))
         pols = {s.agent_id: make_policy(s) for s in sc.agents}
         t0, _ = run_episode(sc, pols, RewardParams(), 60, SeedTree(5), (1, 0), collect={"victim1"})
         t1, _ = run_episode(sc, pols, RewardParams(), 60, SeedTree(5), (1, 1), collect={"victim1"})
@@ -184,7 +184,7 @@ class TestRunEpisode:
     def test_trajectories_store_core_resolution_observations(self, monkeypatch):
         sc = straight_scenario(route_length=20.0, max_steps=12)
         pol = make_policy(sc.agents[0])
-        pol.params = net.init_params(net.lite21_config(), 0)
+        pol.params = net.init_params(net.NETS["lite21"], 0)
         rendered = []
 
         def recorder(world, agent_id, res):
@@ -568,7 +568,7 @@ class TestConcurrentUpdates:
         assert files == serial
 
     def test_lite21_updates_due_together_start_no_thread(self, tmp_path, monkeypatch):
-        assert net.lite21_config().param_count() < orchestrator.SIDE_BY_SIDE_MIN_PARAMS
+        assert net.NETS["lite21"].param_count() < orchestrator.SIDE_BY_SIDE_MIN_PARAMS
         pin_cpus(monkeypatch, 2)
         refuse_threads(monkeypatch, "a lite21 phase's updates")
         sc = two_victim_scenario()
@@ -576,7 +576,7 @@ class TestConcurrentUpdates:
             phase_name="baseline_test",
             phase_key=1,
             scenario=sc,
-            policies={s.agent_id: make_policy(s, config=net.lite21_config()) for s in sc.agents},
+            policies={s.agent_id: make_policy(s, config=net.NETS["lite21"]) for s in sc.agents},
             hyper=PpoHyper(minibatch=10, epochs_per_batch=1, train_batch=1),
             reward_params=RewardParams(),
             episodes=1,

@@ -196,7 +196,7 @@ class TestCheckpointErrors:
 
 class TestOptimizerStateFallback:
     def test_missing_adam_resumes_fresh_with_warning(self, tmp_path):
-        ckpt = make_checkpoint(with_adam=False, config=net.lite21_config())
+        ckpt = make_checkpoint(with_adam=False, config=net.NETS["lite21"])
         path = tmp_path / "no_adam.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
@@ -221,7 +221,7 @@ class TestCounterDefault:
              ("adversary", "adversary", "adv_offroad"))
         ):
             paths[aid] = str(tmp_path / f"{aid}.ckpt")
-            params = net.init_params(net.lite21_config(), i)
+            params = net.init_params(net.NETS["lite21"], i)
             save_checkpoint(paths[aid], Checkpoint(role, kind, params, counters={}))
             assert load_checkpoint(paths[aid]).counters == zeros
         assert Checkpoint("victim", "victim", params).counters == zeros

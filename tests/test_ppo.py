@@ -231,11 +231,11 @@ class TestLoss:
             assert any(np.any(g == 0.0) for g in fresh.values())  # dead ReLUs give exact zeros
 
     def test_workspace_gradients_bit_equal_over_consecutive_calls(self):
-        params = margin_params(net.lite21_config(), TINY_SEED)
+        params = margin_params(net.NETS["lite21"], TINY_SEED)
         self.check_workspace_bit_equal(params, np.random.default_rng(4), (8, 5))
 
     def test_full84_workspace_outputs_bit_equal_over_consecutive_calls(self):
-        params = net.init_params(net.full84_config(), 6)
+        params = net.init_params(net.NETS["full84"], 6)
         self.check_workspace_bit_equal(params, np.random.default_rng(9), (64, 5))
 
     def workspace_bytes(self, mode):

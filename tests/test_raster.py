@@ -24,6 +24,7 @@ from advdrive.raster import (
 from advdrive.scenario import (
     AgentSpec,
     ScenarioConfig,
+    ScenarioSettings,
     corridor_scenario,
     t_intersection_scenario,
 )
@@ -56,7 +57,8 @@ def open_field_scenario(agents):
         )
         for i, a in enumerate(agents)
     ]
-    return ScenarioConfig(name="field", map=geo, agents=specs)
+    return ScenarioConfig(name="field", map=geo, agents=specs, dt=0.05, max_steps=500,
+                          spawn_jitter=0.0)
 
 
 def color_mask(pixels, cls):
@@ -74,7 +76,7 @@ def dilate(mask):
 
 class TestBasics:
     def test_shape_range_determinism(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         for res in (84, 21):
             a = render(w, "victim1", res)
@@ -83,7 +85,7 @@ class TestBasics:
             assert np.array_equal(a.pixels, b.pixels)
 
     def test_unknown_agent_rejected(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         with pytest.raises(ConfigurationError):
             render(w, "ghost", 21)
@@ -92,14 +94,14 @@ class TestBasics:
         assert len({tuple(row) for row in PALETTE}) == len(PALETTE)
 
     def test_lite21_is_block_constant_replication(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         native = render(w, "victim2", 21).pixels
         blocks = upsample(native).reshape(21, BLOCK, 21, BLOCK, 3)
         assert np.all(blocks == native[:, None, :, None, :])
 
     def test_own_vehicle_at_anchor(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         img = render(w, "victim1", 84).pixels
         own = color_mask(img, OWN_VEHICLE)
@@ -203,9 +205,10 @@ def golden_worlds():
     """Worlds for the render digest: jittered spawns, a corridor, and a
     T-intersection 60 ticks in, with headings off the axes and one agent
     terminated."""
-    worlds = [init_world(t_intersection_scenario(spawn_jitter=1.5), seed) for seed in range(3)]
-    worlds.append(init_world(corridor_scenario(spawn_jitter=0.5), 4))
-    w = init_world(t_intersection_scenario(), 5)
+    worlds = [init_world(t_intersection_scenario(ScenarioSettings(spawn_jitter=1.5)), seed)
+              for seed in range(3)]
+    worlds.append(init_world(corridor_scenario(ScenarioSettings(spawn_jitter=0.5)), 4))
+    w = init_world(t_intersection_scenario(ScenarioSettings()), 5)
     for _ in range(60):
         w, _ = step(
             w, {aid: net.action_to_command(3 * (i % 3)) for i, aid in enumerate(w.live_agents())}
@@ -235,7 +238,7 @@ def test_renders_match_golden_digest():
 
 
 def test_ppm_dump(tmp_path):
-    sc = t_intersection_scenario()
+    sc = t_intersection_scenario(ScenarioSettings())
     w = init_world(sc, 0)
     img = render(w, "victim1", 21)
     path = tmp_path / "obs.ppm"

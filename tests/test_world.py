@@ -9,7 +9,7 @@ from conftest import straight_scenario
 from advdrive import world
 from advdrive.errors import ConfigurationError, ContractViolationError
 from advdrive.geometry import obb_overlap
-from advdrive.scenario import VehicleParams, t_intersection_scenario
+from advdrive.scenario import ScenarioSettings, VehicleParams, t_intersection_scenario
 from advdrive.world import (
     ActionCommand,
     Termination,
@@ -30,7 +30,7 @@ def all_coast(world):
 
 class TestInitWorld:
     def test_default_scenario_uses_reference_coordinates(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         assert np.allclose(w.vehicles["victim1"].position, (188.0, 59.0))
         assert np.allclose(sc.agent("victim1").goal, (167.0, 75.7))
@@ -40,7 +40,7 @@ class TestInitWorld:
         assert np.allclose(sc.agent("victim2").goal, (191.2, 62.7))
 
     def test_spawn_state(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 3)
         assert w.tick == 0
         for aid in sc.agent_ids():
@@ -51,15 +51,15 @@ class TestInitWorld:
         assert w.vehicles["adversary"].heading == pytest.approx(-math.pi / 2)  # southbound
 
     def test_same_seed_identical_state(self):
-        sc = t_intersection_scenario(spawn_jitter=0.4)
+        sc = t_intersection_scenario(ScenarioSettings(spawn_jitter=0.4))
         assert init_world(sc, 7).digest() == init_world(sc, 7).digest()
         assert init_world(sc, 7).digest() != init_world(sc, 8).digest()
 
     def test_digest_is_the_dynamic_state(self):
         # seeds differ through the spawn jitter they draw; the world keeps no generator
-        jittered = t_intersection_scenario(spawn_jitter=0.4)
+        jittered = t_intersection_scenario(ScenarioSettings(spawn_jitter=0.4))
         assert len({init_world(jittered, seed).digest() for seed in range(10)}) == 10
-        still = t_intersection_scenario()
+        still = t_intersection_scenario(ScenarioSettings())
         assert len({init_world(still, seed).digest() for seed in range(10)}) == 1
         w = init_world(still, 0)
         before = w.digest()
@@ -142,7 +142,7 @@ class TestStepDynamics:
         assert w2.vehicles["victim1"].heading == pytest.approx(expected)
 
     def test_determinism_bitwise(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         seqs = []
         for _ in range(2):
             w = init_world(sc, 11)
@@ -331,7 +331,7 @@ class TestContracts:
             step(w, {"victim1": coast(), "ghost": coast()})
 
     def test_missing_action(self):
-        sc = t_intersection_scenario()
+        sc = t_intersection_scenario(ScenarioSettings())
         w = init_world(sc, 0)
         with pytest.raises(ContractViolationError):
             step(w, {"victim1": coast()})
