@@ -4,12 +4,14 @@ Subcommands: train-baseline, train-adversary, retrain, evaluate, compare,
 plot, demo. Flag precedence: command line > config file > built-in
 defaults. A command takes only the flags it acts on: plot reads just the
 scenario and the output directory, and only evaluate and demo take
---workers, which sets the evaluation's world count. Flags that set config
-values become overrides keyed by dotted config keys, merged over the config
-file's data before the one ``config.parse_config`` call, so they pass the
-same schema checks (``config.py``) and fail with the same messages as
-config keys. The ADVDRIVE_OUT_ROOT environment variable, when set, prefixes
-relative output directories. Exit codes: 0 success, 1 runtime failure (one
+--workers, the number of processes that run the evaluation's blocks of
+episodes. plot refuses an episode log unless its agents are the scenario's,
+with or without the adversary. Flags that set config values become
+overrides keyed by dotted config keys, merged over the config file's data
+before the one ``config.parse_config`` call, so they pass the same schema
+checks (``config.py``) and fail with the same messages as config keys. The
+ADVDRIVE_OUT_ROOT environment variable, when set, prefixes relative output
+directories. Exit codes: 0 success, 1 runtime failure (one
 machine-parseable ``error_class=...`` line on stderr), 2 usage error.
 """
 from __future__ import annotations
@@ -235,8 +237,13 @@ def _cmd_compare(args) -> int:
 def _cmd_plot(args) -> int:
     cfg = _load_cfg(args)
     log = EpisodeLog.load(args.episode_log)
-    full = build_scenario(cfg)
-    scenario = full.subset([a for a in log.agent_ids if a in full.agent_ids()])
+    scenario = build_scenario(cfg)
+    # the agents of an evaluation with and without the adversary
+    victims = [a.agent_id for a in scenario.victims()]
+    if log.agent_ids not in (scenario.agent_ids(), victims):
+        raise ConfigurationError(
+            f"episode log '{args.episode_log}' has agents {log.agent_ids}, but scenario "
+            f"'{scenario.name}' has {scenario.agent_ids()} (victims {victims})")
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     svg = os.path.join(out, "trajectories.svg")

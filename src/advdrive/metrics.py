@@ -16,6 +16,14 @@ the evaluation protocol and what the victims saw: the obs mode, taken from
 the names of the victims' nets (each victim is rendered at its own net's
 resolution), and the raster's fixed view extents.
 
+``evaluate`` cuts its episodes into fixed blocks of ``EVAL_BLOCK``, the last
+one shorter, and runs each block's episodes in lockstep
+(``orchestrator.Lockstep``): each tick, each agent's net runs one forward on
+its rows of the block's live episodes, in episode order. The blocks depend
+only on the episode count, and a process pool (``workers`` > 1) maps
+blocks, not episodes, so every forward has the same rows, and the report the
+same bytes, for any worker count.
+
 ``compare`` lines up reports of distinct labels in a ``ComparisonTable``,
 whose fields are the keys of ``compare.json``: its ``cells`` and
 ``composite_deltas_vs_first`` are keyed ``"label|victim"`` in memory as in
@@ -34,7 +42,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ContractViolationError
-from .orchestrator import EpisodeLog, run_episode, share_cpus
+from .orchestrator import EpisodeLog, Lockstep, run_episode, share_cpus
 from .raster import VIEW_AHEAD, VIEW_SIDE
 from .rewards import RewardParams
 from .scenario import ScenarioConfig
@@ -138,34 +146,35 @@ def scenario_fingerprint(
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _eval_episode(scenario, policies, max_steps, seed_tree, condition_key,
-                  action_mode, ep: int) -> EpisodeLog:
-    _, log = run_episode(
-        scenario,
-        policies,
-        RewardParams(),
-        max_steps=max_steps,
-        seed_tree=seed_tree,
-        key_prefix=(condition_key, ep),
-        collect=set(),
-        action_mode=action_mode,
-    )
-    return log
+# Episodes per lockstep block: a worker's unit of work, whose episodes advance
+# one tick together with one forward per policy on their stacked rows.
+EVAL_BLOCK = 8
 
 
-# A pool worker's `_eval_episode` with everything but the episode index bound
-# by the initializer, so the policies reach each worker once, not once per task.
-_worker_episode = None
+def _eval_block(scenario, policies, max_steps, seed_tree, condition_key, action_mode,
+                block: range) -> list[EpisodeLog]:
+    """The logs of the episodes of ``block``, run in one lockstep group."""
+    keys = [(condition_key, ep) for ep in block]
+    with Lockstep(keys) as group:
+        return [run_episode(scenario, policies, RewardParams(), max_steps=max_steps,
+                            seed_tree=seed_tree, key_prefix=key, collect=set(),
+                            action_mode=action_mode, lockstep=group)[1]
+                for key in keys]
+
+
+# A pool worker's `_eval_block` with everything but the block bound by the
+# initializer, so the policies reach each worker once, not once per task.
+_worker_block = None
 
 
 def _eval_worker_init(workers: int, *context):
-    global _worker_episode
+    global _worker_block
     share_cpus(workers)
-    _worker_episode = partial(_eval_episode, *context)
+    _worker_block = partial(_eval_block, *context)
 
 
-def _eval_in_worker(ep: int) -> EpisodeLog:
-    return _worker_episode(ep)
+def _eval_in_worker(block: range) -> list[EpisodeLog]:
+    return _worker_block(block)
 
 
 def evaluate(
@@ -184,22 +193,26 @@ def evaluate(
 
     Deterministic in (scenario, policies, master seed, condition_key)
     regardless of worker count; the first episode's log is returned (a
-    one-item list) for plotting. With ``workers`` > 1 the episodes run in a
-    pool of that many processes, at most one per episode, which share the
-    usable CPUs: each episode's forwards start helper threads only while
-    processes × concurrent forwards fit the CPUs (``share_cpus``).
+    one-item list) for plotting. The episodes are cut into blocks of
+    ``EVAL_BLOCK``, the last one shorter, and each block runs in lockstep
+    (``orchestrator.Lockstep``), with ``run_episode`` called once per
+    episode in episode order. With ``workers`` > 1 the blocks run in a pool
+    of that many processes, at most one per block, which share the usable
+    CPUs: each block's forwards start helper threads only while processes ×
+    concurrent forwards fit the CPUs (``share_cpus``).
     """
     victim_ids = [a.agent_id for a in scenario.victims()]
     context = (scenario, policies, max_steps, seed_tree, condition_key, action_mode)
+    blocks = [range(lo, min(lo + EVAL_BLOCK, episodes)) for lo in range(0, episodes, EVAL_BLOCK)]
     # the pool starts all its processes at the first task, so none may idle
-    processes = min(workers, episodes)
+    processes = min(workers, len(blocks))
     if processes > 1:
         with ProcessPoolExecutor(
             max_workers=processes, initializer=_eval_worker_init, initargs=(processes, *context)
         ) as pool:
-            logs = list(pool.map(_eval_in_worker, range(episodes)))
+            logs = [log for block_logs in pool.map(_eval_in_worker, blocks) for log in block_logs]
     else:
-        logs = [_eval_episode(*context, ep) for ep in range(episodes)]
+        logs = [log for block in blocks for log in _eval_block(*context, block)]
 
     per_episode = {aid: [episode_metrics(log, aid) for log in logs] for aid in victim_ids}
     victims = {aid: aggregate_episode_metrics(per_episode[aid]) for aid in victim_ids}

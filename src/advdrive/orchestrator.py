@@ -26,6 +26,22 @@ appends one line per agent and episode and one per update, each flushed
 before the next episode starts, and writes ``phase_manifest.json`` once it
 completes or a non-finite value aborts it.
 
+Episodes run in lockstep groups (``Lockstep``), the one tick loop for
+training and evaluation. A group holds a block of episodes, each with its
+own world, key and per-agent RNGs, and advances all of them one tick at a
+time: each agent's net runs one forward per tick on its rows of the block's
+episodes, stacked in episode order, and each episode then draws, steps and
+logs in turn. ``run_episode`` is the one episode entry point: a training
+phase runs each episode alone, in a group of its own whose forwards are one
+row each, and ``metrics.evaluate`` runs its episodes in blocks of
+``metrics.EVAL_BLOCK``, calling ``run_episode`` once per episode in order.
+Each episode raises the error it raises when run alone. Its logits on
+stacked rows can differ from a one-row forward's in the last bits (at most
+1.4e-17 for ``full84`` and 3.5e-18 for ``lite21``, measured on random codes),
+and a draw changes only when its uniform falls that close to a cumulative
+probability, so its actions and log are those of the episode run alone
+unless a draw lands that close.
+
 One primitive runs every per-policy job side by side:
 ``side_by_side(items, job, pool)``. For each item in turn, ``job(item)`` runs
 on the calling thread and returns a call; each call but the last goes to a
@@ -39,15 +55,15 @@ thread, and leaving the block drops the calls not yet started and waits for
 the running ones. The jobs are the updates of the policies due after the
 same episode, on a pool per phase (the job takes the buffer and the update's
 RNG, the call builds the batch and updates; every agent's episode record is
-written, then its update record or its error); within each tick of
-``run_episode``, every live agent's forward, on a pool per episode (the job
-renders the agent, so each forward overlaps the next agents' renders, and
-sampling and the world step then follow in agent order, each agent drawing
-from its own RNG); and a phase's ``checksums_in`` and frozen-policy hashes
-and checkpoint writes and, in ``pipeline``, each command's checkpoint loads
-and fresh inits, on a pool per call. (After an abort, an update or a write
-that ran alongside the failing one has still taken effect; no file records
-the update.)
+written, then its update record or its error); within each tick of a
+lockstep group, each acting agent's forward on its rows, on a pool per group
+(the job renders the agent in each episode, so each forward overlaps the
+next agents' renders; each episode then draws in agent order, each agent
+from its own RNG, and steps its world); and a phase's ``checksums_in`` and
+frozen-policy hashes and checkpoint writes and, in ``pipeline``, each
+command's checkpoint loads and fresh inits, on a pool per call. (After an
+abort, an update or a write that ran alongside the failing one has still
+taken effect; no file records the update.)
 
 One rule sizes every pool (``helper_threads``), from the number of jobs and
 the smallest of their nets. Below ``SIDE_BY_SIDE_MIN_PARAMS`` parameters
@@ -65,9 +81,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import partial
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +92,7 @@ from .net import SIDE_BY_SIDE_MIN_PARAMS
 from .checkpoint import Checkpoint, params_checksum, save_checkpoint
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
     FreezeViolationError,
     NonFiniteError,
     PhaseAbortedError,
@@ -193,89 +210,219 @@ def run_episode(
     key_prefix: tuple[int, ...],
     collect: set[str] | None = None,
     action_mode: str = "sample",
+    lockstep: Lockstep | None = None,
 ) -> tuple[dict[str, Trajectory], EpisodeLog]:
     """Run one episode; returns per-agent trajectories for `collect` agents
     and the episode log. Deterministic in (scenario, policies, key_prefix).
 
-    Each tick renders the live agents in agent order and runs their forwards
-    through ``side_by_side`` on a pool held for the episode, sized by
-    ``helper_threads(len(agents), ...)`` (see the module docstring), so for
-    nets from ``SIDE_BY_SIDE_MIN_PARAMS`` up each but the last forward
-    overlaps the next agents' renders, and smaller nets start no thread. The
-    forwards' results are then taken in agent order, each followed by its
-    agent's action (drawn from its own RNG in ``sample`` mode), and the world
-    steps once. So the outputs do not depend on the thread count, and neither
-    does the error: a failing render, forward or draw raises the error of the
-    first failing agent in agent order, once every started forward has ended;
-    forwards not yet started are dropped.
+    The episode runs in the ``lockstep`` group that holds ``key_prefix``,
+    which ticks all its episodes together until this one has ended, or
+    without one in a group of its own, whose every forward is one row. A
+    group starts its episodes in the first call and takes every later call's
+    other arguments to be the first's; it raises ``ContractViolationError``
+    when they differ or it holds no such episode (or has returned it). A
+    failing render, forward, draw or world step raises the error that the
+    episode run alone raises (see ``Lockstep``).
     """
-    collect = set() if collect is None else set(collect)
-    ids = scenario.agent_ids()
-    for aid in ids:
-        if aid not in policies:
-            raise ConfigurationError(f"no policy provided for agent '{aid}'")
-    res = {aid: policies[aid].params.config.core_res() for aid in ids}
-    greedy = action_mode == "greedy"
-
-    world = episode_world(scenario, seed_tree, key_prefix)
-    rngs = {
-        aid: seed_tree.rng(*key_prefix, KEY_AGENT_RNG_BASE + scenario.agent(aid).seed_index)
-        for aid in ids
-    }
-    prev_flags = initial_flags(world)
-    reward_fns = {aid: reward_function(policies[aid].reward_kind) for aid in ids}
-
-    trajectories = {aid: Trajectory(agent_id=aid) for aid in collect}
-    flag_log = {aid: {k: [] for k in FLAG_NAMES} for aid in ids}
-    events, positions = [], []
-
-    with _policy_pool(policies, ids) as pool:
-        for _ in range(max_steps):
-            live = world.live_agents()
-            if not live:
-                break
-            actions = {}
-            pending = {}
-            forwards = side_by_side(live, partial(_render_forward, world, policies, res), pool)
-            for aid, (obs, logits, value) in zip(live, forwards):
-                chosen = net.greedy_action(logits) if greedy else net.sample_action(logits, rngs[aid])
-                actions[aid] = net.action_to_command(chosen.index)
-                pending[aid] = (obs, chosen, value)
-
-            world, flags = step(world, actions)
-
-            for aid in live:
-                fl = flags[aid]
-                for name in FLAG_NAMES:
-                    value_flag = getattr(fl, name)
-                    flag_log[aid][name].append(bool(value_flag))
-                    if value_flag:
-                        events.append(Event(world.tick, aid, name))
-                if aid in collect:
-                    obs, chosen, value = pending[aid]
-                    reward = reward_fns[aid](prev_flags[aid], fl, reward_params)
-                    trajectories[aid].append(
-                        obs.pixels, chosen.index, chosen.log_prob_vector, value, reward
-                    )
-                prev_flags[aid] = fl
-
-            vehicles = [world.vehicles[aid] for aid in ids]
-            positions.append([(*v.position[:2], v.heading, v.speed) for v in vehicles])
-
-    log = EpisodeLog(
-        agent_ids=ids, dt=scenario.dt, seed_key=list(key_prefix), ticks=len(positions),
-        positions=np.asarray(positions, dtype=np.float64), flags=flag_log, events=events,
-        termination={aid: world.ended.get(aid, Termination(None, None)) for aid in ids},
-    )
-    return trajectories, log
+    args = (scenario, policies, reward_params, max_steps, seed_tree,
+            frozenset(collect or ()), action_mode)
+    if lockstep is None:
+        with Lockstep([key_prefix]) as group:
+            return group._run(args, key_prefix)
+    return lockstep._run(args, key_prefix)
 
 
-def _render_forward(world: WorldState, policies: dict[str, Checkpoint], res: dict[str, int],
-                    aid: str):
-    """Renders ``aid``; returns the call giving its observation and its
-    net's forward on it."""
-    obs = render(world, aid, res[aid])
-    return lambda: (obs,) + net.forward(policies[aid].params, obs.pixels)
+@dataclass(eq=False)
+class _Episode:
+    """One episode of a ``Lockstep`` group and the record it has left so
+    far. ``live`` holds the agents that act in its next tick, and is empty
+    once it has ended, by its world, its tick limit or its ``error``."""
+
+    key_prefix: tuple[int, ...]
+    world: WorldState | None = None
+    rngs: dict[str, np.random.Generator] = field(default_factory=dict)
+    live: list[str] = field(default_factory=list)
+    trajectories: dict[str, Trajectory] = field(default_factory=dict)
+    prev_flags: dict = field(default_factory=dict)
+    flag_log: dict = field(default_factory=dict)
+    events: list = field(default_factory=list)
+    positions: list = field(default_factory=list)
+    error: Exception | None = None
+
+    def log(self, scenario: ScenarioConfig) -> EpisodeLog:
+        ids = scenario.agent_ids()
+        return EpisodeLog(
+            agent_ids=ids, dt=scenario.dt, seed_key=list(self.key_prefix),
+            ticks=len(self.positions), positions=np.asarray(self.positions, dtype=np.float64),
+            flags=self.flag_log, events=self.events,
+            termination={aid: self.world.ended.get(aid, Termination(None, None)) for aid in ids},
+        )
+
+
+class Lockstep:
+    """A block of episodes, by key prefix, that ``run_episode`` advances one
+    tick together on the calling thread. Each keeps its own world, per-agent
+    RNGs and key, as it would run alone.
+
+    A tick runs one job per agent, in agent order, through ``side_by_side``
+    on a pool the group holds while it has running episodes, sized by
+    ``helper_threads`` for the scenario's agents (see the module
+    docstring). The job renders the agent in every running episode where it
+    is live, in episode order, and its call runs the agent's net forward on
+    those rows: ``net.forward`` on a single row and one ``net.forward_core``
+    on the stacked codes of several. Then each episode in turn draws its
+    agents' actions in agent order, each from its own RNG, steps its world
+    and logs the tick. A failing world init, render, forward, draw or step
+    ends only its own episode, with the error of its first failing agent in
+    agent order; a stacked forward that fails is run again row by row, so
+    each row gets the result of its own forward. ``run_episode`` raises the
+    error when it returns that episode, so a caller that takes the episodes
+    in order raises the error a serial run raises.
+    """
+
+    def __init__(self, key_prefixes):
+        self.key_prefixes = [tuple(k) for k in key_prefixes]
+        self._args = None  # run_episode's arguments, from the first call on
+        self._episodes: dict[tuple[int, ...], _Episode] = {}  # until returned
+        self._pool = None
+        self._exit = ExitStack()
+
+    def __enter__(self) -> "Lockstep":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._exit.close()
+        return False
+
+    def _run(self, args: tuple, key_prefix) -> tuple[dict[str, Trajectory], EpisodeLog]:
+        """``run_episode`` with its arguments ``args`` in this group."""
+        if self._args is None:
+            self._start(args)
+        elif _identity(args) != _identity(self._args):
+            raise ContractViolationError(
+                "run_episode's arguments differ from those its lockstep group started with")
+        episode = self._episodes.get(tuple(key_prefix))
+        if episode is None:
+            raise ContractViolationError(
+                f"the lockstep group holds no episode {list(key_prefix)} to run")
+        while episode.live:
+            self._tick()
+        del self._episodes[episode.key_prefix]
+        if episode.error is not None:
+            raise episode.error
+        return episode.trajectories, episode.log(self._scenario)
+
+    def _start(self, args: tuple) -> None:
+        scenario, policies, reward_params, max_steps, seed_tree, collect, action_mode = args
+        ids = scenario.agent_ids()
+        for aid in ids:
+            if aid not in policies:
+                raise ConfigurationError(f"no policy provided for agent '{aid}'")
+        self._args = args
+        self._scenario, self._ids, self._policies = scenario, ids, policies
+        self._reward_params, self._max_steps, self._collect = reward_params, max_steps, collect
+        self._greedy = action_mode == "greedy"
+        self._res = {aid: policies[aid].params.config.core_res() for aid in ids}
+        self._reward_fns = {aid: reward_function(policies[aid].reward_kind) for aid in ids}
+        for key in self.key_prefixes:
+            e = self._episodes[key] = _Episode(key)
+            try:
+                e.world = episode_world(scenario, seed_tree, key)
+            except Exception as exc:
+                e.error = exc
+                continue
+            e.rngs = {aid: seed_tree.rng(*key, KEY_AGENT_RNG_BASE + scenario.agent(aid).seed_index)
+                      for aid in ids}
+            e.live = e.world.live_agents() if max_steps > 0 else []
+            e.trajectories = {aid: Trajectory(agent_id=aid) for aid in collect}
+            e.prev_flags = initial_flags(e.world)
+            e.flag_log = {aid: {name: [] for name in FLAG_NAMES} for aid in ids}
+        self._pool = self._exit.enter_context(_policy_pool(policies, ids))
+
+    def _tick(self) -> None:
+        running = [e for e in self._episodes.values() if e.live]
+        # per episode and agent: (obs, logits, value), or the error of its render or forward
+        pending = {e: {} for e in running}
+
+        def job(aid):
+            rows = []
+            for e in running:
+                if aid in e.live:
+                    try:
+                        rows.append((e, render(e.world, aid, self._res[aid])))
+                    except Exception as exc:
+                        pending[e][aid] = exc
+            params = self._policies[aid].params
+            return lambda: list(zip(rows, _forward(params, [obs.pixels for _, obs in rows])))
+
+        acting = [aid for aid in self._ids if any(aid in e.live for e in running)]
+        for aid, rows in zip(acting, side_by_side(acting, job, self._pool)):
+            for (e, obs), out in rows:
+                pending[e][aid] = out if isinstance(out, Exception) else (obs, *out)
+        for e in running:
+            try:
+                self._step(e, pending[e])
+            except Exception as exc:
+                e.error, e.live = exc, []
+        if not any(e.live for e in self._episodes.values()):
+            self._exit.close()
+
+    def _step(self, e: _Episode, pending: dict) -> None:
+        """Draws ``e``'s actions, steps its world and logs the tick."""
+        actions, taken = {}, {}
+        for aid in e.live:
+            if isinstance(pending[aid], Exception):
+                raise pending[aid]
+            obs, logits, value = pending[aid]
+            chosen = (net.greedy_action(logits) if self._greedy
+                      else net.sample_action(logits, e.rngs[aid]))
+            actions[aid] = net.action_to_command(chosen.index)
+            taken[aid] = (obs, chosen, value)
+
+        e.world, flags = step(e.world, actions)
+
+        for aid, (obs, chosen, value) in taken.items():
+            fl = flags[aid]
+            for name in FLAG_NAMES:
+                raised = getattr(fl, name)
+                e.flag_log[aid][name].append(bool(raised))
+                if raised:
+                    e.events.append(Event(e.world.tick, aid, name))
+            if aid in self._collect:
+                reward = self._reward_fns[aid](e.prev_flags[aid], fl, self._reward_params)
+                e.trajectories[aid].append(obs.pixels, chosen.index, chosen.log_prob_vector,
+                                           value, reward)
+            e.prev_flags[aid] = fl
+
+        vehicles = [e.world.vehicles[aid] for aid in self._ids]
+        e.positions.append([(*v.position[:2], v.heading, v.speed) for v in vehicles])
+        e.live = [] if len(e.positions) == self._max_steps else e.world.live_agents()
+
+
+def _identity(args: tuple) -> tuple:
+    """``run_episode``'s arguments with the scenario and policies by
+    identity and the seed tree by its master seed."""
+    scenario, policies, reward_params, max_steps, seed_tree, collect, action_mode = args
+    return (id(scenario), id(policies), reward_params, max_steps, seed_tree.master_seed, collect,
+            action_mode)
+
+
+def _forward(params: net.NetworkParams, codes: list[np.ndarray]) -> list:
+    """Each row's (logits, value), or the error its forward raises, in row
+    order: ``net.forward`` on a single row, one ``net.forward_core`` on the
+    stack of several, and a forward per row when the stack's fails. A single
+    row keeps the single-observation forward that a training episode always
+    ran, and that perfbench's tracer counts once per agent step."""
+    if len(codes) < 2:
+        try:
+            return [net.forward(params, c) for c in codes]
+        except Exception as exc:
+            return [exc]
+    try:
+        logits, values, _ = net.forward_core(params, np.stack(codes))
+    except Exception:
+        return [out for c in codes for out in _forward(params, [c])]
+    return [(row, float(value)) for row, value in zip(logits, values)]
 
 
 @dataclass

@@ -6,7 +6,13 @@ import yaml
 
 from advdrive.checkpoint import load_checkpoint
 from advdrive.cli import dispatch
+from advdrive.config import build_scenario, parse_config
 from advdrive.metrics import MetricsReport, VictimMetrics
+from advdrive.orchestrator import run_episode
+from advdrive.pipeline import fresh_policy
+from advdrive.rewards import RewardParams
+from advdrive.schema import write_record
+from advdrive.seeding import SeedTree
 
 MICRO_CONFIG = {
     "obs_mode": "lite21",
@@ -202,6 +208,40 @@ def test_bad_input_file_exits_1_with_error_class(tmp_path, capsys, command, cont
     assert err.startswith("error_class=ContractViolationError " + message.format(
         what=what, path=path, first=first))
     assert err.count("error_class=") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def saved_episode_log(path, preset, agent_ids=None):
+    """A 3-tick episode log of the agents ``agent_ids`` (all by default) of
+    the ``preset`` scenario, as ``evaluate`` writes ``episode0.json``."""
+    cfg = parse_config({"obs_mode": "lite21", "scenario": {"preset": preset, "max_steps": 3}})
+    full = build_scenario(cfg)
+    scenario = full.subset(agent_ids or full.agent_ids())
+    policies = {spec.agent_id: fresh_policy(cfg, spec) for spec in scenario.agents}
+    _, log = run_episode(scenario, policies, RewardParams(), 3, SeedTree(0), (0, 0))
+    write_record(path, log)
+    return path
+
+
+@pytest.mark.parametrize("preset, agent_ids, refused", [
+    ("corridor", None, True),
+    ("t_intersection", ["victim1"], True),
+    ("t_intersection", ["victim1", "victim2"], False),  # a condition without the adversary
+    ("t_intersection", None, False),
+])
+def test_plot_refuses_a_log_of_other_agents(tmp_path, capsys, preset, agent_ids, refused):
+    log = saved_episode_log(tmp_path / "episode0.json", preset, agent_ids)
+    out = tmp_path / "out"
+    # the default config's scenario, the T-intersection
+    rc = dispatch(["plot", str(log), "--out", str(out)])
+    if not refused:
+        assert rc == 0 and (out / "trajectories.svg").exists()
+        return
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error_class=ConfigurationError episode log '{log}' has agents "
+        f"{agent_ids or ['victim1']}, but scenario 't_intersection' has "
+        "['victim1', 'victim2', 'adversary'] (victims ['victim1', 'victim2'])\n")
     assert not out.exists()
 
 

@@ -168,7 +168,7 @@ class TestEvaluate:
         from advdrive import metrics
 
         self.eval_once(workers=1)
-        assert metrics._worker_episode is None  # no policies kept alive in this process
+        assert metrics._worker_block is None  # no policies kept alive in this process
 
     def test_report_round_trip(self, tmp_path):
         r1, _ = self.eval_once()

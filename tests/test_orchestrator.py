@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -622,26 +623,27 @@ def record_threads(monkeypatch, module, name):
 
 
 def record_forwards(monkeypatch):
-    """Per episode run by ``metrics.evaluate`` from now on, the list of its
-    ``net.forward`` calls: None for one on the calling thread, else the ident
-    of its helper thread. An episode's helpers live until its end, so within
-    one episode distinct idents are distinct helpers."""
-    episodes = []
+    """Per block of episodes run by ``metrics.evaluate`` from now on, the
+    list of its ``net.forward_core`` calls, each as (thread, rows): the
+    thread None for the calling thread, else the ident of its helper. A
+    block's helpers live until its last episode ends, so within one block
+    distinct idents are distinct helpers."""
+    blocks = []
     caller = threading.get_ident()
-    episode, forward = metrics.run_episode, net.forward
+    run_block, forward_core = metrics._eval_block, net.forward_core
 
-    def run(*args, **kwargs):
-        episodes.append([])
-        return episode(*args, **kwargs)
+    def run(*args):
+        blocks.append([])
+        return run_block(*args)
 
-    def recorder(*args, **kwargs):
+    def recorder(params, x, *args, **kwargs):
         ident = threading.get_ident()
-        episodes[-1].append(None if ident == caller else ident)
-        return forward(*args, **kwargs)
+        blocks[-1].append((None if ident == caller else ident, len(x)))
+        return forward_core(params, x, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "run_episode", run)
-    monkeypatch.setattr(net, "forward", recorder)
-    return episodes
+    monkeypatch.setattr(metrics, "_eval_block", run)
+    monkeypatch.setattr(net, "forward_core", recorder)
+    return blocks
 
 
 def refuse_threads(monkeypatch, what):
@@ -842,9 +844,10 @@ def evaluate_attack(cfg, ckpts, out) -> dict:
 
 
 class TestForwardsSideBySide:
-    """Within each tick, full84 forwards run on helper threads by the CPU rule
-    of the other per-policy jobs; lite21 forwards run on the calling thread.
-    The outputs and errors must not depend on it."""
+    """Within each tick of a lockstep block, each agent's forward on its rows
+    of the block's episodes runs on a helper thread by the CPU rule of the
+    other per-policy jobs for full84 nets, and on the calling thread for
+    lite21 nets. The outputs and errors must not depend on it."""
 
     def test_full84_evaluation_identical_for_one_and_two_cpus(
         self, tmp_path, monkeypatch, fresh_checkpoints
@@ -853,20 +856,23 @@ class TestForwardsSideBySide:
         for cpus in (1, 2):
             with monkeypatch.context() as m:
                 pin_cpus(m, cpus)
-                episodes = record_forwards(m)
+                blocks = record_forwards(m)
                 outputs[cpus] = evaluate_attack(eval_config("full84"), fresh_checkpoints["full84"],
                                                 tmp_path / str(cpus))
-            assert len(episodes) == 2
-            for helpers in episodes:  # per episode, the thread of each forward
-                if cpus == 1:
-                    assert set(helpers) == {None}
-                else:  # the calling thread and the episode pool's one helper
-                    assert None in helpers and len(set(helpers) - {None}) == 1
+            assert len(blocks) == 1  # the two episodes run in one block
+            forwards = blocks[0]
+            # per tick, one forward per agent on the rows of both episodes
+            assert len(forwards) == 3 * 20 and {rows for _, rows in forwards} == {2}
+            threads = {thread for thread, _ in forwards}
+            if cpus == 1:
+                assert threads == {None}
+            else:  # the calling thread and the block pool's one helper
+                assert None in threads and len(threads - {None}) == 1
         assert outputs[1] == outputs[2]
 
-    # per CPU and worker count: the helpers of a 3-agent full84 episode in this
-    # process, and in each worker of the pool, which for 2 episodes holds at
-    # most 2 processes
+    # per CPU and worker count: the helpers of a 3-agent full84 block in this
+    # process, and in each worker of the pool, which for 2 one-episode blocks
+    # holds at most 2 processes
     @pytest.mark.parametrize("cpus, workers, helpers, worker_helpers",
                              [(2, 2, 1, 0), (4, 2, 2, 1), (4, 3, 2, 1)])
     def test_pool_workers_share_the_cpus(
@@ -888,6 +894,7 @@ class TestForwardsSideBySide:
         for n in (1, workers):
             with monkeypatch.context() as m:
                 pin_cpus(m, cpus)
+                m.setattr(metrics, "EVAL_BLOCK", 1)
                 m.setattr(metrics, "run_episode", recorder)
                 m.setattr(metrics, "_eval_worker_init", init_recorder)
                 outputs[n] = evaluate_attack(eval_config("full84", n), fresh_checkpoints["full84"],
@@ -911,17 +918,18 @@ class TestForwardsSideBySide:
         scenario = build_scenario(eval_config("full84"))
         policies = {aid: load_checkpoint(p) for aid, p in fresh_checkpoints["full84"].items()}
         owners = {id(pol.params): aid for aid, pol in policies.items()}
-        forward, draw = net.forward, orchestrator.render
+        forward_core, draw = net.forward_core, orchestrator.render
+        keys = [(1, 0), (1, 1)]
         errors = {}
         for cpus in (1, 2):
             threads = {}
 
-            def failing_forward(params, obs):
+            def failing_forward(params, x, *args, **kwargs):
                 aid = owners[id(params)]
                 threads[aid] = threading.get_ident()
                 if failing.get(aid) == "forward":
                     raise NonFiniteError(f"forward of {aid} failed")
-                return forward(params, obs)
+                return forward_core(params, x, *args, **kwargs)
 
             def failing_render(world, aid, res):
                 if failing.get(aid) == "render":
@@ -930,16 +938,20 @@ class TestForwardsSideBySide:
 
             with monkeypatch.context() as m:
                 pin_cpus(m, cpus)
-                m.setattr(net, "forward", failing_forward)
+                m.setattr(net, "forward_core", failing_forward)
                 m.setattr(orchestrator, "render", failing_render)
                 running = threading.active_count()
-                with pytest.raises((NonFiniteError, ContractViolationError)) as info:
-                    run_episode(scenario, policies, RewardParams(), 20, SeedTree(3), (1, 0))
-                assert threading.active_count() == running  # every helper has ended
+                with orchestrator.Lockstep(keys) as group:
+                    with pytest.raises((NonFiniteError, ContractViolationError)) as info:
+                        run_episode(scenario, policies, RewardParams(), 20, SeedTree(3), keys[0],
+                                    lockstep=group)
+                    assert threading.active_count() == running  # every helper has ended
+                    with pytest.raises(type(info.value), match=str(info.value)):
+                        run_episode(scenario, policies, RewardParams(), 20, SeedTree(3), keys[1],
+                                    lockstep=group)
             errors[cpus] = str(info.value)
             assert threads["victim1"] != threading.get_ident() or cpus == 1
-            if "adversary" in threads:
-                assert threads["adversary"] == threading.get_ident()
+            assert threads["adversary"] == threading.get_ident()
         first = next(aid for aid in scenario.agent_ids() if aid in failing)
         assert errors[1] == errors[2] == f"{failing[first]} of {first} failed"
 
@@ -948,6 +960,155 @@ class TestForwardsSideBySide:
         refuse_threads(monkeypatch, "a lite21 evaluation")
         outputs = evaluate_attack(eval_config("lite21"), fresh_checkpoints["lite21"], tmp_path)
         assert json.loads(outputs["report.json"])["episodes"] == 2
+
+
+def jittered_scenario():
+    """Two lite21 victims whose goals lie 1.8 m ahead of spawns jittered by up
+    to 1 m: episodes end at different ticks, and so do agents."""
+    return dataclasses.replace(straight_scenario(route_length=30, max_steps=40, agents=[
+        {"id": "victim1", "spawn": (0.0, 0.0), "goal": (1.8, 0.0)},
+        {"id": "victim2", "spawn": (15.0, 0.0), "goal": (16.8, 0.0)},
+    ]), spawn_jitter=1.0)
+
+
+def lite21_policies(scenario):
+    return {spec.agent_id: make_policy(spec, config=net.NETS["lite21"])
+            for spec in scenario.agents}
+
+
+def log_bytes(log) -> bytes:
+    buf = io.BytesIO()
+    write_record(buf, log)
+    return buf.getvalue()
+
+
+def run_in_order(scenario, policies, keys, group=None, **kwargs):
+    """Runs the episodes of ``keys`` in order, in the lockstep ``group`` if
+    given; returns their results up to the first error, and that error's
+    message (None if none was raised)."""
+    results = []
+    for key in keys:
+        try:
+            results.append(run_episode(scenario, policies, RewardParams(), 40, SeedTree(3), key,
+                                       lockstep=group, **kwargs))
+        except ValueError as exc:
+            return results, str(exc)
+    return results, None
+
+
+class TestLockstep:
+    """A block of episodes advanced in lockstep gives each episode the log,
+    trajectories and error it gives when run alone."""
+
+    KEYS = [(100, ep) for ep in range(12)]
+
+    def test_episodes_equal_the_same_episodes_run_alone(self):
+        scenario = jittered_scenario()
+        policies = lite21_policies(scenario)
+        collect = {"victim1", "victim2"}
+        alone, _ = run_in_order(scenario, policies, self.KEYS, collect=collect)
+        with orchestrator.Lockstep(reversed(self.KEYS)) as group:
+            together, _ = run_in_order(scenario, policies, self.KEYS, group, collect=collect)
+        assert len({log.ticks for _, log in alone}) > 1
+        assert len({log.termination["victim2"].tick for _, log in alone}) > 2
+        for (trajs_a, log_a), (trajs_b, log_b) in zip(alone, together, strict=True):
+            assert log_bytes(log_a) == log_bytes(log_b)
+            for aid in collect:
+                assert trajectories_equal(trajs_a[aid], trajs_b[aid])
+                assert trajs_a[aid].rewards == trajs_b[aid].rewards
+
+    def test_evaluate_identical_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        scenario = jittered_scenario()
+        policies = lite21_policies(scenario)
+        episodes = 2 * metrics.EVAL_BLOCK + 3
+        saved = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as m:
+                blocks = record_forwards(m)
+                report, logs = metrics.evaluate(scenario, policies, label="probe",
+                                                episodes=episodes, max_steps=40,
+                                                seed_tree=SeedTree(3), condition_key=100,
+                                                workers=workers)
+            if workers == 1:  # blocks of EVAL_BLOCK, EVAL_BLOCK and 3 episodes
+                assert [max(rows for _, rows in forwards) for forwards in blocks] == [
+                    metrics.EVAL_BLOCK, metrics.EVAL_BLOCK, 3]
+            report.save(tmp_path / f"{workers}.json")
+            saved[workers] = ((tmp_path / f"{workers}.json").read_bytes(), log_bytes(logs[0]))
+        assert saved[1] == saved[2]
+        _, alone = run_episode(scenario, policies, RewardParams(), 40, SeedTree(3), (100, 0))
+        assert saved[1][1] == log_bytes(alone)
+
+    @pytest.mark.parametrize("stage", ["world", "render", "forward"])
+    def test_failing_episode_raises_the_error_a_serial_run_raises(self, monkeypatch, stage):
+        """Episode 3 fails before episode 2 does, in an earlier tick: a
+        serial run ends episodes 0 and 1 and raises episode 2's error, and so
+        does the block."""
+        scenario = jittered_scenario()
+        policies = lite21_policies(scenario)
+        worlds = {}  # episode -> the digest of its world at each tick
+
+        def recorder(world, aid, res):
+            if aid == "victim2":
+                worlds[ep].append(world.digest())
+            return render(world, aid, res)
+
+        with monkeypatch.context() as m:
+            m.setattr(orchestrator, "render", recorder)
+            for ep in (2, 3):
+                worlds[ep] = []
+                run_episode(scenario, policies, RewardParams(), 40, SeedTree(3), self.KEYS[ep])
+        # victim2's render fails in these worlds, or marks its codes, on which its forward fails
+        targets = {worlds[2][5]: 2, worlds[3][1]: 3}
+        world, forward_core = orchestrator.episode_world, net.forward_core
+        marked = 200  # + the episode: codes no render gives
+
+        def failing_world(scenario, seed_tree, key_prefix):
+            if key_prefix in (self.KEYS[2], self.KEYS[3]):
+                raise ValueError(f"world of episode {key_prefix[1]} failed")
+            return world(scenario, seed_tree, key_prefix)
+
+        def failing_render(world, aid, res):
+            episode = targets.get(world.digest()) if aid == "victim2" else None
+            if episode is not None and stage == "render":
+                raise ValueError(f"render of episode {episode} failed")
+            obs = render(world, aid, res)
+            if episode is not None and stage == "forward":
+                obs.pixels = np.full_like(obs.pixels, marked + episode)
+            return obs
+
+        def failing_forward(params, x, *args, **kwargs):
+            for row in x:
+                if row.min() == row.max() >= marked:
+                    raise ValueError(f"forward of episode {row.min() - marked} failed")
+            return forward_core(params, x, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(orchestrator, "episode_world", failing_world if stage == "world" else world)
+            m.setattr(orchestrator, "render", failing_render)
+            m.setattr(net, "forward_core", failing_forward)
+            alone = run_in_order(scenario, policies, self.KEYS)
+            with orchestrator.Lockstep(self.KEYS) as group:
+                together = run_in_order(scenario, policies, self.KEYS, group)
+        for run in (alone, together):
+            results, message = run
+            assert (len(results), message) == (2, f"{stage} of episode 2 failed")
+        assert [log_bytes(log) for _, log in alone[0]] == [log_bytes(log) for _, log in together[0]]
+
+    def test_group_refuses_other_arguments_and_episodes(self):
+        scenario = jittered_scenario()
+        policies = lite21_policies(scenario)
+        args = (scenario, policies, RewardParams(), 40, SeedTree(3))
+        with orchestrator.Lockstep(self.KEYS[:2]) as group:
+            run_episode(*args, self.KEYS[0], lockstep=group)
+            with pytest.raises(ContractViolationError, match=r"holds no episode \[100, 0\]"):
+                run_episode(*args, self.KEYS[0], lockstep=group)  # already returned
+            with pytest.raises(ContractViolationError, match=r"holds no episode \[100, 5\]"):
+                run_episode(*args, self.KEYS[5], lockstep=group)
+            with pytest.raises(ContractViolationError, match="arguments differ"):
+                run_episode(*args, self.KEYS[1], action_mode="greedy", lockstep=group)
+            with pytest.raises(ContractViolationError, match="arguments differ"):
+                run_episode(scenario, dict(policies), *args[2:], self.KEYS[1], lockstep=group)
+            run_episode(*args, self.KEYS[1], lockstep=group)
 
 
 def command_config(obs_mode):
